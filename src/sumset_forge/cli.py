@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import layered as ls
-from .harness import (CampaignReport, CapExceeded, GenParams, bench,
+from .harness import (CapExceeded, GenParams, bench,
                       campaign_exhaustive, campaign_random, load_instance,
                       verify_instance, Tally, REPORT_VERSION)
 from .layered import LayeredSetError
@@ -103,6 +103,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    # a bad value must exit 2 here: failing later in the campaign exits 1,
+    # which reads as "violations found"
+    for flag, values, minimum in (("--d", args.d, 1), ("--s", args.s, 2),
+                                  ("--count", (args.count,), 0)):
+        if not values or min(values) < minimum:
+            print(f"error: {flag} needs integers >= {minimum}, got "
+                  f"{','.join(map(str, values))!r}", file=sys.stderr)
+            return 2
     if args.mode == "random":
         params = GenParams(d_values=args.d, s_min=min(args.s),
                            s_max=max(args.s), density=args.density,

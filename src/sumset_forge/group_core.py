@@ -29,40 +29,25 @@ class CyclicGroup:
         return [k for k in range(1, d + 1) if d % k == 0]
 
 
-@dataclass(frozen=True)
-class ResidueSet:
-    """A subset of Z/dZ, stored as a membership bitmap (python int)."""
+class Bitmap:
+    """Membership queries shared by the bitmap-backed sets: m is a member iff
+    bit m of `self.bits` is set.  Subclasses reject bits at or above their
+    bound on construction, so only the lower end needs a range check."""
 
-    group: CyclicGroup
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.group.modulus:
-            raise ValueError("bitmap has bits outside [0, d)")
-
-    @classmethod
-    def of(cls, group: CyclicGroup, members: Iterable[int]) -> "ResidueSet":
+    @staticmethod
+    def bits_of(members: Iterable[int], bound: int) -> int:
         bits = 0
-        d = group.modulus
         for m in members:
-            if not 0 <= m < d:
-                raise ValueError(f"member {m} outside [0, {d})")
+            if not 0 <= m < bound:
+                raise ValueError(f"member {m} outside [0, {bound})")
             bits |= 1 << m
-        return cls(group, bits)
-
-    @classmethod
-    def full(cls, group: CyclicGroup) -> "ResidueSet":
-        return cls(group, (1 << group.modulus) - 1)
-
-    @property
-    def modulus(self) -> int:
-        return self.group.modulus
+        return bits
 
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def __contains__(self, r: int) -> bool:
-        return 0 <= r < self.modulus and bool(self.bits >> r & 1)
+    def __contains__(self, m: int) -> bool:
+        return m >= 0 and bool(self.bits >> m & 1)
 
     def __iter__(self) -> Iterator[int]:
         bits = self.bits
@@ -76,6 +61,30 @@ class ResidueSet:
 
     def __bool__(self) -> bool:
         return self.bits != 0
+
+
+@dataclass(frozen=True)
+class ResidueSet(Bitmap):
+    """A subset of Z/dZ, stored as a membership bitmap (python int)."""
+
+    group: CyclicGroup
+    bits: int
+
+    def __post_init__(self):
+        if self.bits < 0 or self.bits >> self.group.modulus:
+            raise ValueError("bitmap has bits outside [0, d)")
+
+    @classmethod
+    def of(cls, group: CyclicGroup, members: Iterable[int]) -> "ResidueSet":
+        return cls(group, cls.bits_of(members, group.modulus))
+
+    @classmethod
+    def full(cls, group: CyclicGroup) -> "ResidueSet":
+        return cls(group, (1 << group.modulus) - 1)
+
+    @property
+    def modulus(self) -> int:
+        return self.group.modulus
 
     def shift(self, k: int) -> "ResidueSet":
         """Translate by k (mod d): {m + k : m in self}."""

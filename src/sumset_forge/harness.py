@@ -23,8 +23,8 @@ from .group_core import CyclicGroup, ResidueSet
 from .hall_bounds import (BoundViolation, abc_parameters, lemma2_certificate,
                           prop5_bound, r_parameter)
 from .layered import (ConclusionFailed, LayeredSet, LayeredSetError,
-                      NotApplicable, StructureWitness)
-from .sumset_engine import IntegerSet, sumset, sumset_int, sumset_naive
+                      NotApplicable)
+from .sumset_engine import IntegerSet, sumset, sumset_naive
 
 REPORT_VERSION = "sumset-forge-report v1"
 THREADS_ENV = "SUMSET_FORGE_THREADS"
@@ -40,14 +40,23 @@ def instance_to_json(L: LayeredSet) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
+def _strict_int(value, what: str) -> int:
+    """The value itself when it is a JSON integer; floats, strings and
+    booleans (a subclass of int) are refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise LayeredSetError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_doc(doc) -> LayeredSet:
     if not isinstance(doc, dict) or "d" not in doc or "layers" not in doc:
         raise LayeredSetError('document must carry "d" and "layers"')
     try:
-        d = int(doc["d"])
-        layers = [(int(layer["a"]), [int(m) for m in layer["set"]])
+        d = _strict_int(doc["d"], "d")
+        layers = [(_strict_int(layer["a"], "a"),
+                   [_strict_int(m, "set member") for m in layer["set"]])
                   for layer in doc["layers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise LayeredSetError(f"malformed instance document: {exc}") from exc
     try:
         return LayeredSet.of(d, layers)
@@ -166,16 +175,15 @@ def verify_instance(L: LayeredSet, tally: Tally) -> dict:
     """Run every layered check on one instance, feeding the tally; returns a
     record of what each check produced (for the CLI `verify` verb)."""
     doc = instance_to_json(L)
-    flat = ls.flatten_sumset(L)
-    ratio = ls.doubling_ratio(L, flat)
-    record: dict = {"size": L.size(), "sumset_size": flat.total_size(),
+    ratio = ls.doubling_ratio(L)
+    record: dict = {"size": L.size(), "sumset_size": L.flat.total_size(),
                     "ratio": ratio}
-    applicable = ls.is_applicable(L, flat)
+    applicable = ls.is_applicable(L)
     tally.bump("instances", "applicable" if applicable else "not_applicable")
     record["applicable"] = applicable
 
     try:
-        bound = ls.prop6_lower_bound(L, flat)
+        bound = ls.prop6_lower_bound(L)
         record["prop6"] = bound
         tally.bump("prop6", "holds")
     except BoundViolation as exc:
@@ -183,13 +191,13 @@ def verify_instance(L: LayeredSet, tally: Tally) -> dict:
         tally.bump("prop6", "violated")
         tally.findings.append(Finding("prop6", "violated", str(exc), doc))
 
-    ok = ls.corollary1_check(L, flat)
+    ok = ls.corollary1_check(L)
     record["corollary1"] = ok
     tally.bump("corollary1", "holds" if ok else "violated")
     if not ok:
         tally.findings.append(Finding("corollary1", "violated", "", doc))
 
-    p7 = ls.check_prop7(L, flat)
+    p7 = ls.check_prop7(L)
     record["prop7"] = p7
     if p7.applicable:
         tally.bump("prop7", "holds" if p7.holds else "violated")
@@ -199,7 +207,7 @@ def verify_instance(L: LayeredSet, tally: Tally) -> dict:
     else:
         tally.bump("prop7", "not_applicable")
 
-    out = ls.find_structure(L, flat)
+    out = ls.find_structure(L)
     record["structure"] = out
     if isinstance(out, NotApplicable):
         tally.bump("structure", "not_applicable")
@@ -222,7 +230,7 @@ def verify_instance(L: LayeredSet, tally: Tally) -> dict:
                        "saturated" if saturated else "unsaturated")
             tally.findings.append(
                 Finding("ineq7", "equality", f"{lhs}={lhs}", doc))
-        l5 = ls.check_lemma5(L, out.subgroup, flat)
+        l5 = ls.check_lemma5(L, out.subgroup)
         record["lemma5"] = l5
         record["uvw"] = ls.uvw_partition(L, out.subgroup)
         if l5.applicable:

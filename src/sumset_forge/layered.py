@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Union
 
 from .classical_checks import CheckOutcome
 from .group_core import (CyclicGroup, ResidueSet, Subgroup, containing_coset,
                          subgroups)
-from .hall_bounds import (BoundViolation, HallViolator, SdrCertificate,
-                          find_sdr, lemma2_family, r_parameter)
+from .hall_bounds import BoundViolation, HallViolator, find_sdr, r_parameter
 from .rectify import AffineAssignment, solve_affine
 from .sumset_engine import IntegerSet, sumset
 
@@ -96,19 +96,20 @@ class LayeredSet:
     def max_offset(self) -> int:
         return self.layers[-1][0]
 
+    @cached_property
+    def flat(self) -> "LayeredSumset":
+        """B~ + B~, computed on first use and shared by every check.  The
+        cache lives in the instance __dict__, outside the compared fields."""
+        return flatten_sumset(self)
+
 
 @dataclass(frozen=True)
 class LayeredSumset:
     entries: tuple[tuple[int, ResidueSet], ...]
+    pair_sizes: tuple[tuple[int, ...], ...]   # [i][j] = |B_i + B_j|
 
     def total_size(self) -> int:
         return sum(len(b) for _, b in self.entries)
-
-    def slice_at(self, k: int) -> Optional[ResidueSet]:
-        for kk, b in self.entries:
-            if kk == k:
-                return b
-        return None
 
 
 @dataclass(frozen=True)
@@ -157,30 +158,30 @@ class SizePartition:
 
 def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     """Exact sumset of the layered set: entry at first coordinate k is the
-    union of B_i + B_j over offset pairs with a_i + a_j = k."""
+    union of B_i + B_j over offset pairs with a_i + a_j = k.  The size of
+    every pairwise B_i + B_j is kept as well, in a symmetric table."""
     by_k: dict[int, ResidueSet] = {}
     n = L.s
+    pair_sizes = [[0] * n for _ in range(n)]
     for i in range(n):
         ai, bi = L.layers[i]
         for j in range(i, n):
             aj, bj = L.layers[j]
             k = ai + aj
             piece = sumset(bi, bj)
+            pair_sizes[i][j] = pair_sizes[j][i] = len(piece)
             by_k[k] = piece if k not in by_k else by_k[k].union(piece)
-    return LayeredSumset(tuple(sorted(by_k.items())))
+    return LayeredSumset(tuple(sorted(by_k.items())),
+                         tuple(map(tuple, pair_sizes)))
 
 
-def doubling_ratio(L: LayeredSet,
-                   flat: Optional[LayeredSumset] = None) -> Fraction:
-    if flat is None:
-        flat = flatten_sumset(L)
-    return Fraction(flat.total_size(), L.size())
+def doubling_ratio(L: LayeredSet) -> Fraction:
+    return Fraction(L.flat.total_size(), L.size())
 
 
-def is_applicable(L: LayeredSet,
-                  flat: Optional[LayeredSumset] = None) -> bool:
+def is_applicable(L: LayeredSet) -> bool:
     t = tau(L.s)
-    return t is not None and doubling_ratio(L, flat) < t
+    return t is not None and doubling_ratio(L) < t
 
 
 def _prop6_family(L: LayeredSet) -> tuple[list[IntegerSet], list[int]]:
@@ -207,13 +208,10 @@ def _prop6_family(L: LayeredSet) -> tuple[list[IntegerSet], list[int]]:
     return family, charge
 
 
-def prop6_lower_bound(L: LayeredSet,
-                      flat: Optional[LayeredSumset] = None) -> int:
+def prop6_lower_bound(L: LayeredSet) -> int:
     """Hall-certified lower bound on the full layered sumset: each SDR
     representative a_i + a_j contributes |B_i + B_j| at a distinct first
     coordinate.  Always <= |B~+B~|."""
-    if flat is None:
-        flat = flatten_sumset(L)
     family, charge = _prop6_family(L)
     out = find_sdr(family)
     if isinstance(out, HallViolator):
@@ -224,34 +222,30 @@ def prop6_lower_bound(L: LayeredSet,
     bound = 0
     for i, rep in zip(charge, out.representatives):
         j = index_of[rep - offsets[i]]
-        bound += len(sumset(L.layers[i][1], L.layers[j][1]))
-    total = flat.total_size()
+        bound += L.flat.pair_sizes[i][j]
+    total = L.flat.total_size()
     if bound > total:
         raise BoundViolation(
             f"certified bound {bound} exceeds |B~+B~| = {total}")
     return bound
 
 
-def corollary1_check(L: LayeredSet,
-                     flat: Optional[LayeredSumset] = None) -> bool:
+def corollary1_check(L: LayeredSet) -> bool:
     """|B~+B~| - |B~| >= (s-2)|B_1| + |B_2| + ... + |B_R| with the layer
     sizes taken in descending order; R comes from the offsets as given."""
-    if flat is None:
-        flat = flatten_sumset(L)
     sizes = sorted((len(b) for _, b in L.layers), reverse=True)
     r = r_parameter(L.offset_set())
     rhs = (L.s - 2) * sizes[0] + sum(sizes[1:r])
-    return flat.total_size() - L.size() >= rhs
+    return L.flat.total_size() - L.size() >= rhs
 
 
-def check_prop7(L: LayeredSet,
-                flat: Optional[LayeredSumset] = None) -> CheckOutcome:
+def check_prop7(L: LayeredSet) -> CheckOutcome:
     """max a_i < 1.5 s under the small-doubling hypothesis."""
     name = "prop7"
     t = tau(L.s)
     if t is None:
         return CheckOutcome(name, applicable=False, witness="out-of-range s")
-    if not is_applicable(L, flat):
+    if not is_applicable(L):
         return CheckOutcome(name, applicable=False)
     return CheckOutcome(name, True, 2 * L.max_offset() < 3 * L.s,
                         witness=(L.max_offset(), L.s))
@@ -269,16 +263,13 @@ def _confinement(L: LayeredSet, h: Subgroup) -> Optional[list[int]]:
     return reps
 
 
-def find_structure(L: LayeredSet,
-                   flat: Optional[LayeredSumset] = None
+def find_structure(L: LayeredSet
                    ) -> Union[StructureWitness, NotApplicable, ConclusionFailed]:
     """Search for the structural witness: the smallest subgroup H such that
     every B_i sits inside a_i*x + y + H for some (x, y), then check every
     stated conclusion against it."""
-    if flat is None:
-        flat = flatten_sumset(L)
     t = tau(L.s)
-    ratio = doubling_ratio(L, flat)
+    ratio = doubling_ratio(L)
     if t is None:
         return NotApplicable(f"no doubling threshold for s={L.s}", ratio)
     if ratio >= t:
@@ -316,11 +307,11 @@ def find_structure(L: LayeredSet,
         return ConclusionFailed(
             "subgroup-size-bound",
             f"|H| = {h.order} >= (3/2) max|B_i| = (3/2)*{max(sizes)}")
-    status = check_ineq7(L, h, flat)
+    status = check_ineq7(L, h)
     if status == INEQ7_VIOLATED:
         return ConclusionFailed(
             "ineq7", f"(max a_i)|H| = {L.max_offset() * h.order} > "
-                     f"{flat.total_size() - L.size()}")
+                     f"{L.flat.total_size() - L.size()}")
     return StructureWitness(h, x, y, j, size_bound=True, ineq7=status)
 
 
@@ -349,15 +340,14 @@ def uvw_partition(L: LayeredSet, h: Subgroup) -> SizePartition:
     return SizePartition(tuple(u), tuple(v), tuple(w))
 
 
-def check_lemma5(L: LayeredSet, h: Subgroup,
-                 flat: Optional[LayeredSumset] = None) -> CheckOutcome:
+def check_lemma5(L: LayeredSet, h: Subgroup) -> CheckOutcome:
     """u >= w + 2R - 3 under the small-doubling hypothesis, checked exactly as
     stated.  As stated it cannot hold when s < 2R - 3: every layer lies in
     exactly one of U, V, W, so u + w <= s, and the inequality would force
     s >= 2R - 3.  Applicable instances with s < 2R - 3 exist (README, d=30),
     and on them this check reports a violation."""
     name = "lemma5"
-    if not is_applicable(L, flat):
+    if not is_applicable(L):
         return CheckOutcome(name, applicable=False)
     part = uvw_partition(L, h)
     r = r_parameter(L.offset_set())
@@ -365,13 +355,10 @@ def check_lemma5(L: LayeredSet, h: Subgroup,
                         witness=(part.u, part.v, part.w, r))
 
 
-def check_ineq7(L: LayeredSet, h: Subgroup,
-                flat: Optional[LayeredSumset] = None) -> str:
+def check_ineq7(L: LayeredSet, h: Subgroup) -> str:
     """(max a_i)|H| against |B~+B~| - |B~|, exactly."""
-    if flat is None:
-        flat = flatten_sumset(L)
     lhs = L.max_offset() * h.order
-    rhs = flat.total_size() - L.size()
+    rhs = L.flat.total_size() - L.size()
     if lhs < rhs:
         return INEQ7_STRICT
     if lhs == rhs:

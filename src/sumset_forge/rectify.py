@@ -8,7 +8,6 @@ group is cyclic); assignment values are residues mod q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from .sumset_engine import IntegerSet, sumset_int
@@ -140,44 +139,36 @@ def solve_affine_bruteforce(assign: AffineAssignment) -> Optional[tuple[int, int
     return None
 
 
-def solve_affine_seeded(assign: AffineAssignment) -> Optional[tuple[int, int]]:
-    """Derive (x, y) from an adjacent closure seed pair, when one exists.
-
-    With gcd of nonzero a_i equal 1 a solution is unique, so this agrees with
-    the brute-force path whenever both run.
-    """
-    members = assign.aset.members()
-    index = {a: i for i, a in enumerate(members)}
-    ambient = IntegerSet.of(assign.aset.max() + 1, members)
+def _bezout(members) -> tuple[int, list[int]]:
+    """(g, c) with g = gcd(members) and sum c_i * m_i = g, by extended Euclid
+    folded over the members."""
+    g, coeffs = 0, []
     for m in members:
-        if m + 1 not in index:
-            continue
-        seed = IntegerSet.of(ambient.bound, (m, m + 1))
-        if good_closure(seed, ambient).current.bits != ambient.bits:
-            continue
-        i, j = index[m], index[m + 1]
-        x = (assign.values[j] - assign.values[i]) % assign.q
-        y = (assign.values[i] - members[i] * x) % assign.q
-        return (x, y) if _verify(assign, x, y) else None
-    return None
+        a, b, u0, u1, v0, v1 = g, m, 1, 0, 0, 1
+        # invariant: u0*g + v0*m == a and u1*g + v1*m == b
+        while b:
+            t = a // b
+            a, b = b, a - t * b
+            u0, u1 = u1, u0 - t * u1
+            v0, v1 = v1, v0 - t * v1
+        g, coeffs = a, [c * u0 for c in coeffs] + [v0]
+    return g, coeffs
 
 
 def solve_affine(assign: AffineAssignment) -> Optional[tuple[int, int]]:
     """(x, y) with x_i = a_i*x + y in Z/qZ for all i, or None.
 
-    Uses the seed-pair route when the closure hypothesis applies (a-set inside
-    [0, s-1] with |A| >= 2s/3 + 1), brute force over q^2 candidates otherwise.
+    a_1 = 0 forces y = x_1.  With Bezout coefficients sum c_i a_i = 1, any
+    solution has x = sum c_i (a_i x) = sum c_i (x_i - y), so that candidate is
+    the only one: it is verified and returned, and the result equals the
+    brute-force search's.
     """
     if 0 not in assign.aset:
         raise ValueError("a-set must contain 0")
-    g = 0
-    for m in assign.aset:
-        g = gcd(g, m)
-    if len(assign.aset) >= 2 and g != 1:
+    g, coeffs = _bezout(assign.aset)
+    if g > 1:
         raise ValueError(f"gcd of nonzero a_i is {g}, expected 1")
-    n = assign.aset.max() + 1
-    if n > 3 and 3 * len(assign.aset) >= 2 * n + 3:
-        got = solve_affine_seeded(assign)
-        if got is not None:
-            return got
-    return solve_affine_bruteforce(assign)
+    q = assign.q
+    y = assign.values[0]
+    x = sum(c * (v - y) for c, v in zip(coeffs, assign.values)) % q
+    return (x, y) if _verify(assign, x, y) else None

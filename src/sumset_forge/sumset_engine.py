@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
-from .group_core import CyclicGroup, ResidueSet, Subgroup, subgroups
+from .group_core import Bitmap, ResidueSet, Subgroup, subgroups
 
 
 @dataclass(frozen=True)
-class IntegerSet:
+class IntegerSet(Bitmap):
     """A finite subset of [0, bound-1] of integers, stored as a bitmap."""
 
     bound: int
@@ -30,12 +30,7 @@ class IntegerSet:
 
     @classmethod
     def of(cls, bound: int, members: Iterable[int]) -> "IntegerSet":
-        bits = 0
-        for m in members:
-            if not 0 <= m < bound:
-                raise ValueError(f"member {m} outside [0, {bound})")
-            bits |= 1 << m
-        return cls(bound, bits)
+        return cls(bound, cls.bits_of(members, bound))
 
     @classmethod
     def from_members(cls, members: Iterable[int]) -> "IntegerSet":
@@ -44,25 +39,6 @@ class IntegerSet:
         if not ms:
             raise ValueError("need at least one member to infer a bound")
         return cls.of(max(ms) + 1, ms)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, m: int) -> bool:
-        return 0 <= m < self.bound and bool(self.bits >> m & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
 
     def min(self) -> int:
         if not self.bits:

@@ -36,6 +36,16 @@ class TestInstanceIO:
             instance_from_doc({"layers": []})
         with pytest.raises(LayeredSetError, match="malformed"):
             instance_from_doc({"d": 12, "layers": [{"a": 0}]})
+        # only genuine JSON integers: no float truncation, no bool, no string
+        for key, value in (("a", 1.7), ("set", [0, 4.9]), ("a", True),
+                           ("set", [0, False]), ("a", "1")):
+            doc = full_coset_doc()
+            doc["layers"][1][key] = value
+            with pytest.raises(LayeredSetError, match="must be an integer"):
+                instance_from_doc(doc)
+        for d in (12.0, True, "12"):
+            with pytest.raises(LayeredSetError, match="must be an integer"):
+                instance_from_doc(dict(full_coset_doc(), d=d))
 
     def test_load_instance(self, tmp_path):
         path = tmp_path / "inst.json"
@@ -94,6 +104,23 @@ class TestCampaign:
         monkeypatch.setenv(THREADS_ENV, "4")
         parallel = campaign_random(p, 40, seed=2).to_text()
         assert serial == parallel
+
+    def test_one_flatten_per_instance(self, monkeypatch):
+        import sumset_forge.layered as layered
+        calls = []
+        real = layered.flatten_sumset
+
+        def counting(L):
+            calls.append(L)
+            return real(L)
+
+        monkeypatch.setattr(layered, "flatten_sumset", counting)
+        instances = [L for _, L in canonical_instances()] + [
+            generate_instance(GenParams(epsilon=0.2), _rng_for(5, i))
+            for i in range(40)]
+        for L in instances:
+            verify_instance(L, Tally())
+        assert calls == instances
 
     def test_exhaustive_small(self):
         report = campaign_exhaustive((6,), 8)
@@ -155,6 +182,19 @@ class TestCli:
         path = tmp_path / "foo.txt"
         path.write_text("hello\n")
         assert main(["report", str(path)]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "random", "--d", "0"],
+        ["--mode", "random", "--d", "12,-3"],
+        ["--mode", "random", "--s", "1"],
+        ["--mode", "random", "--s", "1,6"],
+        ["--mode", "exhaustive", "--s", "1"],
+        ["--mode", "random", "--count", "-1"],
+    ])
+    def test_campaign_bad_arguments_exit(self, args, capsys):
+        assert main(["campaign"] + args) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
 
     def test_bench_unknown_kernel_exit(self, capsys):
         assert main(["bench", "--kernel", "fft", "--d", "64"]) == 2

@@ -14,6 +14,7 @@ from sumset_forge.layered import (INEQ7_EQUALITY, INEQ7_STRICT,
                                   flatten_sumset, is_applicable,
                                   is_coset_saturated, prop6_lower_bound, tau,
                                   uvw_partition, verify_witness)
+from sumset_forge.sumset_engine import sumset_naive
 
 
 def full_coset_instance():
@@ -96,6 +97,18 @@ class TestFlatten:
             got = {(k, m) for k, b in flat.entries for m in b}
             assert got == expected
 
+    def test_pair_table_matches_naive(self, rng):
+        for _ in range(2000):
+            L = random_instance(rng)
+            twin = LayeredSet(L.group, L.layers)
+            table = L.flat.pair_sizes
+            assert L.flat is L.flat and L.flat == flatten_sumset(L)
+            for i, (_, bi) in enumerate(L.layers):
+                for j, (_, bj) in enumerate(L.layers):
+                    assert table[i][j] == len(sumset_naive(bi, bj))
+            # the cached sumset is not a field: equality and hashing ignore it
+            assert L == twin and hash(L) == hash(twin)
+
 
 class TestProp6:
     def test_full_coset_bound_is_tight(self):
@@ -106,7 +119,7 @@ class TestProp6:
         L = b6_singleton_variant()
         flat = flatten_sumset(L)
         assert flat.total_size() == 31 and L.size() == 16
-        assert prop6_lower_bound(L, flat) <= 31
+        assert prop6_lower_bound(L) <= 31
 
     def test_two_layer_singletons(self):
         L = LayeredSet.of(5, [(0, [0]), (1, [0])])
@@ -117,7 +130,7 @@ class TestProp6:
         for _ in range(1500):
             L = random_instance(rng)
             flat = flatten_sumset(L)
-            assert prop6_lower_bound(L, flat) <= flat.total_size()
+            assert prop6_lower_bound(L) <= flat.total_size()
 
 
 class TestCorollary1:

@@ -3,8 +3,7 @@ import pytest
 from sumset_forge.rectify import (AffineAssignment, closure_step,
                                   find_seed_pair, good_closure,
                                   parallelogram_holds, sk_classes,
-                                  solve_affine, solve_affine_bruteforce,
-                                  solve_affine_seeded)
+                                  solve_affine, solve_affine_bruteforce)
 from sumset_forge.sumset_engine import IntegerSet
 
 
@@ -157,25 +156,29 @@ class TestSolveAffine:
             else:
                 assert solve_affine_bruteforce(assign) is None
 
-    def test_seeded_agrees_with_bruteforce(self, rng):
-        for _ in range(600):
-            q = rng.randint(1, 8)
-            s = rng.randint(5, 9)
-            x, y = rng.randrange(q), rng.randrange(q)
-            # dense a-set so the closure hypothesis applies
-            n = rng.randint((2 * s + 5) // 3, s)
-            members = [0] + sorted(rng.sample(range(1, s), n - 1))
-            a = IntegerSet.from_members(members)
-            assign = AffineAssignment(
-                a, tuple((m * x + y) % q for m in members), q)
-            seeded = solve_affine_seeded(assign)
+    def test_agrees_with_bruteforce(self, rng):
+        """The closed form equals the brute-force oracle on every assignment,
+        consistent or not: both return the unique solution, or None."""
+        from math import gcd
+        outcomes = set()
+        for _ in range(3000):
+            q = rng.randint(1, 12)
+            n = rng.randint(1, 9)
+            members = [0] + sorted(rng.sample(range(1, 14), n - 1))
+            g = 0
+            for m in members:
+                g = gcd(g, m)
+            if g > 1:
+                continue
+            if rng.random() < 0.5:
+                x, y = rng.randrange(q), rng.randrange(q)
+                values = tuple((m * x + y) % q for m in members)
+            else:
+                values = tuple(rng.randrange(q) for _ in members)
+            assign = AffineAssignment(IntegerSet.from_members(members),
+                                      values, q)
             brute = solve_affine_bruteforce(assign)
-            assert brute is not None
-            if seeded is not None and q > 1:
-                # gcd 1 over the integers gives a unique solution mod q
-                from math import gcd
-                g = 0
-                for m in members[1:]:
-                    g = gcd(g, m)
-                if gcd(g, q) == 1:
-                    assert seeded == brute
+            outcomes.add((n == 1, brute is None))
+            assert solve_affine(assign) == brute
+        # singleton {0} included; both solvable and unsolvable cases seen
+        assert outcomes == {(True, False), (False, False), (False, True)}
