@@ -106,10 +106,18 @@ def cmd_campaign(args) -> int:
     # a bad value must exit 2 here: failing later in the campaign exits 1,
     # which reads as "violations found"
     for flag, values, minimum in (("--d", args.d, 1), ("--s", args.s, 2),
-                                  ("--count", (args.count,), 0)):
+                                  ("--count", (args.count,), 0),
+                                  ("--max-a", (args.max_a,), 1),
+                                  ("--max-a-slack", (args.max_a_slack,), 0)):
         if not values or min(values) < minimum:
             print(f"error: {flag} needs integers >= {minimum}, got "
                   f"{','.join(map(str, values))!r}", file=sys.stderr)
+            return 2
+    for flag, value in (("--density", args.density),
+                        ("--epsilon", args.epsilon)):
+        if not 0 <= value <= 1:         # also false for nan
+            print(f"error: {flag} needs a number in [0, 1], got {value!r}",
+                  file=sys.stderr)
             return 2
     if args.mode == "random":
         params = GenParams(d_values=args.d, s_min=min(args.s),

@@ -174,9 +174,17 @@ class Tally:
 def verify_instance(L: LayeredSet, tally: Tally) -> dict:
     """Run every layered check on one instance, feeding the tally; returns a
     record of what each check produced (for the CLI `verify` verb)."""
-    doc = instance_to_json(L)
+    doc = None
+
+    def add_finding(check: str, status: str, detail: str) -> None:
+        # most instances yield no finding, so the JSON is built on demand
+        nonlocal doc
+        if doc is None:
+            doc = instance_to_json(L)
+        tally.findings.append(Finding(check, status, detail, doc))
+
     ratio = ls.doubling_ratio(L)
-    record: dict = {"size": L.size(), "sumset_size": L.flat.total_size(),
+    record: dict = {"size": L.size(), "sumset_size": L.sumset_size,
                     "ratio": ratio}
     applicable = ls.is_applicable(L)
     tally.bump("instances", "applicable" if applicable else "not_applicable")
@@ -189,21 +197,20 @@ def verify_instance(L: LayeredSet, tally: Tally) -> dict:
     except BoundViolation as exc:
         record["prop6"] = str(exc)
         tally.bump("prop6", "violated")
-        tally.findings.append(Finding("prop6", "violated", str(exc), doc))
+        add_finding("prop6", "violated", str(exc))
 
     ok = ls.corollary1_check(L)
     record["corollary1"] = ok
     tally.bump("corollary1", "holds" if ok else "violated")
     if not ok:
-        tally.findings.append(Finding("corollary1", "violated", "", doc))
+        add_finding("corollary1", "violated", "")
 
     p7 = ls.check_prop7(L)
     record["prop7"] = p7
     if p7.applicable:
         tally.bump("prop7", "holds" if p7.holds else "violated")
         if p7.violated:
-            tally.findings.append(
-                Finding("prop7", "violated", f"max_a={L.max_offset()}", doc))
+            add_finding("prop7", "violated", f"max_a={L.max_offset()}")
     else:
         tally.bump("prop7", "not_applicable")
 
@@ -213,31 +220,27 @@ def verify_instance(L: LayeredSet, tally: Tally) -> dict:
         tally.bump("structure", "not_applicable")
     elif isinstance(out, ConclusionFailed):
         tally.bump("structure", "violated")
-        tally.findings.append(
-            Finding("structure", "violated",
-                    f"{out.conclusion}:{out.detail}", doc))
+        add_finding("structure", "violated",
+                    f"{out.conclusion}:{out.detail}")
     else:
         tally.bump("structure", "holds")
         if not ls.verify_witness(L, out):
             tally.bump("structure", "violated")
-            tally.findings.append(
-                Finding("structure", "violated", "witness re-verification", doc))
+            add_finding("structure", "violated", "witness re-verification")
         tally.bump("ineq7", out.ineq7)
         if out.ineq7 == ls.INEQ7_EQUALITY:
             lhs = L.max_offset() * out.subgroup.order
             saturated = ls.is_coset_saturated(L, out.subgroup)
             tally.bump("ineq7-equality",
                        "saturated" if saturated else "unsaturated")
-            tally.findings.append(
-                Finding("ineq7", "equality", f"{lhs}={lhs}", doc))
+            add_finding("ineq7", "equality", f"{lhs}={lhs}")
         l5 = ls.check_lemma5(L, out.subgroup)
         record["lemma5"] = l5
         record["uvw"] = ls.uvw_partition(L, out.subgroup)
         if l5.applicable:
             tally.bump("lemma5", "holds" if l5.holds else "violated")
             if l5.violated:
-                tally.findings.append(
-                    Finding("lemma5", "violated", f"uvw={l5.witness}", doc))
+                add_finding("lemma5", "violated", f"uvw={l5.witness}")
         else:
             tally.bump("lemma5", "not_applicable")
     return record
@@ -297,20 +300,30 @@ def worker_count() -> int:
 
 def campaign_random(p: GenParams, count: int, seed: int,
                     include_canonical: bool = True) -> CampaignReport:
+    """The canonical battery then `count` generated instances.  The offset
+    profile memo is emptied on entry and on return: it serves this campaign
+    only, so every call starts cold, as a fresh process would."""
     t0 = time.perf_counter()
-    tally = Tally()
-    if include_canonical:
-        for _, L in canonical_instances():
-            verify_instance(L, tally)
-    threads = worker_count()
-    if threads <= 1 or count < 2 * threads:
-        tally.merge(_run_random_chunk((p, seed, 0, count)))
-    else:
-        bounds = [count * k // threads for k in range(threads + 1)]
-        jobs = [(p, seed, a, b) for a, b in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_run_random_chunk, jobs):
-                tally.merge(part)
+    ls.offset_profile.cache_clear()
+    try:
+        tally = Tally()
+        if include_canonical:
+            for _, L in canonical_instances():
+                verify_instance(L, tally)
+        threads = worker_count()
+        if threads <= 1 or count < 2 * threads:
+            tally.merge(_run_random_chunk((p, seed, 0, count)))
+        else:
+            bounds = [count * k // threads for k in range(threads + 1)]
+            jobs = [(p, seed, a, b) for a, b in zip(bounds, bounds[1:])]
+            # a forked worker would inherit the memo; it starts empty
+            with ProcessPoolExecutor(
+                    max_workers=threads,
+                    initializer=ls.offset_profile.cache_clear) as pool:
+                for part in pool.map(_run_random_chunk, jobs):
+                    tally.merge(part)
+    finally:
+        ls.offset_profile.cache_clear()
     params = {"count": count, "d": ",".join(map(str, p.d_values)),
               "s": f"{p.s_min}..{p.s_max}", "density": p.density,
               "epsilon": p.epsilon, "max_a_slack": p.max_a_slack,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Union
 
@@ -27,6 +27,10 @@ INEQ7_VIOLATED = "violated"
 
 # doubling thresholds by layer count; outside this domain nothing applies
 TAU = {4: Fraction(9, 4), 5: Fraction(12, 5)}
+
+# offset profiles kept by `offset_profile`; campaigns clear them on entry and
+# exit, so nothing memoized outlives one campaign
+PROFILE_MEMO_SIZE = 1024
 
 
 def tau(s: int) -> Optional[Fraction]:
@@ -87,9 +91,6 @@ class LayeredSet:
     def offsets(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.layers)
 
-    def offset_set(self) -> IntegerSet:
-        return IntegerSet.from_members(self.offsets())
-
     def size(self) -> int:
         return sum(len(b) for _, b in self.layers)
 
@@ -102,6 +103,17 @@ class LayeredSet:
         cache lives in the instance __dict__, outside the compared fields."""
         return flatten_sumset(self)
 
+    @cached_property
+    def sumset_size(self) -> int:
+        """|B~ + B~|, summed once."""
+        return self.flat.total_size()
+
+    @cached_property
+    def profile(self) -> "OffsetProfile":
+        """The artefacts that depend on the offsets alone, shared with every
+        other instance on the same offsets."""
+        return offset_profile(self.offsets())
+
 
 @dataclass(frozen=True)
 class LayeredSumset:
@@ -110,6 +122,16 @@ class LayeredSumset:
 
     def total_size(self) -> int:
         return sum(len(b) for _, b in self.entries)
+
+
+@dataclass(frozen=True)
+class OffsetProfile:
+    """The offset set A', its R, and the prop6 matching: a pair (i, j) per
+    SDR representative a_i + a_j, or the Hall violator when there is none."""
+
+    offset_set: IntegerSet
+    r: int
+    matching: Union[tuple[tuple[int, int], ...], HallViolator]
 
 
 @dataclass(frozen=True)
@@ -176,7 +198,7 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
 
 
 def doubling_ratio(L: LayeredSet) -> Fraction:
-    return Fraction(L.flat.total_size(), L.size())
+    return Fraction(L.sumset_size, L.size())
 
 
 def is_applicable(L: LayeredSet) -> bool:
@@ -184,14 +206,13 @@ def is_applicable(L: LayeredSet) -> bool:
     return t is not None and doubling_ratio(L) < t
 
 
-def _prop6_family(L: LayeredSet) -> tuple[list[IntegerSet], list[int]]:
+def _prop6_family(aset: IntegerSet, r: int
+                  ) -> tuple[list[IntegerSet], list[int]]:
     """Translated-copy family over the offsets plus, per copy, which layer
     index it charges.  Uses the stronger R=2 / R=3 families when the offset
     set actually realizes R = max - s + 3; the generic family otherwise."""
-    aset = L.offset_set()
-    s = L.s
-    r = r_parameter(aset)
-    offsets = L.offsets()
+    offsets = aset.members()
+    s = len(offsets)
     bound = 2 * aset.max() + 1
     family: list[IntegerSet] = []
     charge: list[int] = []
@@ -208,22 +229,33 @@ def _prop6_family(L: LayeredSet) -> tuple[list[IntegerSet], list[int]]:
     return family, charge
 
 
+@lru_cache(maxsize=PROFILE_MEMO_SIZE)
+def offset_profile(offsets: tuple[int, ...]) -> OffsetProfile:
+    """R and the prop6 matching of an offset tuple, computed once per tuple
+    while it stays in the memo."""
+    aset = IntegerSet.from_members(offsets)
+    r = r_parameter(aset)
+    family, charge = _prop6_family(aset, r)
+    out = find_sdr(family)
+    if not isinstance(out, HallViolator):
+        index_of = {a: i for i, a in enumerate(offsets)}
+        out = tuple((i, index_of[rep - offsets[i]])
+                    for i, rep in zip(charge, out.representatives))
+    return OffsetProfile(aset, r, out)
+
+
 def prop6_lower_bound(L: LayeredSet) -> int:
     """Hall-certified lower bound on the full layered sumset: each SDR
     representative a_i + a_j contributes |B_i + B_j| at a distinct first
     coordinate.  Always <= |B~+B~|."""
-    family, charge = _prop6_family(L)
-    out = find_sdr(family)
-    if isinstance(out, HallViolator):
+    matching = L.profile.matching
+    if isinstance(matching, HallViolator):
         raise BoundViolation(
-            f"SDR absent for offsets {L.offsets()}: violator {out.indices}")
-    offsets = L.offsets()
-    index_of = {a: i for i, a in enumerate(offsets)}
-    bound = 0
-    for i, rep in zip(charge, out.representatives):
-        j = index_of[rep - offsets[i]]
-        bound += L.flat.pair_sizes[i][j]
-    total = L.flat.total_size()
+            f"SDR absent for offsets {L.offsets()}: violator "
+            f"{matching.indices}")
+    pair_sizes = L.flat.pair_sizes
+    bound = sum(pair_sizes[i][j] for i, j in matching)
+    total = L.sumset_size
     if bound > total:
         raise BoundViolation(
             f"certified bound {bound} exceeds |B~+B~| = {total}")
@@ -234,9 +266,8 @@ def corollary1_check(L: LayeredSet) -> bool:
     """|B~+B~| - |B~| >= (s-2)|B_1| + |B_2| + ... + |B_R| with the layer
     sizes taken in descending order; R comes from the offsets as given."""
     sizes = sorted((len(b) for _, b in L.layers), reverse=True)
-    r = r_parameter(L.offset_set())
-    rhs = (L.s - 2) * sizes[0] + sum(sizes[1:r])
-    return L.flat.total_size() - L.size() >= rhs
+    rhs = (L.s - 2) * sizes[0] + sum(sizes[1:L.profile.r])
+    return L.sumset_size - L.size() >= rhs
 
 
 def check_prop7(L: LayeredSet) -> CheckOutcome:
@@ -281,7 +312,7 @@ def find_structure(L: LayeredSet
         if reps is None:
             continue
         q = h.step                     # order of the quotient group
-        assign = AffineAssignment(L.offset_set(), tuple(reps), q)
+        assign = AffineAssignment(L.profile.offset_set, tuple(reps), q)
         xy = solve_affine(assign)
         if xy is None:
             continue
@@ -311,7 +342,7 @@ def find_structure(L: LayeredSet
     if status == INEQ7_VIOLATED:
         return ConclusionFailed(
             "ineq7", f"(max a_i)|H| = {L.max_offset() * h.order} > "
-                     f"{L.flat.total_size() - L.size()}")
+                     f"{L.sumset_size - L.size()}")
     return StructureWitness(h, x, y, j, size_bound=True, ineq7=status)
 
 
@@ -350,7 +381,7 @@ def check_lemma5(L: LayeredSet, h: Subgroup) -> CheckOutcome:
     if not is_applicable(L):
         return CheckOutcome(name, applicable=False)
     part = uvw_partition(L, h)
-    r = r_parameter(L.offset_set())
+    r = L.profile.r
     return CheckOutcome(name, True, part.u >= part.w + 2 * r - 3,
                         witness=(part.u, part.v, part.w, r))
 
@@ -358,7 +389,7 @@ def check_lemma5(L: LayeredSet, h: Subgroup) -> CheckOutcome:
 def check_ineq7(L: LayeredSet, h: Subgroup) -> str:
     """(max a_i)|H| against |B~+B~| - |B~|, exactly."""
     lhs = L.max_offset() * h.order
-    rhs = L.flat.total_size() - L.size()
+    rhs = L.sumset_size - L.size()
     if lhs < rhs:
         return INEQ7_STRICT
     if lhs == rhs:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sumset_forge.group_core import CyclicGroup, ResidueSet
+from sumset_forge.layered import offset_profile
 
 
 def naive_mod_sumset(a, b, d):
@@ -23,3 +24,12 @@ def random_residue_set(rng: random.Random, d: int, nonempty=True) -> ResidueSet:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def empty_memo():
+    """An empty offset-profile memo, emptied again afterwards, so profiles
+    computed under a monkeypatch never reach another test."""
+    offset_profile.cache_clear()
+    yield
+    offset_profile.cache_clear()

@@ -1,15 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
+import sumset_forge.layered as layered
 from sumset_forge.cli import main
+from sumset_forge.hall_bounds import HallViolator
 from sumset_forge.harness import (CapExceeded, Finding, GenParams,
                                   REPORT_VERSION, THREADS_ENV, Tally, bench,
                                   campaign_exhaustive, campaign_random,
                                   canonical_instances, generate_instance,
                                   instance_from_doc, instance_to_json,
                                   load_instance, verify_instance, _rng_for)
-from sumset_forge.layered import LayeredSet, LayeredSetError
+from sumset_forge.layered import LayeredSet, LayeredSetError, offset_profile
 
 
 def full_coset_doc():
@@ -106,7 +109,6 @@ class TestCampaign:
         assert serial == parallel
 
     def test_one_flatten_per_instance(self, monkeypatch):
-        import sumset_forge.layered as layered
         calls = []
         real = layered.flatten_sumset
 
@@ -121,6 +123,58 @@ class TestCampaign:
         for L in instances:
             verify_instance(L, Tally())
         assert calls == instances
+
+    def test_offset_work_once_per_campaign(self, monkeypatch, empty_memo):
+        """One matching per distinct offset tuple and one |B~+B~| sum per
+        instance, over a whole campaign."""
+        import sumset_forge.harness as harness
+        monkeypatch.setenv(THREADS_ENV, "1")
+        seen, sdr_calls, size_calls = [], [], []
+        real_verify = harness.verify_instance
+        real_sdr = layered.find_sdr
+        real_size = layered.LayeredSumset.total_size
+
+        def verify(L, tally):
+            seen.append(L.offsets())
+            return real_verify(L, tally)
+
+        def sdr(family):
+            sdr_calls.append(family)
+            return real_sdr(family)
+
+        def size(flat):
+            size_calls.append(flat)
+            return real_size(flat)
+
+        monkeypatch.setattr(harness, "verify_instance", verify)
+        monkeypatch.setattr(layered, "find_sdr", sdr)
+        monkeypatch.setattr(layered.LayeredSumset, "total_size", size)
+        campaign_random(GenParams(epsilon=0.2), 300, seed=4)
+        assert len(seen) == 303
+        assert len(sdr_calls) == len(set(seen)) < len(seen)
+        assert len(size_calls) == len(seen)
+
+    def test_memo_empty_after_campaign(self, empty_memo):
+        verify_instance(canonical_instances()[0][1], Tally())
+        assert offset_profile.cache_info().currsize == 1
+        campaign_random(GenParams(), 30, seed=3)
+        assert offset_profile.cache_info().currsize == 0
+
+    def test_prop6_violator_contract(self, monkeypatch, empty_memo):
+        """A missing SDR fails prop6 alone; every other check still runs,
+        reading R and the offsets from the same profile."""
+        monkeypatch.setattr(layered, "find_sdr",
+                            lambda family: HallViolator((0, 1), 1))
+        tally = Tally()
+        record = verify_instance(canonical_instances()[0][1], tally)
+        assert tally.counts["prop6"] == {"violated": 1}
+        assert [(f.check, f.status) for f in tally.findings
+                if f.status == "violated"] == [("prop6", "violated")]
+        assert "violator (0, 1)" in tally.findings[0].detail
+        assert tally.counts["corollary1"] == {"holds": 1}
+        assert tally.counts["prop7"] == {"holds": 1}
+        assert tally.counts["structure"] == {"holds": 1}
+        assert record["structure"].subgroup.order == 3
 
     def test_exhaustive_small(self):
         report = campaign_exhaustive((6,), 8)
@@ -190,6 +244,15 @@ class TestCli:
         ["--mode", "random", "--s", "1,6"],
         ["--mode", "exhaustive", "--s", "1"],
         ["--mode", "random", "--count", "-1"],
+        ["--mode", "random", "--density", "1.5"],
+        ["--mode", "random", "--density", "nan"],
+        ["--mode", "random", "--density", "-0.1"],
+        ["--mode", "random", "--epsilon", "2"],
+        ["--mode", "random", "--epsilon", "-1"],
+        ["--mode", "random", "--epsilon", "inf"],
+        ["--mode", "random", "--max-a-slack", "-5"],
+        ["--mode", "exhaustive", "--s", "6", "--max-a", "-3"],
+        ["--mode", "exhaustive", "--s", "6", "--max-a", "0"],
     ])
     def test_campaign_bad_arguments_exit(self, args, capsys):
         assert main(["campaign"] + args) == 2
@@ -198,6 +261,23 @@ class TestCli:
 
     def test_bench_unknown_kernel_exit(self, capsys):
         assert main(["bench", "--kernel", "fft", "--d", "64"]) == 2
+
+
+# SHA-256 of whole report bodies.  Unlike a comparison of the count lines,
+# the digest also pins every finding's check, detail and instance JSON.
+GOLDEN_REPORTS = [
+    (["--mode", "random", "--count", "2000", "--seed", "1"], 1,
+     "f79e18e94fd84d01d77ca34eba4d43ee76cb3797593f788a3783017d6d1dd09f"),
+    (["--mode", "exhaustive", "--s", "6,7", "--max-a", "12"], 0,
+     "fe317c7381f7dd5f14a0009b52d7adbd1ddab505cb5cccc5665f93d03dc27dab"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", GOLDEN_REPORTS)
+def test_golden_report_digest(args, code, digest, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert main(["campaign"] + args + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_canonical_instances_are_valid():

@@ -5,16 +5,20 @@ from math import gcd
 import pytest
 
 from sumset_forge.group_core import CyclicGroup, ResidueSet, Subgroup
+from sumset_forge.hall_bounds import find_sdr, r_parameter
+from sumset_forge.harness import (GenParams, _rng_for, canonical_instances,
+                                  generate_instance)
 from sumset_forge.layered import (INEQ7_EQUALITY, INEQ7_STRICT,
                                   ConclusionFailed, LayeredSet,
                                   LayeredSetError, NotApplicable,
-                                  StructureWitness, check_ineq7, check_lemma5,
-                                  check_prop7, corollary1_check,
-                                  doubling_ratio, find_structure,
-                                  flatten_sumset, is_applicable,
-                                  is_coset_saturated, prop6_lower_bound, tau,
+                                  StructureWitness, _prop6_family,
+                                  check_ineq7, check_lemma5, check_prop7,
+                                  corollary1_check, doubling_ratio,
+                                  find_structure, flatten_sumset,
+                                  is_applicable, is_coset_saturated,
+                                  offset_profile, prop6_lower_bound, tau,
                                   uvw_partition, verify_witness)
-from sumset_forge.sumset_engine import sumset_naive
+from sumset_forge.sumset_engine import IntegerSet, sumset, sumset_naive
 
 
 def full_coset_instance():
@@ -131,6 +135,35 @@ class TestProp6:
             L = random_instance(rng)
             flat = flatten_sumset(L)
             assert prop6_lower_bound(L) <= flat.total_size()
+
+    def test_memoized_profile_matches_oracle(self, rng, empty_memo):
+        """The bound read through the offset profile equals one built from
+        scratch: the family, a fresh matching and one sumset per SDR
+        representative."""
+        large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
+                          max_a_slack=8)
+        instances = ([L for _, L in canonical_instances()]
+                     + [generate_instance(GenParams(epsilon=0.2),
+                                          _rng_for(21, i)) for i in range(200)]
+                     + [random_instance(rng) for _ in range(100)]
+                     + [generate_instance(large, _rng_for(22, i))
+                        for i in range(12)])
+        assert {L.s for L in instances} >= {2, 6, 9, 24, 40}
+        for L in instances:
+            offsets = L.offsets()
+            aset = IntegerSet.from_members(offsets)
+            family, charge = _prop6_family(aset, r_parameter(aset))
+            cert = find_sdr(family)
+            index_of = {a: i for i, a in enumerate(offsets)}
+            expected = sum(
+                len(sumset(L.layers[i][1],
+                           L.layers[index_of[rep - offsets[i]]][1]))
+                for i, rep in zip(charge, cert.representatives))
+            assert prop6_lower_bound(L) == expected
+            assert L.profile.offset_set == aset
+            assert L.profile.r == r_parameter(aset)
+        # repeated offset tuples were answered from the memo
+        assert offset_profile.cache_info().hits > 0
 
 
 class TestCorollary1:
