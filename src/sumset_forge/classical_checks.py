@@ -74,9 +74,7 @@ def check_freiman_3k4(a: IntegerSet) -> CheckOutcome:
     if m > 3 * k - 4:
         return CheckOutcome(name, applicable=False)
     ms = a.members()
-    step = 0
-    for prev, cur in zip(ms, ms[1:]):
-        step = gcd(step, cur - prev)
+    step = gcd(*(cur - prev for prev, cur in zip(ms, ms[1:])))
     length = (ms[-1] - ms[0]) // step + 1 if step else 1
     return CheckOutcome(name, True, length <= k + b,
                         witness=(ms[0], step, length))
@@ -167,9 +165,7 @@ def check_lev_bound(u: IntegerSet, v: IntegerSet) -> CheckOutcome:
         return CheckOutcome(name, applicable=False, witness="V not a subset of U")
     if u.min() != 0:
         return CheckOutcome(name, applicable=False, witness="min U != 0")
-    g = 0
-    for m in u:
-        g = gcd(g, m)
+    g = gcd(*u)
     if g != 1:
         return CheckOutcome(name, applicable=False, witness=f"gcd {g} != 1")
     s, t, us = len(u), len(v), u.max()

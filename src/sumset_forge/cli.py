@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import layered as ls
-from .harness import (CapExceeded, GenParams, bench,
+from .harness import (CapExceeded, GenParams, LayeredSetError, bench,
                       campaign_exhaustive, campaign_random, load_instance,
-                      verify_instance, Tally, REPORT_VERSION)
-from .layered import LayeredSetError
+                      verify_instance, worker_count, Tally, REPORT_VERSION)
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
@@ -73,30 +71,9 @@ def cmd_verify(args) -> int:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 2
     tally = Tally()
-    record = verify_instance(instance, tally)
     print(f"instance {args.file}")
-    print(f"check flatten size={record['sumset_size']} base={record['size']} "
-          f"ratio={record['ratio']}")
-    print(f"check applicable {str(record['applicable']).lower()}")
-    print(f"check prop6 bound={record['prop6']}")
-    print(f"check corollary1 holds={str(record['corollary1']).lower()}")
-    p7 = record["prop7"]
-    print(f"check prop7 applicable={str(p7.applicable).lower()}"
-          + (f" holds={str(p7.holds).lower()}" if p7.applicable else ""))
-    out = record["structure"]
-    if isinstance(out, ls.NotApplicable):
-        print(f"check structure not_applicable reason=[{out.reason}]")
-    elif isinstance(out, ls.ConclusionFailed):
-        print(f"check structure FAILED conclusion={out.conclusion} "
-              f"detail=[{out.detail}]")
-    else:
-        print(f"check structure witness order={out.subgroup.order} "
-              f"x={out.x} y={out.y} j={out.j} ineq7={out.ineq7}")
-        part = record["uvw"]
-        print(f"check uvw u={part.u} v={part.v} w={part.w}")
-        l5 = record["lemma5"]
-        print(f"check lemma5 applicable={str(l5.applicable).lower()}"
-              + (f" holds={str(l5.holds).lower()}" if l5.applicable else ""))
+    for line in verify_instance(instance, tally):
+        print(line)
     for finding in tally.findings:
         print(finding.line())
     return 1 if tally.violations else 0
@@ -119,6 +96,11 @@ def cmd_campaign(args) -> int:
             print(f"error: {flag} needs a number in [0, 1], got {value!r}",
                   file=sys.stderr)
             return 2
+    try:
+        worker_count()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.mode == "random":
         params = GenParams(d_values=args.d, s_min=min(args.s),
                            s_max=max(args.s), density=args.density,

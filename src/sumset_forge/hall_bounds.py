@@ -95,9 +95,7 @@ def find_sdr(family: Sequence[IntegerSet],
 def _require_normalized(aset: IntegerSet) -> None:
     if 0 not in aset:
         raise ValueError("0 must be a member")
-    g = 0
-    for m in aset:
-        g = gcd(g, m)
+    g = gcd(*aset)
     if len(aset) >= 2 and g != 1:
         raise ValueError(f"gcd of nonzero elements is {g}, expected 1")
 

@@ -15,10 +15,12 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import ceil, gcd
-from typing import Iterable, Optional
+from functools import partial
+from math import ceil, comb, gcd
+from typing import Callable, Iterable, Optional
 
 from . import layered as ls
+from .classical_checks import CheckOutcome
 from .group_core import CyclicGroup, ResidueSet
 from .hall_bounds import (BoundViolation, abc_parameters, lemma2_certificate,
                           prop5_bound, r_parameter)
@@ -99,10 +101,7 @@ def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
         top = s - 1 + rng.choice([0] * 4 + list(range(1, p.max_a_slack + 1)))
         offsets = sorted(rng.sample(range(1, top), s - 2)) if s > 2 else []
         offsets = [0] + offsets + [top]
-        g = 0
-        for a in offsets:
-            g = gcd(g, a)
-        if g != 1:
+        if gcd(*offsets) != 1:
             continue
         step = d // h
         x = rng.randrange(d)
@@ -170,80 +169,108 @@ class Tally:
     def violations(self) -> int:
         return sum(1 for f in self.findings if f.status == "violated")
 
+    def run_checks(self, checks: tuple, subject,
+                   to_json: Callable[[], str]) -> list[str]:
+        """Run a check table on one subject and return its entries' lines,
+        in table order.  An entry reports through `emit(check, key,
+        detail=None)`, which counts `key` under `check` and, given a detail,
+        records the finding of the same (check, key) with the subject's JSON
+        from `to_json()`; most subjects have no finding and no JSON."""
 
-def verify_instance(L: LayeredSet, tally: Tally) -> dict:
-    """Run every layered check on one instance, feeding the tally; returns a
-    record of what each check produced (for the CLI `verify` verb)."""
-    doc = None
+        def emit(check: str, key: str, detail: Optional[str] = None) -> None:
+            self.bump(check, key)
+            if detail is not None:
+                self.findings.append(Finding(check, key, detail, to_json()))
 
-    def add_finding(check: str, status: str, detail: str) -> None:
-        # most instances yield no finding, so the JSON is built on demand
-        nonlocal doc
-        if doc is None:
-            doc = instance_to_json(L)
-        tally.findings.append(Finding(check, status, detail, doc))
+        return [line for check in checks for line in check(subject, emit)]
 
-    ratio = ls.doubling_ratio(L)
-    record: dict = {"size": L.size(), "sumset_size": L.sumset_size,
-                    "ratio": ratio}
-    applicable = ls.is_applicable(L)
-    tally.bump("instances", "applicable" if applicable else "not_applicable")
-    record["applicable"] = applicable
 
+def _certified(emit, check: str, bound, *args):
+    """A check that holds unless `bound` raises: its value, or the message of
+    the violation."""
     try:
-        bound = ls.prop6_lower_bound(L)
-        record["prop6"] = bound
-        tally.bump("prop6", "holds")
+        value = bound(*args)
     except BoundViolation as exc:
-        record["prop6"] = str(exc)
-        tally.bump("prop6", "violated")
-        add_finding("prop6", "violated", str(exc))
+        emit(check, "violated", str(exc))
+        return str(exc)
+    emit(check, "holds")
+    return value
 
+
+def _outcome(emit, out: CheckOutcome, detail: str) -> str:
+    """Count and line of a check that may not apply (prop7, lemma5); the
+    detail goes into the finding of a violation."""
+    if not out.applicable:
+        emit(out.name, "not_applicable")
+        return f"check {out.name} applicable=false"
+    emit(out.name, "holds" if out.holds else "violated",
+         detail if out.violated else None)
+    return f"check {out.name} applicable=true holds={str(out.holds).lower()}"
+
+
+# The instance check table's entries look `layered` functions up at call
+# time, so a wrapper bound to the module name sees every call.
+
+def _check_flatten(L: LayeredSet, emit) -> list[str]:
+    applicable = ls.is_applicable(L)
+    emit("instances", "applicable" if applicable else "not_applicable")
+    return [f"check flatten size={L.sumset_size} base={L.size()} "
+            f"ratio={ls.doubling_ratio(L)}",
+            f"check applicable {str(applicable).lower()}"]
+
+
+def _check_prop6(L: LayeredSet, emit) -> list[str]:
+    bound = _certified(emit, "prop6", ls.prop6_lower_bound, L)
+    return [f"check prop6 bound={bound}"]
+
+
+def _check_corollary1(L: LayeredSet, emit) -> list[str]:
     ok = ls.corollary1_check(L)
-    record["corollary1"] = ok
-    tally.bump("corollary1", "holds" if ok else "violated")
-    if not ok:
-        add_finding("corollary1", "violated", "")
+    emit("corollary1", "holds" if ok else "violated", None if ok else "")
+    return [f"check corollary1 holds={str(ok).lower()}"]
 
-    p7 = ls.check_prop7(L)
-    record["prop7"] = p7
-    if p7.applicable:
-        tally.bump("prop7", "holds" if p7.holds else "violated")
-        if p7.violated:
-            add_finding("prop7", "violated", f"max_a={L.max_offset()}")
-    else:
-        tally.bump("prop7", "not_applicable")
 
+def _check_prop7(L: LayeredSet, emit) -> list[str]:
+    return [_outcome(emit, ls.check_prop7(L), f"max_a={L.max_offset()}")]
+
+
+def _check_structure(L: LayeredSet, emit) -> list[str]:
+    """The coset structure, then what needs its witness: ineq7, the uvw
+    partition and lemma5."""
     out = ls.find_structure(L)
-    record["structure"] = out
     if isinstance(out, NotApplicable):
-        tally.bump("structure", "not_applicable")
-    elif isinstance(out, ConclusionFailed):
-        tally.bump("structure", "violated")
-        add_finding("structure", "violated",
-                    f"{out.conclusion}:{out.detail}")
-    else:
-        tally.bump("structure", "holds")
-        if not ls.verify_witness(L, out):
-            tally.bump("structure", "violated")
-            add_finding("structure", "violated", "witness re-verification")
-        tally.bump("ineq7", out.ineq7)
-        if out.ineq7 == ls.INEQ7_EQUALITY:
-            lhs = L.max_offset() * out.subgroup.order
-            saturated = ls.is_coset_saturated(L, out.subgroup)
-            tally.bump("ineq7-equality",
-                       "saturated" if saturated else "unsaturated")
-            add_finding("ineq7", "equality", f"{lhs}={lhs}")
-        l5 = ls.check_lemma5(L, out.subgroup)
-        record["lemma5"] = l5
-        record["uvw"] = ls.uvw_partition(L, out.subgroup)
-        if l5.applicable:
-            tally.bump("lemma5", "holds" if l5.holds else "violated")
-            if l5.violated:
-                add_finding("lemma5", "violated", f"uvw={l5.witness}")
-        else:
-            tally.bump("lemma5", "not_applicable")
-    return record
+        emit("structure", "not_applicable")
+        return [f"check structure not_applicable reason=[{out.reason}]"]
+    if isinstance(out, ConclusionFailed):
+        emit("structure", "violated", f"{out.conclusion}:{out.detail}")
+        return [f"check structure FAILED conclusion={out.conclusion} "
+                f"detail=[{out.detail}]"]
+    h = out.subgroup
+    emit("structure", "holds")
+    if not ls.verify_witness(L, out):
+        emit("structure", "violated", "witness re-verification")
+    lhs = L.max_offset() * h.order
+    equality = out.ineq7 == ls.INEQ7_EQUALITY
+    emit("ineq7", out.ineq7, f"{lhs}={lhs}" if equality else None)
+    if equality:
+        saturated = ls.is_coset_saturated(L, h)
+        emit("ineq7-equality", "saturated" if saturated else "unsaturated")
+    part = ls.uvw_partition(L, h)
+    l5 = ls.check_lemma5(L, h)
+    return [f"check structure witness order={h.order} x={out.x} y={out.y} "
+            f"j={out.j} ineq7={out.ineq7}",
+            f"check uvw u={part.u} v={part.v} w={part.w}",
+            _outcome(emit, l5, f"uvw={l5.witness}")]
+
+
+INSTANCE_CHECKS = (_check_flatten, _check_prop6, _check_corollary1,
+                   _check_prop7, _check_structure)
+
+
+def verify_instance(L: LayeredSet, tally: Tally) -> list[str]:
+    """Run the instance check table on one instance, feeding the tally;
+    returns the `check` lines the CLI `verify` verb prints."""
+    return tally.run_checks(INSTANCE_CHECKS, L, partial(instance_to_json, L))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +318,12 @@ def _run_random_chunk(args) -> Tally:
 
 
 def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Worker processes for a random campaign: SUMSET_FORGE_THREADS (unset or
+    empty means 1), at most the core count; reports do not depend on it."""
+    raw = os.environ.get(THREADS_ENV) or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{THREADS_ENV} needs an integer >= 1, got {raw!r}")
+    return min(int(raw), os.cpu_count() or 1)
 
 
 def campaign_random(p: GenParams, count: int, seed: int,
@@ -304,13 +332,13 @@ def campaign_random(p: GenParams, count: int, seed: int,
     profile memo is emptied on entry and on return: it serves this campaign
     only, so every call starts cold, as a fresh process would."""
     t0 = time.perf_counter()
+    threads = worker_count()
     ls.offset_profile.cache_clear()
     try:
         tally = Tally()
         if include_canonical:
             for _, L in canonical_instances():
                 verify_instance(L, tally)
-        threads = worker_count()
         if threads <= 1 or count < 2 * threads:
             tally.merge(_run_random_chunk((p, seed, 0, count)))
         else:
@@ -341,16 +369,32 @@ def enumerate_offset_sets(s: int, max_a: int) -> Iterable[IntegerSet]:
     """All A' with |A'| = s, 0 in A', gcd of nonzero elements 1, max <= max_a."""
     from itertools import combinations
     for rest in combinations(range(1, max_a + 1), s - 1):
-        g = 0
-        for m in rest:
-            g = gcd(g, m)
-        if g == 1:
+        if gcd(*rest) == 1:
             yield IntegerSet.of(rest[-1] + 1, (0,) + rest)
 
 
-def count_offset_sets(s: int, max_a: int) -> int:
-    from math import comb
-    return comb(max_a, s - 1)
+def _check_lemma2(aset: IntegerSet, emit) -> list[str]:
+    _certified(emit, "lemma2", lemma2_certificate, aset)
+    return []
+
+
+def _check_prop5(aset: IntegerSet, emit) -> list[str]:
+    """The refined bound and the (a, b, c) profile, on offset sets with
+    max = s + R - 3."""
+    r = r_parameter(aset)
+    if aset.max() != len(aset) + r - 3:
+        emit("prop5", "not_applicable")
+        return []
+    _certified(emit, "prop5", prop5_bound, aset)
+    profile = abc_parameters(aset)
+    ok = profile.a + profile.b + profile.c == r - 2
+    emit("abc-sum", "holds" if ok else "violated",
+         None if ok else str(profile))
+    return []
+
+
+# the offset-set check table; its entries describe no lines
+OFFSET_CHECKS = (_check_lemma2, _check_prop5)
 
 
 def campaign_exhaustive(s_values: tuple[int, ...], max_a: int,
@@ -358,39 +402,15 @@ def campaign_exhaustive(s_values: tuple[int, ...], max_a: int,
     """Full enumeration of the projection space: the SDR certificate, the
     refined bound, and the missing-element profile, for every offset set."""
     t0 = time.perf_counter()
-    estimate = sum(count_offset_sets(s, max_a) for s in s_values)
+    estimate = sum(comb(max_a, s - 1) for s in s_values)
     if estimate > cap:
         raise CapExceeded(
             f"estimated cardinality {estimate} exceeds cap {cap}")
     tally = Tally()
     for s in s_values:
         for aset in enumerate_offset_sets(s, max_a):
-            doc = json.dumps(list(aset), separators=(",", ":"))
-            try:
-                lemma2_certificate(aset)
-                tally.bump("lemma2", "holds")
-            except BoundViolation as exc:
-                tally.bump("lemma2", "violated")
-                tally.findings.append(
-                    Finding("lemma2", "violated", str(exc), doc))
-            r = r_parameter(aset)
-            if aset.max() == s + r - 3:
-                try:
-                    prop5_bound(aset)
-                    tally.bump("prop5", "holds")
-                except BoundViolation as exc:
-                    tally.bump("prop5", "violated")
-                    tally.findings.append(
-                        Finding("prop5", "violated", str(exc), doc))
-                profile = abc_parameters(aset)
-                if profile.a + profile.b + profile.c == r - 2:
-                    tally.bump("abc-sum", "holds")
-                else:
-                    tally.bump("abc-sum", "violated")
-                    tally.findings.append(
-                        Finding("abc-sum", "violated", str(profile), doc))
-            else:
-                tally.bump("prop5", "not_applicable")
+            tally.run_checks(OFFSET_CHECKS, aset, partial(
+                json.dumps, list(aset), separators=(",", ":")))
     params = {"s": ",".join(map(str, s_values)), "max_a": max_a}
     report = CampaignReport("exhaustive", None, params, tally)
     report.timings["total"] = time.perf_counter() - t0

@@ -60,9 +60,7 @@ class LayeredSet:
         for prev, cur in zip(offsets, offsets[1:]):
             if cur <= prev:
                 raise LayeredSetError("layer offsets must be strictly increasing")
-        g = 0
-        for a in offsets:
-            g = gcd(g, a)
+        g = gcd(*offsets)
         if g != 1:
             raise LayeredSetError(f"gcd of nonzero offsets is {g}, expected 1")
         for a, b in self.layers:
@@ -107,6 +105,11 @@ class LayeredSet:
     def sumset_size(self) -> int:
         """|B~ + B~|, summed once."""
         return self.flat.total_size()
+
+    @cached_property
+    def ratio(self) -> Fraction:
+        """The doubling |B~ + B~| / |B~|, built once."""
+        return Fraction(self.sumset_size, self.size())
 
     @cached_property
     def profile(self) -> "OffsetProfile":
@@ -198,12 +201,12 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
 
 
 def doubling_ratio(L: LayeredSet) -> Fraction:
-    return Fraction(L.sumset_size, L.size())
+    return L.ratio
 
 
 def is_applicable(L: LayeredSet) -> bool:
     t = tau(L.s)
-    return t is not None and doubling_ratio(L) < t
+    return t is not None and L.ratio < t
 
 
 def _prop6_family(aset: IntegerSet, r: int
@@ -300,11 +303,10 @@ def find_structure(L: LayeredSet
     every B_i sits inside a_i*x + y + H for some (x, y), then check every
     stated conclusion against it."""
     t = tau(L.s)
-    ratio = doubling_ratio(L)
     if t is None:
-        return NotApplicable(f"no doubling threshold for s={L.s}", ratio)
-    if ratio >= t:
-        return NotApplicable(f"doubling {ratio} >= {t}", ratio)
+        return NotApplicable(f"no doubling threshold for s={L.s}", L.ratio)
+    if L.ratio >= t:
+        return NotApplicable(f"doubling {L.ratio} >= {t}", L.ratio)
 
     found = None
     for h in subgroups(L.group):

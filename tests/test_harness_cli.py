@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 import sumset_forge.layered as layered
+from sumset_forge.classical_checks import CheckOutcome
 from sumset_forge.cli import main
 from sumset_forge.hall_bounds import HallViolator
 from sumset_forge.harness import (CapExceeded, Finding, GenParams,
@@ -100,6 +103,35 @@ class TestCampaign:
             assert any(f.check == finding.check and f.status == finding.status
                        for f in tally.findings)
 
+    def test_findings_match_counts(self, monkeypatch):
+        """A finding is recorded by the call that counts its (check, status),
+        and every violation or equality carries a detail, so findings and
+        those counts agree, in both check tables and on every entry."""
+        import sumset_forge.harness as harness
+        tallies = [campaign_random(GenParams(epsilon=0.2), 200, seed=11).tally]
+        verify_instance(instance_from_doc(GOLDEN_VERIFY[0][0]), tallies[0])
+
+        def violated(*args):
+            raise harness.BoundViolation("forced")
+
+        monkeypatch.setattr(harness, "lemma2_certificate", violated)
+        monkeypatch.setattr(harness, "prop5_bound", violated)
+        tallies.append(campaign_exhaustive((6,), 9).tally)
+        monkeypatch.setattr(layered, "prop6_lower_bound", violated)
+        monkeypatch.setattr(layered, "corollary1_check", lambda L: False)
+        monkeypatch.setattr(layered, "check_prop7",
+                            lambda L: CheckOutcome("prop7", True, False))
+        monkeypatch.setattr(layered, "verify_witness", lambda L, w: False)
+        tallies.append(Tally())
+        verify_instance(instance_from_doc(GOLDEN_VERIFY[0][0]), tallies[-1])
+        assert len(tallies[-1].findings) == 6
+        for tally in tallies:
+            found = Counter((f.check, f.status) for f in tally.findings)
+            flagged = {(check, key): n for check, m in tally.counts.items()
+                       for key, n in m.items()
+                       if key in ("violated", "equality")}
+            assert found == flagged and len(found) >= 2
+
     def test_parallel_merge_matches_serial(self, monkeypatch):
         p = GenParams()
         monkeypatch.setenv(THREADS_ENV, "1")
@@ -154,6 +186,70 @@ class TestCampaign:
         assert len(sdr_calls) == len(set(seen)) < len(seen)
         assert len(size_calls) == len(seen)
 
+    def test_ratio_built_once_per_instance(self, monkeypatch):
+        """One doubling Fraction per instance, however many checks read it;
+        the cached ratio is not a field, so equality ignores it."""
+        builds = []
+        real = layered.Fraction
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(layered, "Fraction", counting)
+        instances = [L for _, L in canonical_instances()] + [
+            generate_instance(GenParams(epsilon=0.2), _rng_for(6, i))
+            for i in range(40)]
+        for L in instances:
+            verify_instance(L, Tally())
+        # tau() builds its 5/2 default on each call; only the ratio counts
+        assert [b for b in builds if b != (5, 2)] == [
+            (L.sumset_size, L.size()) for L in instances]
+        assert "ratio" not in {f.name for f in dataclasses.fields(LayeredSet)}
+        fresh = instance_from_doc(json.loads(instance_to_json(instances[0])))
+        assert "ratio" in vars(instances[0]) and fresh == instances[0]
+
+    def test_worker_count_clamped_to_cores(self, monkeypatch):
+        """A large SUMSET_FORGE_THREADS asks for no more workers than
+        cores, and the report does not depend on the worker count."""
+        import os
+        import sumset_forge.harness as harness
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer):
+                pools.append(max_workers)
+                initializer()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv(THREADS_ENV, "")
+        serial = campaign_random(GenParams(), 30, seed=2).to_text()
+        assert pools == []
+        for raw, workers in (("999999", 3), ("2", 2), ("3", 3)):
+            monkeypatch.setenv(THREADS_ENV, raw)
+            assert campaign_random(GenParams(), 30, seed=2).to_text() == serial
+            assert pools.pop() == workers
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setenv(THREADS_ENV, "8")
+        assert harness.worker_count() == 1
+
+    @pytest.mark.parametrize("raw",
+                             ["abc", "0", "-3", "2.5", "1e3", " 2", "+2"])
+    def test_worker_count_rejects(self, raw, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, raw)
+        with pytest.raises(ValueError, match=THREADS_ENV):
+            campaign_random(GenParams(), 5, seed=1)
+
     def test_memo_empty_after_campaign(self, empty_memo):
         verify_instance(canonical_instances()[0][1], Tally())
         assert offset_profile.cache_info().currsize == 1
@@ -166,7 +262,7 @@ class TestCampaign:
         monkeypatch.setattr(layered, "find_sdr",
                             lambda family: HallViolator((0, 1), 1))
         tally = Tally()
-        record = verify_instance(canonical_instances()[0][1], tally)
+        lines = verify_instance(canonical_instances()[0][1], tally)
         assert tally.counts["prop6"] == {"violated": 1}
         assert [(f.check, f.status) for f in tally.findings
                 if f.status == "violated"] == [("prop6", "violated")]
@@ -174,7 +270,8 @@ class TestCampaign:
         assert tally.counts["corollary1"] == {"holds": 1}
         assert tally.counts["prop7"] == {"holds": 1}
         assert tally.counts["structure"] == {"holds": 1}
-        assert record["structure"].subgroup.order == 3
+        assert any(line.startswith("check structure witness order=3 ")
+                   for line in lines)
 
     def test_exhaustive_small(self):
         report = campaign_exhaustive((6,), 8)
@@ -259,6 +356,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+    def test_campaign_bad_threads_exit(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv(THREADS_ENV, raw)
+        assert main(["campaign", "--mode", "random", "--count", "5"]) == 2
+        captured = capsys.readouterr()
+        assert THREADS_ENV in captured.err and captured.out == ""
+
     def test_bench_unknown_kernel_exit(self, capsys):
         assert main(["bench", "--kernel", "fft", "--d", "64"]) == 2
 
@@ -284,3 +388,61 @@ def test_canonical_instances_are_valid():
     for name, L in canonical_instances():
         assert isinstance(L, LayeredSet)
         assert name
+
+
+# Full stdout and exit code of `verify`, recorded before the check table
+# replaced the per-check formatting in the CLI.
+def _cosets_doc(d, offsets, coset):
+    return {"d": d, "layers": [{"a": a, "set": [(a + m) % d for m in coset]}
+                               for a in offsets]}
+
+
+_D30 = ('{"d":30,"layers":[{"a":0,"set":[0,10,20]},{"a":3,"set":[3,13,23]},'
+        '{"a":4,"set":[4,14,24]},{"a":5,"set":[5,15,25]},'
+        '{"a":6,"set":[6,16,26]},{"a":8,"set":[8,18,28]}]}')
+_D12 = ('{"d":12,"layers":[{"a":0,"set":[0,4,8]},{"a":1,"set":[1,5,9]},'
+        '{"a":2,"set":[2,6,10]},{"a":3,"set":[3,7,11]},'
+        '{"a":4,"set":[0,4,8]},{"a":5,"set":[1,5,9]}]}')
+GOLDEN_VERIFY = [
+    # README's minimal lemma 5 counterexample
+    (_cosets_doc(30, (0, 3, 4, 5, 6, 8), (0, 10, 20)), 1, [
+        "check flatten size=42 base=18 ratio=7/3",
+        "check applicable true",
+        "check prop6 bound=42",
+        "check corollary1 holds=true",
+        "check prop7 applicable=true holds=true",
+        "check structure witness order=3 x=1 y=0 j=0 ineq7=equality",
+        "check uvw u=6 v=0 w=0",
+        "check lemma5 applicable=true holds=false",
+        f"finding check=ineq7 status=equality detail=24=24 instance={_D30}",
+        f"finding check=lemma5 status=violated detail=uvw=(6, 0, 0, 5) "
+        f"instance={_D30}"]),
+    (full_coset_doc(), 0, [
+        "check flatten size=33 base=18 ratio=11/6",
+        "check applicable true",
+        "check prop6 bound=33",
+        "check corollary1 holds=true",
+        "check prop7 applicable=true holds=true",
+        "check structure witness order=3 x=1 y=0 j=0 ineq7=equality",
+        "check uvw u=6 v=0 w=0",
+        "check lemma5 applicable=true holds=true",
+        f"finding check=ineq7 status=equality detail=15=15 instance={_D12}"]),
+    # singletons at the triangular numbers: too much doubling to apply
+    ({"d": 12, "layers": [{"a": a, "set": [a * (a + 1) // 2 % 12]}
+                          for a in range(6)]}, 0, [
+        "check flatten size=21 base=6 ratio=7/2",
+        "check applicable false",
+        "check prop6 bound=11",
+        "check corollary1 holds=true",
+        "check prop7 applicable=false",
+        "check structure not_applicable reason=[doubling 7/2 >= 5/2]"]),
+]
+
+
+@pytest.mark.parametrize("doc, code, lines", GOLDEN_VERIFY)
+def test_golden_verify_output(doc, code, lines, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == code
+    assert capsys.readouterr().out == "\n".join(
+        [f"instance {path}"] + lines) + "\n"
