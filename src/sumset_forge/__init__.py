@@ -1,10 +1,10 @@
 """Sumset structure toolkit for small-doubling subsets of Z x Z/dZ."""
 
-from .group_core import (CyclicGroup, Coset, ModulusMismatch, ResidueSet,
-                         Subgroup, coset_of, containing_coset, subgroups)
-from .sumset_engine import (DoublingReport, IntegerSet, doubling,
-                            is_arithmetic_progression, stabilizer, sumset,
-                            sumset_int, sumset_int_naive, sumset_naive)
+from .group_core import (CyclicGroup, ModulusMismatch, ResidueSet, Subgroup,
+                         coset_of, containing_coset, subgroups)
+from .sumset_engine import (IntegerSet, is_arithmetic_progression, stabilizer,
+                            sumset, sumset_int, sumset_int_naive,
+                            sumset_naive)
 from .classical_checks import (CheckOutcome, check_ap_criterion,
                                check_cauchy_davenport, check_freiman_3k4,
                                check_lev_bound, kneser_decomposition,
@@ -13,9 +13,8 @@ from .classical_checks import (CheckOutcome, check_ap_criterion,
 from .hall_bounds import (BoundViolation, HallViolator, IntervalProfile,
                           SdrCertificate, abc_parameters, find_sdr,
                           lemma2_certificate, prop5_bound, r_parameter)
-from .rectify import (AffineAssignment, ClosureState, PairClassPartition,
-                      closure_step, find_seed_pair, good_closure,
-                      parallelogram_holds, sk_classes, solve_affine)
+from .rectify import (AffineAssignment, ClosureState, closure_step,
+                      find_seed_pair, good_closure, solve_affine)
 from .layered import (ConclusionFailed, LayeredSet, LayeredSetError,
                       LayeredSumset, NotApplicable, SizePartition,
                       StructureWitness, check_ineq7, check_lemma5,

@@ -1,5 +1,5 @@
 """Command-line front end: verify an instance file, run verification
-campaigns, benchmark the sumset kernels, pretty-print a report.
+campaigns, pretty-print a report.  Kernel timings live in `perfbench/`.
 
 Exit codes: 0 ran clean (equality findings included), 1 violations found,
 2 usage or I/O error.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (CapExceeded, GenParams, LayeredSetError, bench,
+from .harness import (CapExceeded, GenParams, LayeredSetError,
                       campaign_exhaustive, campaign_random, load_instance,
                       verify_instance, worker_count, Tally, REPORT_VERSION)
 
@@ -48,13 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the canonical instance battery")
     p_camp.add_argument("--cap", type=int, default=2_000_000)
     p_camp.add_argument("--out", help="write the report here (default stdout)")
-
-    p_bench = sub.add_parser("bench", help="benchmark sumset kernels")
-    p_bench.add_argument("--kernel", type=lambda s: tuple(s.split(",")),
-                         default=("bitset", "naive"))
-    p_bench.add_argument("--d", type=_int_tuple, default=(64, 4096, 65536))
-    p_bench.add_argument("--density", type=float, default=0.05)
-    p_bench.add_argument("--repeats", type=int, default=3)
 
     p_report = sub.add_parser("report", help="pretty-print a report file")
     p_report.add_argument("file")
@@ -98,7 +91,11 @@ def cmd_campaign(args) -> int:
             return 2
     try:
         worker_count()
-    except ValueError as exc:
+        if args.out:
+            # an unwritable path is refused here, not after the campaign;
+            # appending leaves an existing file as it is
+            open(args.out, "a", encoding="utf-8").close()
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.mode == "random":
@@ -126,24 +123,11 @@ def cmd_campaign(args) -> int:
     return 1 if report.tally.violations else 0
 
 
-def cmd_bench(args) -> int:
-    try:
-        rows = bench(args.kernel, args.d, args.density, args.repeats)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for row in rows:
-        print(f"bench kernel={row['kernel']} d={row['d']} "
-              f"density={row['density']} size={row['size']} "
-              f"median_s={row['median_s']:.6f}")
-    return 0
-
-
 def cmd_report(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not lines or lines[0] != REPORT_VERSION:
@@ -165,7 +149,7 @@ def cmd_report(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"verify": cmd_verify, "campaign": cmd_campaign,
-               "bench": cmd_bench, "report": cmd_report}[args.command]
+               "report": cmd_report}[args.command]
     return handler(args)
 
 

@@ -6,7 +6,7 @@ operation entry.  Everything here is immutable and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 
@@ -134,22 +134,6 @@ class Subgroup:
 
     def element_set(self) -> ResidueSet:
         return ResidueSet.of(self.group, range(0, self.group.modulus, self.step))
-
-
-@dataclass(frozen=True)
-class Coset:
-    """A coset x + H.  Equal iff representatives differ by a subgroup element."""
-
-    subgroup: Subgroup
-    representative: int = field(compare=False)
-    _canonical: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_canonical",
-                           self.representative % self.subgroup.group.modulus % self.subgroup.step)
-
-    def element_set(self) -> ResidueSet:
-        return coset_of(self.subgroup, self.representative)
 
 
 def subgroups(g: CyclicGroup) -> list[Subgroup]:

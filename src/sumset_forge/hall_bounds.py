@@ -24,14 +24,14 @@ class SdrCertificate:
     """One distinct representative per family member; representative i belongs
     to family set i."""
 
-    family: tuple[tuple[str, IntegerSet], ...]
+    family: tuple[IntegerSet, ...]
     representatives: tuple[int, ...]
 
     def __post_init__(self):
         seen = set()
-        for (label, s), r in zip(self.family, self.representatives):
+        for i, (s, r) in enumerate(zip(self.family, self.representatives)):
             if r not in s:
-                raise ValueError(f"representative {r} not in family set {label}")
+                raise ValueError(f"representative {r} not in family set {i}")
             if r in seen:
                 raise ValueError(f"representative {r} repeated")
             seen.add(r)
@@ -58,16 +58,13 @@ class IntervalProfile:
     c: int
 
 
-def find_sdr(family: Sequence[IntegerSet],
-             labels: Sequence[str] | None = None
+def find_sdr(family: Sequence[IntegerSet]
              ) -> Union[SdrCertificate, HallViolator]:
     """A system of distinct representatives for the family, or a Hall violator.
 
     Augmenting-path matching; on failure the alternating-reachability set from
     the unmatched family index is the violator.
     """
-    if labels is None:
-        labels = [str(i) for i in range(len(family))]
     owner: dict[int, int] = {}           # ground element -> family index
     assigned: dict[int, int] = {}        # family index -> ground element
 
@@ -88,7 +85,7 @@ def find_sdr(family: Sequence[IntegerSet],
             # everything in `seen` is matched and owned by the reachable sets
             indices = tuple(sorted({i} | {owner[e] for e in seen}))
             return HallViolator(indices, len(seen))
-    return SdrCertificate(tuple((lab, s) for lab, s in zip(labels, family)),
+    return SdrCertificate(tuple(family),
                           tuple(assigned[i] for i in range(len(family))))
 
 
@@ -110,21 +107,21 @@ def r_parameter(aset: IntegerSet) -> int:
     return min(aset.max() - s + 3, s)
 
 
-def lemma2_family(aset: IntegerSet) -> tuple[list[IntegerSet], list[str]]:
-    """The translated-copy family whose SDR certifies |A'+A'| >= 2s+R-3:
-    s-1 copies of a_1+A', two copies of a_i+A' for 2 <= i <= R, one for i > R."""
-    s = len(aset)
-    r = r_parameter(aset)
-    members = aset.members()
+def lemma2_copies(s: int, r: int) -> list[int]:
+    """Copies of each a_i + A' in the family whose SDR certifies
+    |A'+A'| >= 2s+R-3: s-1 of a_1+A', two of a_i+A' for 2 <= i <= R, one
+    for i > R."""
+    return [s - 1] + [2] * (r - 1) + [1] * (s - r)
+
+
+def translated_family(aset: IntegerSet, copies: Sequence[int]
+                      ) -> list[IntegerSet]:
+    """copies[i] copies of a_i + A' for each member a_i, in member order."""
     bound = 2 * aset.max() + 1
-    family, labels = [], []
-    for idx, a in enumerate(members, start=1):
-        copies = s - 1 if idx == 1 else (2 if idx <= r else 1)
-        shifted = IntegerSet(bound, aset.bits << a)
-        for t in range(copies):
-            family.append(shifted)
-            labels.append(f"{a}+A'#{t}")
-    return family, labels
+    family: list[IntegerSet] = []
+    for a, n in zip(aset, copies):
+        family += [IntegerSet(bound, aset.bits << a)] * n
+    return family
 
 
 def lemma2_certificate(aset: IntegerSet) -> SdrCertificate:
@@ -133,8 +130,7 @@ def lemma2_certificate(aset: IntegerSet) -> SdrCertificate:
     _require_normalized(aset)
     s = len(aset)
     r = r_parameter(aset)
-    family, labels = lemma2_family(aset)
-    out = find_sdr(family, labels)
+    out = find_sdr(translated_family(aset, lemma2_copies(s, r)))
     if isinstance(out, HallViolator):
         raise BoundViolation(
             f"SDR absent for A'={aset.members()}: violator {out.indices}")

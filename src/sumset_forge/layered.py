@@ -17,7 +17,8 @@ from typing import Optional, Union
 from .classical_checks import CheckOutcome
 from .group_core import (CyclicGroup, ResidueSet, Subgroup, containing_coset,
                          subgroups)
-from .hall_bounds import BoundViolation, HallViolator, find_sdr, r_parameter
+from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
+                          lemma2_copies, r_parameter, translated_family)
 from .rectify import AffineAssignment, solve_affine
 from .sumset_engine import IntegerSet, sumset
 
@@ -27,6 +28,7 @@ INEQ7_VIOLATED = "violated"
 
 # doubling thresholds by layer count; outside this domain nothing applies
 TAU = {4: Fraction(9, 4), 5: Fraction(12, 5)}
+TAU_DEFAULT = Fraction(5, 2)        # every s >= 6
 
 # offset profiles kept by `offset_profile`; campaigns clear them on entry and
 # exit, so nothing memoized outlives one campaign
@@ -36,7 +38,7 @@ PROFILE_MEMO_SIZE = 1024
 def tau(s: int) -> Optional[Fraction]:
     if s < 4:
         return None
-    return TAU.get(s, Fraction(5, 2))
+    return TAU.get(s, TAU_DEFAULT)
 
 
 class LayeredSetError(ValueError):
@@ -143,7 +145,6 @@ class StructureWitness:
     x: int
     y: int
     j: int                    # layer index maximizing |B_j|
-    size_bound: bool          # |H| < (3/2) * max_i |B_i|
     ineq7: str                # strict | equality | violated
 
 
@@ -209,27 +210,15 @@ def is_applicable(L: LayeredSet) -> bool:
     return t is not None and L.ratio < t
 
 
-def _prop6_family(aset: IntegerSet, r: int
-                  ) -> tuple[list[IntegerSet], list[int]]:
-    """Translated-copy family over the offsets plus, per copy, which layer
-    index it charges.  Uses the stronger R=2 / R=3 families when the offset
-    set actually realizes R = max - s + 3; the generic family otherwise."""
-    offsets = aset.members()
-    s = len(offsets)
-    bound = 2 * aset.max() + 1
-    family: list[IntegerSet] = []
-    charge: list[int] = []
-    special = (r in (2, 3)) and (aset.max() == s + r - 3)
-    for idx in range(s):
-        if special:
-            copies = s if idx == 0 else (2 if (r == 3 and idx == 1) else 1)
-        else:
-            copies = s - 1 if idx == 0 else (2 if idx + 1 <= r else 1)
-        shifted = IntegerSet(bound, aset.bits << offsets[idx])
-        for _ in range(copies):
-            family.append(shifted)
-            charge.append(idx)
-    return family, charge
+def _prop6_copies(aset: IntegerSet, r: int) -> list[int]:
+    """Copies of each a_i + A' in the prop6 family; a copy of a_i + A'
+    charges its representative to layer index i.  The stronger R=2 / R=3
+    counts apply when the offset set actually realizes R = max - s + 3; the
+    lemma 2 counts otherwise."""
+    s = len(aset)
+    if r in (2, 3) and aset.max() == s + r - 3:
+        return [s, 2 if r == 3 else 1] + [1] * (s - 2)
+    return lemma2_copies(s, r)
 
 
 @lru_cache(maxsize=PROFILE_MEMO_SIZE)
@@ -238,9 +227,10 @@ def offset_profile(offsets: tuple[int, ...]) -> OffsetProfile:
     while it stays in the memo."""
     aset = IntegerSet.from_members(offsets)
     r = r_parameter(aset)
-    family, charge = _prop6_family(aset, r)
-    out = find_sdr(family)
+    copies = _prop6_copies(aset, r)
+    out = find_sdr(translated_family(aset, copies))
     if not isinstance(out, HallViolator):
+        charge = [i for i, n in enumerate(copies) for _ in range(n)]
         index_of = {a: i for i, a in enumerate(offsets)}
         out = tuple((i, index_of[rep - offsets[i]])
                     for i, rep in zip(charge, out.representatives))
@@ -345,7 +335,7 @@ def find_structure(L: LayeredSet
         return ConclusionFailed(
             "ineq7", f"(max a_i)|H| = {L.max_offset() * h.order} > "
                      f"{L.sumset_size - L.size()}")
-    return StructureWitness(h, x, y, j, size_bound=True, ineq7=status)
+    return StructureWitness(h, x, y, j, ineq7=status)
 
 
 def verify_witness(L: LayeredSet, w: StructureWitness) -> bool:

@@ -1,5 +1,5 @@
 """Closure-based rectification: the b+c-a closure operator, adjacent seed
-pairs, equal-difference pair classes, and the affine solver x_i = a_i*x + y.
+pairs, and the affine solver x_i = a_i*x + y.
 
 The quotient group is represented by its order q alone (a quotient of a cyclic
 group is cyclic); assignment values are residues mod q.
@@ -35,12 +35,6 @@ class AffineAssignment:
             raise ValueError("one value per a-set member required")
         object.__setattr__(self, "values",
                            tuple(v % self.q for v in self.values))
-
-
-@dataclass(frozen=True)
-class PairClassPartition:
-    k: int
-    classes: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def closure_step(g: IntegerSet, ambient: IntegerSet) -> IntegerSet:
@@ -85,43 +79,6 @@ def find_seed_pair(a: IntegerSet) -> Optional[tuple[int, int]]:
             if good_closure(seed, a).current.bits == a.bits:
                 return (m, m + 1)
     return None
-
-
-def parallelogram_holds(assign: AffineAssignment
-                        ) -> Optional[tuple[int, int, int, int]]:
-    """None when every equal-difference index quadruple has equal value
-    differences mod q; otherwise a violating quadruple (i, j, u, v) with
-    a_j - a_i = a_v - a_u but x_j - x_i != x_v - x_u."""
-    members = assign.aset.members()
-    q = assign.q
-    first: dict[int, tuple[int, int, int]] = {}
-    for i in range(len(members)):
-        for j in range(len(members)):
-            if i == j:
-                continue
-            k = members[j] - members[i]
-            dv = (assign.values[j] - assign.values[i]) % q
-            if k not in first:
-                first[k] = (i, j, dv)
-            elif first[k][2] != dv:
-                u, v, _ = first[k]
-                return (u, v, i, j)
-    return None
-
-
-def sk_classes(assign: AffineAssignment, k: int) -> PairClassPartition:
-    """The pairs (a_i, a_j) with a_j - a_i = k, partitioned by value
-    difference mod q (order of first occurrence)."""
-    if k < 1:
-        raise ValueError("difference must be >= 1")
-    members = assign.aset.members()
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for i, ai in enumerate(members):
-        for j, aj in enumerate(members):
-            if aj - ai == k:
-                dv = (assign.values[j] - assign.values[i]) % assign.q
-                buckets.setdefault(dv, []).append((ai, aj))
-    return PairClassPartition(k, tuple(tuple(b) for b in buckets.values()))
 
 
 def _verify(assign: AffineAssignment, x: int, y: int) -> bool:

@@ -1,16 +1,14 @@
-"""Set addition kernels, doubling constants, stabilizers, and integer-set analogues.
+"""Set addition kernels, stabilizers, and integer-set analogues.
 
 Two sumset strategies live behind one contract: the bit-parallel shift-OR over
 membership bitmaps (the fast path everything else calls), and the naive double
-loop kept as the always-on oracle for tests.  Doubling ratios are exact
-rationals; threshold comparisons elsewhere never go through floating point.
+loop kept as the always-on oracle for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .group_core import Bitmap, ResidueSet, Subgroup, subgroups
 
@@ -57,13 +55,6 @@ class IntegerSet(Bitmap):
         return f"IntegerSet(bound={self.bound}, {{{', '.join(map(str, self))}}})"
 
 
-@dataclass(frozen=True)
-class DoublingReport:
-    set_size: int
-    sumset_size: int
-    ratio: Fraction
-
-
 def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """A + B in Z/dZ via shift-OR over the smaller operand."""
     if a.group != b.group:
@@ -100,18 +91,6 @@ def sumset_int(a: IntegerSet, b: IntegerSet) -> IntegerSet:
 
 def sumset_int_naive(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     return IntegerSet.of(a.bound + b.bound, {x + y for x in a for y in b})
-
-
-def doubling(a: Union[ResidueSet, IntegerSet]) -> DoublingReport:
-    """Exact doubling constant |A+A| / |A|."""
-    n = len(a)
-    if n == 0:
-        raise ValueError("doubling constant of the empty set is undefined")
-    if isinstance(a, ResidueSet):
-        m = len(sumset(a, a))
-    else:
-        m = len(sumset_int(a, a))
-    return DoublingReport(n, m, Fraction(m, n))
 
 
 def stabilizer(a: ResidueSet) -> Subgroup:

@@ -10,7 +10,7 @@ from sumset_forge.classical_checks import CheckOutcome
 from sumset_forge.cli import main
 from sumset_forge.hall_bounds import HallViolator
 from sumset_forge.harness import (CapExceeded, Finding, GenParams,
-                                  REPORT_VERSION, THREADS_ENV, Tally, bench,
+                                  REPORT_VERSION, THREADS_ENV, Tally,
                                   campaign_exhaustive, campaign_random,
                                   canonical_instances, generate_instance,
                                   instance_from_doc, instance_to_json,
@@ -202,12 +202,30 @@ class TestCampaign:
             for i in range(40)]
         for L in instances:
             verify_instance(L, Tally())
-        # tau() builds its 5/2 default on each call; only the ratio counts
-        assert [b for b in builds if b != (5, 2)] == [
-            (L.sumset_size, L.size()) for L in instances]
+        assert builds == [(L.sumset_size, L.size()) for L in instances]
         assert "ratio" not in {f.name for f in dataclasses.fields(LayeredSet)}
         fresh = instance_from_doc(json.loads(instance_to_json(instances[0])))
         assert "ratio" in vars(instances[0]) and fresh == instances[0]
+
+    def test_one_uvw_partition_per_witness(self, monkeypatch):
+        """The `check uvw` line and lemma5 share one size partition."""
+        calls = []
+        real = layered.uvw_partition
+
+        def counting(L, h):
+            calls.append(L)
+            return real(L, h)
+
+        monkeypatch.setattr(layered, "uvw_partition", counting)
+        witnessed = []
+        for L in [L for _, L in canonical_instances()] + [
+                generate_instance(GenParams(epsilon=0.2), _rng_for(7, i))
+                for i in range(40)]:
+            lines = verify_instance(L, Tally())
+            if any(line.startswith("check structure witness ")
+                   for line in lines):
+                witnessed.append(L)
+        assert calls == witnessed and len(witnessed) > 10
 
     def test_worker_count_clamped_to_cores(self, monkeypatch):
         """A large SUMSET_FORGE_THREADS asks for no more workers than
@@ -284,16 +302,6 @@ class TestCampaign:
             campaign_exhaustive((6, 7), 40, cap=100)
 
 
-class TestBench:
-    def test_cross_check_and_rows(self):
-        rows = bench(("bitset", "naive"), (64,), 0.3, repeats=2)
-        assert {r["kernel"] for r in rows} == {"bitset", "naive"}
-
-    def test_unknown_kernel(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            bench(("fft",), (64,), 0.3, repeats=1)
-
-
 class TestCli:
     def test_verify_clean_instance(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
@@ -363,8 +371,49 @@ class TestCli:
         captured = capsys.readouterr()
         assert THREADS_ENV in captured.err and captured.out == ""
 
-    def test_bench_unknown_kernel_exit(self, capsys):
-        assert main(["bench", "--kernel", "fft", "--d", "64"]) == 2
+    def test_bench_verb_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing/r.txt", "."])
+    def test_campaign_bad_out_refused_before_work(self, where, tmp_path,
+                                                  monkeypatch, capsys):
+        import sumset_forge.cli as cli
+        ran = []
+        monkeypatch.setattr(cli, "campaign_random",
+                            lambda *args, **kwargs: ran.append(args))
+        out = tmp_path / where
+        assert main(["campaign", "--mode", "random", "--count", "5",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+        assert ran == []
+
+    def test_campaign_out_kept_until_report(self, tmp_path):
+        out = tmp_path / "report.txt"
+        out.write_text("old\n")
+        assert main(["campaign", "--mode", "exhaustive", "--s", "6",
+                     "--max-a", "40", "--cap", "10", "--out", str(out)]) == 2
+        assert out.read_text() == "old\n"
+
+    @pytest.mark.parametrize("verb", ["verify", "report"])
+    def test_non_utf8_file_exit(self, verb, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b'{"d": 12, "name": "caf\xe9"}')
+        assert main([verb, str(path)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "nesting too deep"),
+        ('{"d": ' + "1" * 5000 + "}", "parse error")],
+        ids=["deep-nesting", "huge-integer"])
+    def test_verify_unparsable_exit(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 # SHA-256 of whole report bodies.  Unlike a comparison of the count lines,

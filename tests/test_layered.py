@@ -1,17 +1,18 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
 from sumset_forge.group_core import CyclicGroup, ResidueSet, Subgroup
-from sumset_forge.hall_bounds import find_sdr, r_parameter
+from sumset_forge.hall_bounds import (find_sdr, lemma2_copies, r_parameter,
+                                      translated_family)
 from sumset_forge.harness import (GenParams, _rng_for, canonical_instances,
-                                  generate_instance)
+                                  enumerate_offset_sets, generate_instance)
 from sumset_forge.layered import (INEQ7_EQUALITY, INEQ7_STRICT,
                                   ConclusionFailed, LayeredSet,
                                   LayeredSetError, NotApplicable,
-                                  StructureWitness, _prop6_family,
+                                  StructureWitness, _prop6_copies,
                                   check_ineq7, check_lemma5, check_prop7,
                                   corollary1_check, doubling_ratio,
                                   find_structure, flatten_sumset,
@@ -38,10 +39,11 @@ def b6_singleton_variant():
 
 
 def naive_layered_sumset(L):
+    """Every point sum, one per unordered pair: addition commutes."""
     pts = [(a, m) for a, b in L.layers for m in b]
     d = L.d
     return {(a1 + a2, (m1 + m2) % d)
-            for (a1, m1), (a2, m2) in product(pts, repeat=2)}
+            for (a1, m1), (a2, m2) in combinations_with_replacement(pts, 2)}
 
 
 def random_instance(rng):
@@ -152,8 +154,9 @@ class TestProp6:
         for L in instances:
             offsets = L.offsets()
             aset = IntegerSet.from_members(offsets)
-            family, charge = _prop6_family(aset, r_parameter(aset))
-            cert = find_sdr(family)
+            copies = _prop6_copies(aset, r_parameter(aset))
+            cert = find_sdr(translated_family(aset, copies))
+            charge = [i for i, n in enumerate(copies) for _ in range(n)]
             index_of = {a: i for i, a in enumerate(offsets)}
             expected = sum(
                 len(sumset(L.layers[i][1],
@@ -164,6 +167,36 @@ class TestProp6:
             assert L.profile.r == r_parameter(aset)
         # repeated offset tuples were answered from the memo
         assert offset_profile.cache_info().hits > 0
+
+    def test_family_builder_reproduces_both_families(self):
+        """The one translated-copy builder, given the lemma 2 and the prop6
+        copy counts, yields the families the two former builders yielded,
+        set by set, and the prop6 copies charge the same layers."""
+        special = 0
+        for s in (6, 7):
+            for aset in enumerate_offset_sets(s, 12):
+                r = r_parameter(aset)
+                offsets = aset.members()
+                shifted = [IntegerSet(2 * aset.max() + 1, aset.bits << a)
+                           for a in offsets]
+                is_special = r in (2, 3) and aset.max() == s + r - 3
+                special += is_special
+                lemma2, prop6, charge = [], [], []
+                for idx in range(s):
+                    generic = s - 1 if idx == 0 else (2 if idx + 1 <= r else 1)
+                    n = generic
+                    if is_special:
+                        n = s if idx == 0 else (
+                            2 if (r == 3 and idx == 1) else 1)
+                    lemma2 += [shifted[idx]] * generic
+                    prop6 += [shifted[idx]] * n
+                    charge += [idx] * n
+                assert translated_family(aset, lemma2_copies(s, r)) == lemma2
+                copies = _prop6_copies(aset, r)
+                assert translated_family(aset, copies) == prop6
+                assert [i for i, n in enumerate(copies)
+                        for _ in range(n)] == charge
+        assert special > 0
 
 
 class TestCorollary1:
@@ -196,7 +229,7 @@ class TestFindStructure:
         w = find_structure(L)
         assert isinstance(w, StructureWitness)
         assert w.subgroup.order == 3 and (w.x, w.y) == (1, 0)
-        assert w.size_bound and w.ineq7 == INEQ7_EQUALITY
+        assert w.ineq7 == INEQ7_EQUALITY
         assert verify_witness(L, w)
 
     def test_singleton_not_applicable(self):

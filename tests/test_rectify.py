@@ -1,9 +1,8 @@
 import pytest
 
 from sumset_forge.rectify import (AffineAssignment, closure_step,
-                                  find_seed_pair, good_closure,
-                                  parallelogram_holds, sk_classes,
-                                  solve_affine, solve_affine_bruteforce)
+                                  find_seed_pair, good_closure, solve_affine,
+                                  solve_affine_bruteforce)
 from sumset_forge.sumset_engine import IntegerSet
 
 
@@ -68,50 +67,6 @@ class TestFindSeedPair:
                     assert pair is not None
                     seed = iset(s, pair)
                     assert good_closure(seed, a).current.bits == a.bits
-
-
-class TestParallelogram:
-    def test_affine_data_consistent(self):
-        a = IntegerSet.from_members(range(6))
-        assign = AffineAssignment(a, tuple((2 * m + 1) % 8 for m in a), 8)
-        assert parallelogram_holds(assign) is None
-
-    def test_violating_quadruple(self):
-        assign = AffineAssignment(IntegerSet.from_members([0, 1, 2]),
-                                  (0, 0, 1), 5)
-        quad = parallelogram_holds(assign)
-        assert quad is not None
-        i, j, u, v = quad
-        m = assign.aset.members()
-        assert m[j] - m[i] == m[v] - m[u]
-        assert (assign.values[j] - assign.values[i]) % 5 \
-            != (assign.values[v] - assign.values[u]) % 5
-
-    def test_constant_values_consistent(self):
-        assign = AffineAssignment(IntegerSet.from_members([0, 2, 5]),
-                                  (3, 3, 3), 7)
-        assert parallelogram_holds(assign) is None
-
-
-class TestSkClasses:
-    def test_affine_data_single_class(self):
-        a = IntegerSet.from_members(range(6))
-        assign = AffineAssignment(a, tuple((3 * m + 2) % 4 for m in a), 4)
-        assert len(sk_classes(assign, 1).classes) == 1
-
-    def test_inconsistent_data_splits(self):
-        assign = AffineAssignment(IntegerSet.from_members([0, 1, 2]),
-                                  (0, 0, 1), 5)
-        assert len(sk_classes(assign, 1).classes) == 2
-
-    def test_no_pairs_at_difference(self):
-        assign = AffineAssignment(IntegerSet.from_members([0, 1]), (0, 1), 3)
-        assert sk_classes(assign, 5).classes == ()
-
-    def test_k_must_be_positive(self):
-        assign = AffineAssignment(IntegerSet.from_members([0, 1]), (0, 1), 3)
-        with pytest.raises(ValueError):
-            sk_classes(assign, 0)
 
 
 class TestSolveAffine:

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import naive_int_sumset, naive_mod_sumset, random_residue_set
 from sumset_forge.group_core import CyclicGroup, ModulusMismatch, ResidueSet, Subgroup, coset_of, subgroups
-from sumset_forge.sumset_engine import (IntegerSet, doubling,
-                                        is_arithmetic_progression, stabilizer,
-                                        sumset, sumset_int, sumset_int_naive,
-                                        sumset_naive)
+from sumset_forge.sumset_engine import (IntegerSet, is_arithmetic_progression,
+                                        stabilizer, sumset, sumset_int,
+                                        sumset_int_naive, sumset_naive)
 
 
 def test_sumset_examples():
@@ -65,22 +63,6 @@ def test_sumset_int_matches_naive(rng):
         assert sumset_int(a, b).bits == sumset_int_naive(a, b).bits
 
 
-def test_doubling_examples():
-    g12 = CyclicGroup(12)
-    assert doubling(ResidueSet.full(g12)).ratio == 1
-    a = ResidueSet.of(CyclicGroup(10), [0, 1, 2])
-    rep = doubling(a)
-    assert rep.ratio == Fraction(5, 3)
-    assert (rep.set_size, rep.sumset_size) == (3, 5)
-    assert doubling(ResidueSet.of(g12, [0])).ratio == 1
-    assert doubling(IntegerSet.of(3, [0, 1, 2])).ratio == Fraction(5, 3)
-
-
-def test_doubling_empty_rejected():
-    with pytest.raises(ValueError):
-        doubling(ResidueSet.of(CyclicGroup(5), []))
-
-
 def test_stabilizer_examples():
     g = CyclicGroup(12)
     assert stabilizer(ResidueSet.of(g, [0, 4, 8])).order == 3
@@ -105,7 +87,8 @@ def test_stabilizer_of_coset_is_subgroup():
     for order in (1, 2, 3, 4, 6, 8, 12, 24):
         h = Subgroup(g, order)
         assert stabilizer(coset_of(h, 5)).order == order
-        assert doubling(coset_of(h, 5)).ratio == 1
+        c = coset_of(h, 5)
+        assert len(sumset(c, c)) == len(c)
 
 
 def test_is_arithmetic_progression():
