@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Any, Optional
 
-from .group_core import ResidueSet, Subgroup, containing_coset, subgroups
+from .group_core import (ResidueSet, Subgroup, confining_subgroup,
+                         containing_coset)
 from .sumset_engine import IntegerSet, is_arithmetic_progression, sumset, sumset_int
 
 
@@ -28,24 +29,13 @@ class CheckOutcome:
         return self.applicable and self.holds is False
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def check_cauchy_davenport(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
     """|A+B| >= min(p, |A|+|B|-1) in Z/pZ, p prime."""
     name = "cauchy_davenport"
     if not a or not b:
         raise ValueError("empty input set")
     p = a.modulus
-    if not _is_prime(p):
+    if len(a.group.divisors()) != 2:        # p is not prime
         return CheckOutcome(name, applicable=False, witness="composite modulus")
     size = len(sumset(a, b))
     bound = min(p, len(a) + len(b) - 1)
@@ -100,15 +90,14 @@ def kneser_decomposition(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
 def _coset_witness(a: ResidueSet, b: ResidueSet,
                    order_bound_num: int, order_bound_den: int,
                    bound_ref_size: int) -> Optional[tuple[Subgroup, int]]:
-    """Least subgroup H with den*|H| < num*ref and A+B inside one coset of H."""
+    """Least subgroup H with den*|H| < num*ref and A+B inside one coset of H.
+    Every H confining A+B contains the smallest one, so if that one breaks
+    the order bound, every other candidate does too."""
     s = sumset(a, b)
-    for h in subgroups(a.group):
-        if order_bound_den * h.order >= order_bound_num * bound_ref_size:
-            continue
-        rep = containing_coset(s, h)
-        if rep is not None:
-            return (h, rep)
-    return None
+    h = confining_subgroup(s)
+    if order_bound_den * h.order >= order_bound_num * bound_ref_size:
+        return None
+    return (h, containing_coset(s, h))
 
 
 def prop1_single_coset(a: ResidueSet, b: ResidueSet) -> CheckOutcome:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import inf
 
-from .harness import (CapExceeded, GenParams, LayeredSetError,
+from .harness import (MAX_WIDTH, CapExceeded, GenParams, LayeredSetError,
                       campaign_exhaustive, campaign_random, load_instance,
                       verify_instance, worker_count, Tally, REPORT_VERSION)
 
@@ -75,13 +76,14 @@ def cmd_verify(args) -> int:
 def cmd_campaign(args) -> int:
     # a bad value must exit 2 here: failing later in the campaign exits 1,
     # which reads as "violations found"
-    for flag, values, minimum in (("--d", args.d, 1), ("--s", args.s, 2),
-                                  ("--count", (args.count,), 0),
-                                  ("--max-a", (args.max_a,), 1),
-                                  ("--max-a-slack", (args.max_a_slack,), 0)):
-        if not values or min(values) < minimum:
-            print(f"error: {flag} needs integers >= {minimum}, got "
-                  f"{','.join(map(str, values))!r}", file=sys.stderr)
+    for flag, values, minimum, maximum in (
+            ("--d", args.d, 1, MAX_WIDTH), ("--s", args.s, 2, MAX_WIDTH),
+            ("--count", (args.count,), 0, inf),
+            ("--max-a", (args.max_a,), 1, inf),
+            ("--max-a-slack", (args.max_a_slack,), 0, MAX_WIDTH)):
+        if not values or min(values) < minimum or max(values) > maximum:
+            print(f"error: {flag} needs integers in [{minimum}, {maximum}], "
+                  f"got {','.join(map(str, values))!r}", file=sys.stderr)
             return 2
     for flag, value in (("--density", args.density),
                         ("--epsilon", args.epsilon)):

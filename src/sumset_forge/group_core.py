@@ -7,6 +7,7 @@ operation entry.  Everything here is immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional
 
 
@@ -25,8 +26,10 @@ class CyclicGroup:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
 
     def divisors(self) -> list[int]:
+        """Ascending: `subgroups` and the instance generator rely on it."""
         d = self.modulus
-        return [k for k in range(1, d + 1) if d % k == 0]
+        low = [k for k in range(1, isqrt(d) + 1) if d % k == 0]
+        return low + [d // k for k in reversed(low) if k * k != d]
 
 
 class Bitmap:
@@ -149,6 +152,14 @@ def coset_of(h: Subgroup, x: int) -> ResidueSet:
     return ResidueSet.of(h.group, ((x + k) % d for k in range(0, d, h.step)))
 
 
+def confining_subgroup(s: ResidueSet) -> Subgroup:
+    """The smallest subgroup H with the nonempty set s inside one coset of
+    H.  s lies in a coset of H iff H contains s - s, so H has step
+    gcd(d, s - m0), and every subgroup confining s contains it."""
+    d, m0 = s.modulus, next(iter(s))
+    return Subgroup(s.group, d // gcd(d, *(m - m0 for m in s)))
+
+
 def containing_coset(s: ResidueSet, h: Subgroup) -> Optional[int]:
     """Least representative x with s contained in x + H, or None if s meets
     two or more cosets of H."""
@@ -157,7 +168,8 @@ def containing_coset(s: ResidueSet, h: Subgroup) -> Optional[int]:
     if h.group != s.group:
         raise ModulusMismatch(
             f"modulus mismatch: {s.modulus} vs {h.group.modulus}")
-    reps = {m % h.step for m in s}
+    step = h.step
+    reps = {m % step for m in s}
     if len(reps) > 1:
         return None
     return reps.pop()

@@ -31,6 +31,9 @@ from .sumset_engine import IntegerSet
 REPORT_VERSION = "sumset-forge-report v1"
 THREADS_ENV = "SUMSET_FORGE_THREADS"
 
+# input d and offsets above this are refused: their bitmaps exhaust memory
+MAX_WIDTH = 1 << 24
+
 
 # ---------------------------------------------------------------------------
 # instance I/O
@@ -60,6 +63,8 @@ def instance_from_doc(doc) -> LayeredSet:
                   for layer in doc["layers"]]
     except (KeyError, TypeError) as exc:
         raise LayeredSetError(f"malformed instance document: {exc}") from exc
+    if max([d] + [a for a, _ in layers]) > MAX_WIDTH:
+        raise LayeredSetError(f"d or an offset exceeds the cap {MAX_WIDTH}")
     try:
         return LayeredSet.of(d, layers)
     except ValueError as exc:

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import gcd
 from typing import Optional, Union
 
 from .classical_checks import CheckOutcome
-from .group_core import (CyclicGroup, ResidueSet, Subgroup, containing_coset,
-                         subgroups)
+from .group_core import (CyclicGroup, ResidueSet, Subgroup, confining_subgroup,
+                         containing_coset)
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
                           lemma2_copies, r_parameter, translated_family)
 from .rectify import AffineAssignment, solve_affine
@@ -275,43 +276,34 @@ def check_prop7(L: LayeredSet) -> CheckOutcome:
                         witness=(L.max_offset(), L.s))
 
 
-def _confinement(L: LayeredSet, h: Subgroup) -> Optional[list[int]]:
-    """Coset representatives (mod d/|H|) when every layer is confined to a
-    single coset of H; None otherwise."""
-    reps = []
-    for _, b in L.layers:
-        rep = containing_coset(b, h)
-        if rep is None:
-            return None
-        reps.append(rep)
-    return reps
+def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
+    """The smallest H with every B_i inside a_i*x + y + H, and that (x, y).
+    With b_i in B_i, an (x, y) exists iff H holds each B_i - B_i and each
+    a_j*b_i - a_i*b_j (y is in H as a_1 = 0 and 0 is in B_1; x follows from
+    Bezout), so the step of H is the gcd of those terms and d."""
+    firsts = [(a, next(iter(b))) for a, b in L.layers]
+    q = gcd(*(confining_subgroup(b).step for _, b in L.layers),
+            *(aj * bi - ai * bj
+              for (ai, bi), (aj, bj) in combinations(firsts, 2)))
+    h = Subgroup(L.group, L.d // q)
+    reps = tuple(containing_coset(b, h) for _, b in L.layers)
+    xy = solve_affine(AffineAssignment(L.profile.offset_set, reps, q))
+    return None if xy is None else (h, *xy)
 
 
 def find_structure(L: LayeredSet
                    ) -> Union[StructureWitness, NotApplicable, ConclusionFailed]:
-    """Search for the structural witness: the smallest subgroup H such that
-    every B_i sits inside a_i*x + y + H for some (x, y), then check every
-    stated conclusion against it."""
+    """The structural witness, the smallest subgroup H such that every B_i
+    sits inside a_i*x + y + H for some (x, y), checked against every stated
+    conclusion.  Every other such H contains it: it is the only candidate."""
     t = tau(L.s)
     if t is None:
         return NotApplicable(f"no doubling threshold for s={L.s}", L.ratio)
     if L.ratio >= t:
         return NotApplicable(f"doubling {L.ratio} >= {t}", L.ratio)
 
-    found = None
-    for h in subgroups(L.group):
-        reps = _confinement(L, h)
-        if reps is None:
-            continue
-        q = h.step                     # order of the quotient group
-        assign = AffineAssignment(L.profile.offset_set, tuple(reps), q)
-        xy = solve_affine(assign)
-        if xy is None:
-            continue
-        found = (h, xy[0], xy[1])
-        break
+    found = coset_placement(L)
     if found is None:
-        # the full group confines everything with (x, y) = (0, 0)
         return ConclusionFailed("coset-structure",
                                 "no confining subgroup found")
     h, x, y = found

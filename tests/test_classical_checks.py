@@ -1,16 +1,17 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from conftest import random_residue_set
-from sumset_forge.classical_checks import (check_ap_criterion,
+from sumset_forge.classical_checks import (_coset_witness, check_ap_criterion,
                                            check_cauchy_davenport,
                                            check_freiman_3k4, check_lev_bound,
                                            kneser_decomposition,
                                            lemma1_all_differences,
                                            prop1_single_coset,
                                            prop2_single_coset)
-from sumset_forge.group_core import CyclicGroup, ResidueSet
+from sumset_forge.group_core import (CyclicGroup, ResidueSet, containing_coset,
+                                     subgroups)
 from sumset_forge.sumset_engine import IntegerSet, stabilizer, sumset
 
 
@@ -116,6 +117,26 @@ class TestProp1Prop2:
                 assert h.order < 2 * len(b)
                 s = sumset(a, b)
                 assert all((m - rep) % h.step == 0 for m in s)
+
+    def test_coset_witness_matches_subgroup_scan(self):
+        """Every pair of nonempty sets for d <= 7, under the prop1 bound
+        (|H| < 3|A|/2) and the prop2 bound (|H| < 2|B|), against the
+        ascending scan over subgroups."""
+        def scan(a, b, num, den, ref):
+            s = sumset(a, b)
+            for h in subgroups(a.group):
+                if den * h.order < num * ref:
+                    rep = containing_coset(s, h)
+                    if rep is not None:
+                        return (h, rep)
+            return None
+
+        for d in range(1, 8):
+            g = CyclicGroup(d)
+            sets = [ResidueSet(g, bits) for bits in range(1, 1 << d)]
+            for a, b in product(sets, repeat=2):
+                for bound in ((3, 2, len(a)), (2, 1, len(b))):
+                    assert _coset_witness(a, b, *bound) == scan(a, b, *bound)
 
 
 class TestLemma1:

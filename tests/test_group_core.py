@@ -1,14 +1,23 @@
 import pytest
 
 from sumset_forge.group_core import (CyclicGroup, ModulusMismatch,
-                                     ResidueSet, Subgroup, coset_of,
-                                     containing_coset, subgroups)
+                                     ResidueSet, Subgroup, confining_subgroup,
+                                     coset_of, containing_coset, subgroups)
 
 
 def test_subgroup_orders_are_divisors():
     assert [h.order for h in subgroups(CyclicGroup(12))] == [1, 2, 3, 4, 6, 12]
     assert [h.order for h in subgroups(CyclicGroup(1))] == [1]
     assert [h.order for h in subgroups(CyclicGroup(7))] == [1, 7]
+
+
+def test_divisors_match_definition():
+    # ascending order matters: generate_instance draws from this list
+    for d in list(range(1, 2001)) + [720720, 1_000_003]:
+        assert (CyclicGroup(d).divisors()
+                == [k for k in range(1, d + 1) if d % k == 0])
+    assert len(CyclicGroup(720720).divisors()) == 240
+    assert CyclicGroup(1_000_003).divisors() == [1, 1_000_003]
 
 
 def test_subgroups_closed_under_addition_small_moduli():
@@ -53,6 +62,8 @@ def test_containing_coset_differences_in_subgroup():
         s = coset_of(h, 5)
         rep = containing_coset(s, h)
         assert rep is not None
+        pair = ResidueSet.of(g, [5, (5 + h.step) % 24])
+        assert confining_subgroup(s) == confining_subgroup(pair) == h
         for x in s:
             for y in s:
                 assert (x - y) % 24 in h

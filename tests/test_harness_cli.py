@@ -364,6 +364,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--d", "--s", "--max-a-slack"])
+    def test_campaign_width_cap_exit(self, flag, monkeypatch, capsys):
+        import sumset_forge.cli as cli
+        ran = []
+        monkeypatch.setattr(cli, "campaign_random",
+                            lambda *args, **kwargs: ran.append(args))
+        assert main(["campaign", "--mode", "random", "--count", "1",
+                     flag, str(10 ** 12)]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} needs integers in" in captured.err
+        assert captured.out == "" and ran == []
+
+    @pytest.mark.parametrize("d, top", [(10 ** 12, 2), (12, 10 ** 12)],
+                             ids=["d", "offset"])
+    def test_verify_width_cap_exit(self, d, top, tmp_path, monkeypatch,
+                                   capsys):
+        import sumset_forge.harness as harness
+        # a layered set past the cap would allocate its bitmaps
+        monkeypatch.setattr(harness, "LayeredSet", None)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            {"d": d, "layers": [{"a": a, "set": [0]} for a in (0, 1, top)]}))
+        assert main(["verify", str(path)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
     def test_campaign_bad_threads_exit(self, raw, monkeypatch, capsys):
         monkeypatch.setenv(THREADS_ENV, raw)

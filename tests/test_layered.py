@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from sumset_forge.group_core import CyclicGroup, ResidueSet, Subgroup
+from sumset_forge.group_core import (CyclicGroup, ResidueSet, Subgroup,
+                                     containing_coset, subgroups)
 from sumset_forge.hall_bounds import (find_sdr, lemma2_copies, r_parameter,
                                       translated_family)
 from sumset_forge.harness import (GenParams, _rng_for, canonical_instances,
@@ -14,11 +15,13 @@ from sumset_forge.layered import (INEQ7_EQUALITY, INEQ7_STRICT,
                                   LayeredSetError, NotApplicable,
                                   StructureWitness, _prop6_copies,
                                   check_ineq7, check_lemma5, check_prop7,
-                                  corollary1_check, doubling_ratio,
+                                  corollary1_check, coset_placement,
+                                  doubling_ratio,
                                   find_structure, flatten_sumset,
                                   is_applicable, is_coset_saturated,
                                   offset_profile, prop6_lower_bound, tau,
                                   uvw_partition, verify_witness)
+from sumset_forge.rectify import AffineAssignment, solve_affine_bruteforce
 from sumset_forge.sumset_engine import IntegerSet, sumset, sumset_naive
 
 
@@ -65,6 +68,35 @@ def random_instance(rng):
                 members.append(0)
             layers.append((a, ResidueSet.of(group, members)))
         return LayeredSet(group, tuple(layers))
+
+
+def sparse_instance(rng):
+    """Layers of one to three residues, any d <= 40: small confining
+    subgroups, where the cross terms a_j*b_i - a_i*b_j decide."""
+    d = rng.randint(1, 40)
+    s = rng.randint(2, 8)
+    while True:
+        rest = sorted(rng.sample(range(1, s + 4), s - 1))
+        if gcd(*rest) == 1:
+            break
+    layers = [(a, rng.sample(range(d), rng.randint(1, min(3, d))))
+              for a in [0] + rest]
+    layers[0][1].append(0)
+    return LayeredSet.of(d, layers)
+
+
+def scan_placement(L):
+    """The ascending subgroup scan that `coset_placement` replaces: the first
+    H confining every layer whose coset values admit an affine solution."""
+    aset = IntegerSet.from_members(L.offsets())
+    for h in subgroups(L.group):
+        reps = tuple(containing_coset(b, h) for _, b in L.layers)
+        if None in reps:
+            continue
+        xy = solve_affine_bruteforce(AffineAssignment(aset, reps, h.step))
+        if xy is not None:
+            return (h.order, *xy)
+    return None
 
 
 class TestValidation:
@@ -245,6 +277,25 @@ class TestFindStructure:
         assert w.ineq7 == INEQ7_EQUALITY
         flat = flatten_sumset(L)
         assert flat.total_size() - L.size() == 60
+
+    def test_placement_matches_subgroup_scan(self, rng):
+        params = ((GenParams(), 3000),
+                  (GenParams(epsilon=0.3), 1500),
+                  (GenParams(density=0.1, max_a_slack=6), 1000),
+                  (GenParams(d_values=(48, 60, 72, 96, 120), s_min=24,
+                             s_max=40, max_a_slack=8, epsilon=0.1), 50))
+        instances = [L for _, L in canonical_instances()]
+        for seed, (p, count) in enumerate(params):
+            instances += [generate_instance(p, _rng_for(seed, i))
+                          for i in range(count)]
+        instances += [random_instance(rng) for _ in range(500)]
+        instances += [sparse_instance(rng) for _ in range(4000)]
+        orders = set()
+        for L in instances:
+            h, x, y = coset_placement(L)
+            assert (h.order, x, y) == scan_placement(L), L
+            orders.add(h.order == L.d)
+        assert len(instances) >= 10_000 and orders == {True, False}
 
     def test_witness_reverifies_randomized(self, rng):
         for _ in range(400):
