@@ -14,7 +14,8 @@ from typing import Any, Optional
 
 from .group_core import (ResidueSet, Subgroup, confining_subgroup,
                          containing_coset)
-from .sumset_engine import IntegerSet, is_arithmetic_progression, sumset, sumset_int
+from .sumset_engine import (IntegerSet, is_arithmetic_progression, stabilizer,
+                            sumset, sumset_int)
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,9 @@ def check_freiman_3k4(a: IntegerSet) -> CheckOutcome:
 
 
 def kneser_decomposition(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
-    """|A+B| = |A+H| + |B+H| - |H| with H = stabilizer(A+B), when |A+B| < |A|+|B|."""
-    from .sumset_engine import stabilizer
-
+    """|A+B| = |A+H| + |B+H| - |H| with H = stabilizer(A+B), when |A+B| < |A|+|B|.
+    X+H is the union of the cosets of H that X meets, so
+    |X+H| = |H| * |{x mod step : x in X}|."""
     name = "kneser"
     if not a or not b:
         raise ValueError("empty input set")
@@ -81,10 +82,10 @@ def kneser_decomposition(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
     if len(s) >= len(a) + len(b):
         return CheckOutcome(name, applicable=False)
     h = stabilizer(s)
-    he = h.element_set()
-    lhs = len(s)
-    rhs = len(sumset(a, he)) + len(sumset(b, he)) - h.order
-    return CheckOutcome(name, True, lhs == rhs, witness=h)
+    step = h.step
+    cosets = len({x % step for x in a}) + len({x % step for x in b})
+    return CheckOutcome(name, True, len(s) == h.order * (cosets - 1),
+                        witness=h)
 
 
 def _coset_witness(a: ResidueSet, b: ResidueSet,

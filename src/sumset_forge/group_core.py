@@ -32,6 +32,11 @@ class CyclicGroup:
         return low + [d // k for k in reversed(low) if k * k != d]
 
 
+def fold(bits: int, d: int) -> int:
+    """Reduce a bitmap below 2^(2d) mod d: bit p goes to bit p mod d."""
+    return (bits | bits >> d) & ((1 << d) - 1)
+
+
 class Bitmap:
     """Membership queries shared by the bitmap-backed sets: m is a member iff
     bit m of `self.bits` is set.  Subclasses reject bits at or above their
@@ -92,22 +97,16 @@ class ResidueSet(Bitmap):
     def shift(self, k: int) -> "ResidueSet":
         """Translate by k (mod d): {m + k : m in self}."""
         d = self.modulus
-        k %= d
-        mask = (1 << d) - 1
-        return ResidueSet(self.group, ((self.bits << k) | (self.bits >> (d - k))) & mask if k else self.bits)
+        return ResidueSet(self.group, fold(self.bits << (k % d), d))
 
     def union(self, other: "ResidueSet") -> "ResidueSet":
         self._require_same_group(other)
         return ResidueSet(self.group, self.bits | other.bits)
 
-    def issubset(self, other: "ResidueSet") -> bool:
-        self._require_same_group(other)
-        return self.bits & ~other.bits == 0
-
-    def _require_same_group(self, other: "ResidueSet") -> None:
+    def _require_same_group(self, other: "ResidueSet | Subgroup") -> None:
         if self.group != other.group:
             raise ModulusMismatch(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}")
+                f"modulus mismatch: {self.modulus} vs {other.group.modulus}")
 
     def __repr__(self) -> str:
         return f"ResidueSet(d={self.modulus}, {{{', '.join(map(str, self))}}})"
@@ -165,9 +164,7 @@ def containing_coset(s: ResidueSet, h: Subgroup) -> Optional[int]:
     two or more cosets of H."""
     if not s:
         raise ValueError("empty set has no coset")
-    if h.group != s.group:
-        raise ModulusMismatch(
-            f"modulus mismatch: {s.modulus} vs {h.group.modulus}")
+    s._require_same_group(h)
     step = h.step
     reps = {m % step for m in s}
     if len(reps) > 1:

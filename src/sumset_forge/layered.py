@@ -280,14 +280,15 @@ def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
     """The smallest H with every B_i inside a_i*x + y + H, and that (x, y).
     With b_i in B_i, an (x, y) exists iff H holds each B_i - B_i and each
     a_j*b_i - a_i*b_j (y is in H as a_1 = 0 and 0 is in B_1; x follows from
-    Bezout), so the step of H is the gcd of those terms and d."""
+    Bezout), so the step of H is the gcd of those terms and d.  B_i then
+    lies in the coset b_i + H, and AffineAssignment reduces b_i mod the step."""
     firsts = [(a, next(iter(b))) for a, b in L.layers]
     q = gcd(*(confining_subgroup(b).step for _, b in L.layers),
             *(aj * bi - ai * bj
               for (ai, bi), (aj, bj) in combinations(firsts, 2)))
     h = Subgroup(L.group, L.d // q)
-    reps = tuple(containing_coset(b, h) for _, b in L.layers)
-    xy = solve_affine(AffineAssignment(L.profile.offset_set, reps, q))
+    xy = solve_affine(AffineAssignment(L.profile.offset_set,
+                                       tuple(b for _, b in firsts), q))
     return None if xy is None else (h, *xy)
 
 

@@ -1,8 +1,8 @@
 """Set addition kernels, stabilizers, and integer-set analogues.
 
-Two sumset strategies live behind one contract: the bit-parallel shift-OR over
-membership bitmaps (the fast path everything else calls), and the naive double
-loop kept as the always-on oracle for tests.
+A sumset is one shift-OR over membership bitmaps: A shifted by each member of
+the smaller operand, ORed together, which is A + B in Z.  In Z/dZ that result
+is folded mod d once.  The naive double loops are kept as oracles for tests.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .group_core import Bitmap, ResidueSet, Subgroup, subgroups
+from .group_core import Bitmap, ResidueSet, Subgroup, fold, subgroups
 
 
 @dataclass(frozen=True)
@@ -55,38 +55,34 @@ class IntegerSet(Bitmap):
         return f"IntegerSet(bound={self.bound}, {{{', '.join(map(str, self))}}})"
 
 
-def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
-    """A + B in Z/dZ via shift-OR over the smaller operand."""
-    if a.group != b.group:
-        from .group_core import ModulusMismatch
-        raise ModulusMismatch(f"modulus mismatch: {a.modulus} vs {b.modulus}")
-    d = a.modulus
+def _shift_or(a: Bitmap, b: Bitmap) -> int:
+    """Bitmap of A + B in Z: A shifted by each member of the smaller operand,
+    ORed together."""
     if len(a) < len(b):
         a, b = b, a
-    mask = (1 << d) - 1
-    abits = a.bits
-    out = 0
+    abits, out = a.bits, 0
     for k in b:
-        out |= ((abits << k) | (abits >> (d - k))) & mask if k else abits
-    return ResidueSet(a.group, out)
+        out |= abits << k
+    return out
+
+
+def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
+    """A + B in Z/dZ: the sumset in Z, folded mod d once (every shifted copy
+    lies below 2^(2d-1))."""
+    a._require_same_group(b)
+    return ResidueSet(a.group, fold(_shift_or(a, b), a.modulus))
 
 
 def sumset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """Double-loop oracle; bit-identical to sumset by construction of tests."""
-    if a.group != b.group:
-        from .group_core import ModulusMismatch
-        raise ModulusMismatch(f"modulus mismatch: {a.modulus} vs {b.modulus}")
+    a._require_same_group(b)
     d = a.modulus
     return ResidueSet.of(a.group, {(x + y) % d for x in a for y in b})
 
 
 def sumset_int(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     """A + B in Z, ambient bound = sum of bounds."""
-    out = 0
-    abits = a.bits
-    for k in b:
-        out |= abits << k
-    return IntegerSet(a.bound + b.bound, out)
+    return IntegerSet(a.bound + b.bound, _shift_or(a, b))
 
 
 def sumset_int_naive(a: IntegerSet, b: IntegerSet) -> IntegerSet:

@@ -77,6 +77,23 @@ class TestKneser:
             out = kneser_decomposition(a, b)
             assert not out.violated
 
+    def test_every_pair_small_moduli(self):
+        """Every pair of nonempty sets for d <= 7.  Kneser's theorem holds,
+        so a wrong |X+H| shows up as a violation."""
+        applicable = 0
+        for d in range(1, 8):
+            g = CyclicGroup(d)
+            sets = [ResidueSet(g, bits) for bits in range(1, 1 << d)]
+            for a, b in product(sets, repeat=2):
+                out = kneser_decomposition(a, b)
+                s = sumset(a, b)
+                assert out.applicable == (len(s) < len(a) + len(b))
+                if out.applicable:
+                    applicable += 1
+                    assert out.holds
+                    assert out.witness == stabilizer(s)
+        assert applicable > 0
+
 
 class TestProp1Prop2:
     def test_prop1_examples(self):

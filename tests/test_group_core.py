@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sumset_forge.group_core import (CyclicGroup, ModulusMismatch,
@@ -91,6 +93,16 @@ def test_residue_set_basics():
     assert set(s.shift(5)) == {6, 2, 8}
     with pytest.raises(ValueError):
         ResidueSet.of(g, [10])
+
+
+def test_shift_matches_definition():
+    rng = random.Random(5)
+    for d in range(1, 17):
+        for _ in range(4):
+            s = ResidueSet.of(CyclicGroup(d),
+                              rng.sample(range(d), rng.randint(0, d)))
+            for k in range(-2 * d, 2 * d + 1):
+                assert set(s.shift(k)) == {(m + k) % d for m in s}
 
 
 def test_trivial_group_supported():

@@ -448,6 +448,9 @@ GOLDEN_REPORTS = [
      "f79e18e94fd84d01d77ca34eba4d43ee76cb3797593f788a3783017d6d1dd09f"),
     (["--mode", "exhaustive", "--s", "6,7", "--max-a", "12"], 0,
      "fe317c7381f7dd5f14a0009b52d7adbd1ddab505cb5cccc5665f93d03dc27dab"),
+    (["--mode", "random", "--count", "60", "--seed", "2", "--s", "24,40",
+      "--d", "48,60,72,96,120", "--max-a-slack", "8", "--epsilon", "0.1"], 0,
+     "27a83868e55674d4ccd62f226df8d23cc35577bd5ce5b66b300821543f10b9a5"),
 ]
 
 
