@@ -16,10 +16,9 @@ from .hall_bounds import (BoundViolation, HallViolator, IntervalProfile,
 from .rectify import (AffineAssignment, ClosureState, closure_step,
                       find_seed_pair, good_closure, solve_affine)
 from .layered import (ConclusionFailed, LayeredSet, LayeredSetError,
-                      LayeredSumset, NotApplicable, SizePartition,
-                      StructureWitness, check_ineq7, check_lemma5,
-                      check_prop7, corollary1_check, doubling_ratio,
-                      find_structure, flatten_sumset, prop6_lower_bound,
-                      uvw_partition)
+                      LayeredSumset, NotApplicable, StructureWitness,
+                      check_ineq7, check_lemma5, check_prop7,
+                      corollary1_check, doubling_ratio, find_structure,
+                      flatten_sumset, prop6_lower_bound, uvw_partition)
 
 __version__ = "0.1.0"

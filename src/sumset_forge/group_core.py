@@ -99,10 +99,6 @@ class ResidueSet(Bitmap):
         d = self.modulus
         return ResidueSet(self.group, fold(self.bits << (k % d), d))
 
-    def union(self, other: "ResidueSet") -> "ResidueSet":
-        self._require_same_group(other)
-        return ResidueSet(self.group, self.bits | other.bits)
-
     def _require_same_group(self, other: "ResidueSet | Subgroup") -> None:
         if self.group != other.group:
             raise ModulusMismatch(

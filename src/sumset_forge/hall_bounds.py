@@ -57,6 +57,11 @@ class IntervalProfile:
     b: int
     c: int
 
+    @property
+    def bound(self) -> int:
+        """The refined lower bound 2s+R-3+c on |A'+A'|."""
+        return 2 * self.s + self.r - 3 + self.c
+
 
 def find_sdr(family: Sequence[IntegerSet]
              ) -> Union[SdrCertificate, HallViolator]:
@@ -174,13 +179,13 @@ def abc_parameters(aset: IntegerSet) -> IntervalProfile:
     return IntervalProfile(s=s, max_a=top, r=r, a=a, b=b, c=c)
 
 
-def prop5_bound(aset: IntegerSet) -> int:
-    """The refined lower bound 2s+R-3+c; raises BoundViolation if |A'+A'|
-    falls below it (must never happen under the preconditions)."""
+def prop5_bound(aset: IntegerSet) -> IntervalProfile:
+    """The (a, b, c) profile whose refined bound 2s+R-3+c holds for |A'+A'|;
+    raises BoundViolation if |A'+A'| falls below it (must never happen under
+    the preconditions)."""
     profile = abc_parameters(aset)
-    bound = 2 * profile.s + profile.r - 3 + profile.c
     actual = len(sumset_int(aset, aset))
-    if actual < bound:
+    if actual < profile.bound:
         raise BoundViolation(
-            f"|A'+A'| = {actual} < {bound} for A'={aset.members()}")
-    return bound
+            f"|A'+A'| = {actual} < {profile.bound} for A'={aset.members()}")
+    return profile

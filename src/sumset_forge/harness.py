@@ -221,7 +221,7 @@ def _outcome(emit, out: CheckOutcome, detail: str) -> str:
 def _check_flatten(L: LayeredSet, emit) -> list[str]:
     applicable = ls.is_applicable(L)
     emit("instances", "applicable" if applicable else "not_applicable")
-    return [f"check flatten size={L.sumset_size} base={L.size()} "
+    return [f"check flatten size={L.flat.total} base={L.size()} "
             f"ratio={ls.doubling_ratio(L)}",
             f"check applicable {str(applicable).lower()}"]
 
@@ -253,8 +253,9 @@ def _check_structure(L: LayeredSet, emit) -> list[str]:
         return [f"check structure FAILED conclusion={out.conclusion} "
                 f"detail=[{out.detail}]"]
     h = out.subgroup
-    emit("structure", "holds")
-    if not ls.verify_witness(L, out):
+    if ls.verify_witness(L, out):
+        emit("structure", "holds")
+    else:
         emit("structure", "violated", "witness re-verification")
     lhs = L.max_offset() * h.order
     equality = out.ineq7 == ls.INEQ7_EQUALITY
@@ -394,8 +395,9 @@ def _check_prop5(aset: IntegerSet, emit) -> list[str]:
     if aset.max() != len(aset) + r - 3:
         emit("prop5", "not_applicable")
         return []
-    _certified(emit, "prop5", prop5_bound, aset)
-    profile = abc_parameters(aset)
+    profile = _certified(emit, "prop5", prop5_bound, aset)
+    if isinstance(profile, str):        # violated: no certified profile
+        profile = abc_parameters(aset)
     ok = profile.a + profile.b + profile.c == r - 2
     emit("abc-sum", "holds" if ok else "violated",
          None if ok else str(profile))

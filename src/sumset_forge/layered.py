@@ -105,14 +105,9 @@ class LayeredSet:
         return flatten_sumset(self)
 
     @cached_property
-    def sumset_size(self) -> int:
-        """|B~ + B~|, summed once."""
-        return self.flat.total_size()
-
-    @cached_property
     def ratio(self) -> Fraction:
         """The doubling |B~ + B~| / |B~|, built once."""
-        return Fraction(self.sumset_size, self.size())
+        return Fraction(self.flat.total, self.size())
 
     @cached_property
     def profile(self) -> "OffsetProfile":
@@ -123,11 +118,8 @@ class LayeredSet:
 
 @dataclass(frozen=True)
 class LayeredSumset:
-    entries: tuple[tuple[int, ResidueSet], ...]
+    total: int                                # |B~ + B~|
     pair_sizes: tuple[tuple[int, ...], ...]   # [i][j] = |B_i + B_j|
-
-    def total_size(self) -> int:
-        return sum(len(b) for _, b in self.entries)
 
 
 @dataclass(frozen=True)
@@ -164,41 +156,22 @@ class ConclusionFailed:
     detail: str
 
 
-@dataclass(frozen=True)
-class SizePartition:
-    u_indices: tuple[int, ...]
-    v_indices: tuple[int, ...]
-    w_indices: tuple[int, ...]
-
-    @property
-    def u(self) -> int:
-        return len(self.u_indices)
-
-    @property
-    def v(self) -> int:
-        return len(self.v_indices)
-
-    @property
-    def w(self) -> int:
-        return len(self.w_indices)
-
-
 def flatten_sumset(L: LayeredSet) -> LayeredSumset:
-    """Exact sumset of the layered set: entry at first coordinate k is the
-    union of B_i + B_j over offset pairs with a_i + a_j = k.  The size of
-    every pairwise B_i + B_j is kept as well, in a symmetric table."""
-    by_k: dict[int, ResidueSet] = {}
+    """Sizes of the exact sumset of the layered set: the row at first
+    coordinate k is the union of B_i + B_j over offset pairs with
+    a_i + a_j = k, and |B~+B~| sums the rows.  The size of every pairwise
+    B_i + B_j is kept as well, in a symmetric table."""
+    rows: dict[int, int] = {}
     n = L.s
     pair_sizes = [[0] * n for _ in range(n)]
     for i in range(n):
         ai, bi = L.layers[i]
         for j in range(i, n):
             aj, bj = L.layers[j]
-            k = ai + aj
             piece = sumset(bi, bj)
             pair_sizes[i][j] = pair_sizes[j][i] = len(piece)
-            by_k[k] = piece if k not in by_k else by_k[k].union(piece)
-    return LayeredSumset(tuple(sorted(by_k.items())),
+            rows[ai + aj] = rows.get(ai + aj, 0) | piece.bits
+    return LayeredSumset(sum(row.bit_count() for row in rows.values()),
                          tuple(map(tuple, pair_sizes)))
 
 
@@ -249,7 +222,7 @@ def prop6_lower_bound(L: LayeredSet) -> int:
             f"{matching.indices}")
     pair_sizes = L.flat.pair_sizes
     bound = sum(pair_sizes[i][j] for i, j in matching)
-    total = L.sumset_size
+    total = L.flat.total
     if bound > total:
         raise BoundViolation(
             f"certified bound {bound} exceeds |B~+B~| = {total}")
@@ -261,7 +234,7 @@ def corollary1_check(L: LayeredSet) -> bool:
     sizes taken in descending order; R comes from the offsets as given."""
     sizes = sorted((len(b) for _, b in L.layers), reverse=True)
     rhs = (L.s - 2) * sizes[0] + sum(sizes[1:L.profile.r])
-    return L.sumset_size - L.size() >= rhs
+    return L.flat.total - L.size() >= rhs
 
 
 def check_prop7(L: LayeredSet) -> CheckOutcome:
@@ -327,7 +300,7 @@ def find_structure(L: LayeredSet
     if status == INEQ7_VIOLATED:
         return ConclusionFailed(
             "ineq7", f"(max a_i)|H| = {L.max_offset() * h.order} > "
-                     f"{L.sumset_size - L.size()}")
+                     f"{L.flat.total - L.size()}")
     return StructureWitness(h, x, y, j, ineq7=status)
 
 
@@ -342,18 +315,17 @@ def verify_witness(L: LayeredSet, w: StructureWitness) -> bool:
     return 3 * len(L.layers[w.j][1]) >= 2 * h.order
 
 
-def uvw_partition(L: LayeredSet, h: Subgroup) -> SizePartition:
-    """Layers split by size against |H|: U at >= 2/3, W below 1/3, V between."""
-    u, v, w = [], [], []
-    for i, (_, b) in enumerate(L.layers):
+def uvw_partition(L: LayeredSet, h: Subgroup) -> tuple[int, int, int]:
+    """Counts (u, v, w) of layers split by size against |H|: U at >= 2/3,
+    W below 1/3, V between."""
+    u = w = 0
+    for _, b in L.layers:
         n3 = 3 * len(b)
         if n3 >= 2 * h.order:
-            u.append(i)
+            u += 1
         elif n3 < h.order:
-            w.append(i)
-        else:
-            v.append(i)
-    return SizePartition(tuple(u), tuple(v), tuple(w))
+            w += 1
+    return u, L.s - u - w, w
 
 
 def check_lemma5(L: LayeredSet, h: Subgroup) -> CheckOutcome:
@@ -365,16 +337,15 @@ def check_lemma5(L: LayeredSet, h: Subgroup) -> CheckOutcome:
     name = "lemma5"
     if not is_applicable(L):
         return CheckOutcome(name, applicable=False)
-    part = uvw_partition(L, h)
+    u, v, w = uvw_partition(L, h)
     r = L.profile.r
-    return CheckOutcome(name, True, part.u >= part.w + 2 * r - 3,
-                        witness=(part.u, part.v, part.w, r))
+    return CheckOutcome(name, True, u >= w + 2 * r - 3, witness=(u, v, w, r))
 
 
 def check_ineq7(L: LayeredSet, h: Subgroup) -> str:
     """(max a_i)|H| against |B~+B~| - |B~|, exactly."""
     lhs = L.max_offset() * h.order
-    rhs = L.sumset_size - L.size()
+    rhs = L.flat.total - L.size()
     if lhs < rhs:
         return INEQ7_STRICT
     if lhs == rhs:

@@ -93,12 +93,14 @@ def stabilizer(a: ResidueSet) -> Subgroup:
     """The largest subgroup H with H + A = A.
 
     Tries each divisor subgroup descending by order; H fixes A iff the bitmap
-    is invariant under rotation by its generator d/|H|.
+    is invariant under rotation by its generator d/|H|.  A fixed A is a union
+    of cosets of H, so only orders dividing |A| need the rotation.
     """
     if not a:
         raise ValueError("stabilizer of the empty set is undefined")
+    n = len(a)
     for h in reversed(subgroups(a.group)):
-        if a.shift(h.step).bits == a.bits:
+        if n % h.order == 0 and a.shift(h.step).bits == a.bits:
             return h
     raise AssertionError("unreachable: the trivial subgroup always fixes A")
 

@@ -117,9 +117,9 @@ class TestAbcParameters:
 
 class TestProp5:
     def test_examples(self):
-        assert prop5_bound(iset([0, 1, 2, 3, 4, 7])) == 13
-        assert prop5_bound(iset([0, 2, 3, 4, 5, 7])) == 13
-        assert prop5_bound(iset([0, 1, 2, 3, 4, 5])) == 11
+        assert prop5_bound(iset([0, 1, 2, 3, 4, 7])).bound == 13
+        assert prop5_bound(iset([0, 2, 3, 4, 5, 7])).bound == 13
+        assert prop5_bound(iset([0, 1, 2, 3, 4, 5])).bound == 11
 
 
 class TestExhaustiveProjectionSpace:
@@ -132,8 +132,9 @@ class TestExhaustiveProjectionSpace:
                 r = r_parameter(aset)
                 assert len(cert) == 2 * s + r - 3
                 if aset.max() == s + r - 3:
-                    assert prop5_bound(aset) <= len(sumset_int(aset, aset))
-                    p = abc_parameters(aset)
+                    p = prop5_bound(aset)
+                    assert p == abc_parameters(aset)
+                    assert p.bound <= len(sumset_int(aset, aset))
                     assert p.a + p.b + p.c == r - 2
 
     def test_missing_count_criterion(self):

@@ -157,14 +157,12 @@ class TestCampaign:
         assert calls == instances
 
     def test_offset_work_once_per_campaign(self, monkeypatch, empty_memo):
-        """One matching per distinct offset tuple and one |B~+B~| sum per
-        instance, over a whole campaign."""
+        """One matching per distinct offset tuple over a whole campaign."""
         import sumset_forge.harness as harness
         monkeypatch.setenv(THREADS_ENV, "1")
-        seen, sdr_calls, size_calls = [], [], []
+        seen, sdr_calls = [], []
         real_verify = harness.verify_instance
         real_sdr = layered.find_sdr
-        real_size = layered.LayeredSumset.total_size
 
         def verify(L, tally):
             seen.append(L.offsets())
@@ -174,17 +172,11 @@ class TestCampaign:
             sdr_calls.append(family)
             return real_sdr(family)
 
-        def size(flat):
-            size_calls.append(flat)
-            return real_size(flat)
-
         monkeypatch.setattr(harness, "verify_instance", verify)
         monkeypatch.setattr(layered, "find_sdr", sdr)
-        monkeypatch.setattr(layered.LayeredSumset, "total_size", size)
         campaign_random(GenParams(epsilon=0.2), 300, seed=4)
         assert len(seen) == 303
         assert len(sdr_calls) == len(set(seen)) < len(seen)
-        assert len(size_calls) == len(seen)
 
     def test_ratio_built_once_per_instance(self, monkeypatch):
         """One doubling Fraction per instance, however many checks read it;
@@ -202,7 +194,7 @@ class TestCampaign:
             for i in range(40)]
         for L in instances:
             verify_instance(L, Tally())
-        assert builds == [(L.sumset_size, L.size()) for L in instances]
+        assert builds == [(L.flat.total, L.size()) for L in instances]
         assert "ratio" not in {f.name for f in dataclasses.fields(LayeredSet)}
         fresh = instance_from_doc(json.loads(instance_to_json(instances[0])))
         assert "ratio" in vars(instances[0]) and fresh == instances[0]
@@ -226,6 +218,39 @@ class TestCampaign:
                    for line in lines):
                 witnessed.append(L)
         assert calls == witnessed and len(witnessed) > 10
+
+    def test_structure_counted_once_per_instance(self, monkeypatch):
+        """A witness that fails re-verification counts as violated only, and
+        every instance lands in exactly one structure outcome."""
+        L = instance_from_doc(GOLDEN_VERIFY[0][0])
+        tally = Tally()
+        verify_instance(L, tally)
+        assert tally.counts["structure"] == {"holds": 1}
+        monkeypatch.setattr(layered, "verify_witness", lambda L, w: False)
+        tally = Tally()
+        verify_instance(L, tally)
+        assert tally.counts["structure"] == {"violated": 1}
+        counts = campaign_random(GenParams(epsilon=0.2), 60,
+                                 seed=3).tally.counts["structure"]
+        assert sum(counts.values()) == 63
+        assert set(counts) == {"violated", "not_applicable"}
+
+    def test_one_abc_profile_per_applicable_offset_set(self, monkeypatch):
+        """prop5 certifies the (a, b, c) profile that abc-sum then reads."""
+        import sumset_forge.hall_bounds as hall_bounds
+        import sumset_forge.harness as harness
+        calls = []
+        real = hall_bounds.abc_parameters
+
+        def counting(aset):
+            calls.append(aset)
+            return real(aset)
+
+        monkeypatch.setattr(hall_bounds, "abc_parameters", counting)
+        monkeypatch.setattr(harness, "abc_parameters", counting)
+        counts = campaign_exhaustive((6, 7), 12).tally.counts
+        assert counts["prop5"]["holds"] == counts["abc-sum"]["holds"] == 588
+        assert len(calls) == 588
 
     def test_worker_count_clamped_to_cores(self, monkeypatch):
         """A large SUMSET_FORGE_THREADS asks for no more workers than

@@ -82,6 +82,18 @@ def test_stabilizer_is_maximal_fixing_subgroup():
                 assert sumset(a, other.element_set()).bits != a.bits
 
 
+def test_stabilizer_matches_definition_exhaustive():
+    """Every nonempty A in Z/dZ for d <= 10: the stabilizer is the largest
+    subgroup H with A + H = A."""
+    for d in range(1, 11):
+        g = CyclicGroup(d)
+        for bits in range(1, 1 << d):
+            a = ResidueSet(g, bits)
+            fixing = [h for h in subgroups(g)
+                      if sumset(a, h.element_set()).bits == bits]
+            assert stabilizer(a) == max(fixing, key=lambda h: h.order), a
+
+
 def test_stabilizer_of_coset_is_subgroup():
     g = CyclicGroup(24)
     for order in (1, 2, 3, 4, 6, 8, 12, 24):
