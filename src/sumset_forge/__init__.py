@@ -2,14 +2,11 @@
 
 from .group_core import (CyclicGroup, ModulusMismatch, ResidueSet, Subgroup,
                          coset_of, containing_coset, subgroups)
-from .sumset_engine import (IntegerSet, is_arithmetic_progression, stabilizer,
-                            sumset, sumset_int, sumset_int_naive,
-                            sumset_naive)
-from .classical_checks import (CheckOutcome, check_ap_criterion,
-                               check_cauchy_davenport, check_freiman_3k4,
-                               check_lev_bound, kneser_decomposition,
-                               lemma1_all_differences, prop1_single_coset,
-                               prop2_single_coset)
+from .sumset_engine import (IntegerSet, stabilizer, sumset, sumset_int,
+                            sumset_int_naive, sumset_naive)
+from .classical_checks import (CheckOutcome, check_lev_bound,
+                               kneser_decomposition, lemma1_all_differences,
+                               prop1_single_coset, prop2_single_coset)
 from .hall_bounds import (BoundViolation, HallViolator, IntervalProfile,
                           SdrCertificate, abc_parameters, find_sdr,
                           lemma2_certificate, prop5_bound, r_parameter)

@@ -14,8 +14,7 @@ from typing import Any, Optional
 
 from .group_core import (ResidueSet, Subgroup, confining_subgroup,
                          containing_coset)
-from .sumset_engine import (IntegerSet, is_arithmetic_progression, stabilizer,
-                            sumset, sumset_int)
+from .sumset_engine import IntegerSet, stabilizer, sumset, sumset_int
 
 
 @dataclass(frozen=True)
@@ -28,47 +27,6 @@ class CheckOutcome:
     @property
     def violated(self) -> bool:
         return self.applicable and self.holds is False
-
-
-def check_cauchy_davenport(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
-    """|A+B| >= min(p, |A|+|B|-1) in Z/pZ, p prime."""
-    name = "cauchy_davenport"
-    if not a or not b:
-        raise ValueError("empty input set")
-    p = a.modulus
-    if len(a.group.divisors()) != 2:        # p is not prime
-        return CheckOutcome(name, applicable=False, witness="composite modulus")
-    size = len(sumset(a, b))
-    bound = min(p, len(a) + len(b) - 1)
-    return CheckOutcome(name, True, size >= bound, witness=(size, bound))
-
-
-def check_ap_criterion(a: IntegerSet) -> CheckOutcome:
-    """|A+A| <= 2|A|-1 forces A to be an arithmetic progression."""
-    name = "ap_criterion"
-    if not a:
-        raise ValueError("empty input set")
-    if len(sumset_int(a, a)) > 2 * len(a) - 1:
-        return CheckOutcome(name, applicable=False)
-    ap = is_arithmetic_progression(a)
-    return CheckOutcome(name, True, ap is not None, witness=ap)
-
-
-def check_freiman_3k4(a: IntegerSet) -> CheckOutcome:
-    """|A+A| = 2k-1+b <= 3k-4 puts A inside an AP of length k+b."""
-    name = "freiman_3k4"
-    k = len(a)
-    if k <= 2:
-        raise ValueError(f"need |A| > 2, got {k}")
-    m = len(sumset_int(a, a))
-    b = m - (2 * k - 1)
-    if m > 3 * k - 4:
-        return CheckOutcome(name, applicable=False)
-    ms = a.members()
-    step = gcd(*(cur - prev for prev, cur in zip(ms, ms[1:])))
-    length = (ms[-1] - ms[0]) // step + 1 if step else 1
-    return CheckOutcome(name, True, length <= k + b,
-                        witness=(ms[0], step, length))
 
 
 def kneser_decomposition(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
@@ -88,13 +46,11 @@ def kneser_decomposition(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
                         witness=h)
 
 
-def _coset_witness(a: ResidueSet, b: ResidueSet,
-                   order_bound_num: int, order_bound_den: int,
+def _coset_witness(s: ResidueSet, order_bound_num: int, order_bound_den: int,
                    bound_ref_size: int) -> Optional[tuple[Subgroup, int]]:
-    """Least subgroup H with den*|H| < num*ref and A+B inside one coset of H.
-    Every H confining A+B contains the smallest one, so if that one breaks
-    the order bound, every other candidate does too."""
-    s = sumset(a, b)
+    """Least subgroup H with den*|H| < num*ref and the sumset S = A+B inside
+    one coset of H.  Every H confining S contains the smallest one, so if
+    that one breaks the order bound, every other candidate does too."""
     h = confining_subgroup(s)
     if order_bound_den * h.order >= order_bound_num * bound_ref_size:
         return None
@@ -110,10 +66,10 @@ def prop1_single_coset(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
     if len(a) < len(b):
         raise ValueError("requires |A| >= |B|")
     na, nb = len(a), len(b)
-    ns = len(sumset(a, b))
-    if not (2 * ns < 3 * na and 4 * nb > 3 * na):
+    s = sumset(a, b)
+    if not (2 * len(s) < 3 * na and 4 * nb > 3 * na):
         return CheckOutcome(name, applicable=False)
-    w = _coset_witness(a, b, 3, 2, na)
+    w = _coset_witness(s, 3, 2, na)
     return CheckOutcome(name, True, w is not None, witness=w)
 
 
@@ -124,10 +80,10 @@ def prop2_single_coset(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
     if not a or not b:
         raise ValueError("empty input set")
     na, nb = len(a), len(b)
-    ns = len(sumset(a, b))
-    if not (ns < 2 * nb and 4 * nb < 3 * na):
+    s = sumset(a, b)
+    if not (len(s) < 2 * nb and 4 * nb < 3 * na):
         return CheckOutcome(name, applicable=False)
-    w = _coset_witness(a, b, 2, 1, nb)
+    w = _coset_witness(s, 2, 1, nb)
     return CheckOutcome(name, True, w is not None, witness=w)
 
 
@@ -149,15 +105,9 @@ def check_lev_bound(u: IntegerSet, v: IntegerSet) -> CheckOutcome:
     gcd of nonzero elements 1; when U != V and u_s = s + t - 2, additionally
     |U+V| >= u_s + t."""
     name = "lev_bound"
-    if not u or not v:
-        return CheckOutcome(name, applicable=False, witness="empty input")
-    if not v.issubset(u):
-        return CheckOutcome(name, applicable=False, witness="V not a subset of U")
-    if u.min() != 0:
-        return CheckOutcome(name, applicable=False, witness="min U != 0")
-    g = gcd(*u)
-    if g != 1:
-        return CheckOutcome(name, applicable=False, witness=f"gcd {g} != 1")
+    # a nonempty V inside U makes U nonempty too
+    if not (v and v.issubset(u) and u.min() == 0 and gcd(*u) == 1):
+        return CheckOutcome(name, applicable=False)
     s, t, us = len(u), len(v), u.max()
     size = len(sumset_int(u, v))
     ok = size >= min(us + t, s + 2 * t - 3)

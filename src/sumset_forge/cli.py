@@ -13,7 +13,8 @@ from math import inf
 
 from .harness import (MAX_WIDTH, CapExceeded, GenParams, LayeredSetError,
                       campaign_exhaustive, campaign_random, load_instance,
-                      verify_instance, worker_count, Tally, REPORT_VERSION)
+                      require_within_cap, verify_instance, worker_count,
+                      Tally, REPORT_VERSION)
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
@@ -93,10 +94,16 @@ def cmd_campaign(args) -> int:
             return 2
     try:
         worker_count()
+        if args.mode == "exhaustive":
+            # before the probe below, which creates a missing --out file
+            require_within_cap(args.s, args.max_a, args.cap)
         if args.out:
             # an unwritable path is refused here, not after the campaign;
             # appending leaves an existing file as it is
             open(args.out, "a", encoding="utf-8").close()
+    except CapExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -108,12 +115,7 @@ def cmd_campaign(args) -> int:
         report = campaign_random(params, args.count, args.seed,
                                  include_canonical=not args.no_canonical)
     else:
-        try:
-            report = campaign_exhaustive(tuple(args.s), args.max_a,
-                                         cap=args.cap)
-        except CapExceeded as exc:
-            print(f"refused: {exc}", file=sys.stderr)
-            return 2
+        report = campaign_exhaustive(args.s, args.max_a, cap=args.cap)
     text = report.to_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

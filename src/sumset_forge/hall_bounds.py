@@ -112,6 +112,14 @@ def r_parameter(aset: IntegerSet) -> int:
     return min(aset.max() - s + 3, s)
 
 
+def is_unsaturated(aset: IntegerSet) -> bool:
+    """max a_i = s + R - 3: the branch on which the (a, b, c) profile and the
+    R = 2, 3 prop6 counts are defined.  The test needs no R, since it is
+    exactly max a_i <= 2s - 3: if max a_i - s + 3 <= s then R = max a_i - s + 3
+    and s + R - 3 = max a_i; otherwise R = s and s + R - 3 = 2s - 3 < max a_i."""
+    return aset.max() <= 2 * len(aset) - 3
+
+
 def lemma2_copies(s: int, r: int) -> list[int]:
     """Copies of each a_i + A' in the family whose SDR certifies
     |A'+A'| >= 2s+R-3: s-1 of a_1+A', two of a_i+A' for 2 <= i <= R, one
@@ -154,7 +162,7 @@ def abc_parameters(aset: IntegerSet) -> IntervalProfile:
     s = len(aset)
     r = r_parameter(aset)
     top = aset.max()
-    if top != s + r - 3:
+    if not is_unsaturated(aset):
         raise ValueError(f"max a_i = {top} != s+R-3 = {s + r - 3}; "
                          "(a,b,c) is undefined on the saturated branch")
 

@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Optional
 from . import layered as ls
 from .classical_checks import CheckOutcome
 from .group_core import CyclicGroup
-from .hall_bounds import (BoundViolation, abc_parameters, lemma2_certificate,
-                          prop5_bound, r_parameter)
+from .hall_bounds import (BoundViolation, abc_parameters, is_unsaturated,
+                          lemma2_certificate, prop5_bound)
 from .layered import (ConclusionFailed, LayeredSet, LayeredSetError,
                       NotApplicable)
 from .sumset_engine import IntegerSet
@@ -105,7 +105,8 @@ def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
         divs = CyclicGroup(d).divisors()
         h = rng.choice(divs)
         s = rng.randint(p.s_min, p.s_max)
-        top = s - 1 + rng.choice([0] * 4 + list(range(1, p.max_a_slack + 1)))
+        # slack 0 is drawn four times as often as each positive slack
+        top = s - 1 + max(0, rng.choice(range(-3, p.max_a_slack + 1)))
         offsets = sorted(rng.sample(range(1, top), s - 2)) if s > 2 else []
         offsets = [0] + offsets + [top]
         if gcd(*offsets) != 1:
@@ -375,6 +376,15 @@ class CapExceeded(ValueError):
     pass
 
 
+def require_within_cap(s_values: Iterable[int], max_a: int, cap: int) -> None:
+    """Refuse an exhaustive campaign estimated at more than `cap` offset
+    sets: sum of C(max_a, s-1) over the sizes s."""
+    estimate = sum(comb(max_a, s - 1) for s in s_values)
+    if estimate > cap:
+        raise CapExceeded(
+            f"estimated cardinality {estimate} exceeds cap {cap}")
+
+
 def enumerate_offset_sets(s: int, max_a: int) -> Iterable[IntegerSet]:
     """All A' with |A'| = s, 0 in A', gcd of nonzero elements 1, max <= max_a."""
     from itertools import combinations
@@ -391,14 +401,13 @@ def _check_lemma2(aset: IntegerSet, emit) -> list[str]:
 def _check_prop5(aset: IntegerSet, emit) -> list[str]:
     """The refined bound and the (a, b, c) profile, on offset sets with
     max = s + R - 3."""
-    r = r_parameter(aset)
-    if aset.max() != len(aset) + r - 3:
+    if not is_unsaturated(aset):
         emit("prop5", "not_applicable")
         return []
     profile = _certified(emit, "prop5", prop5_bound, aset)
     if isinstance(profile, str):        # violated: no certified profile
         profile = abc_parameters(aset)
-    ok = profile.a + profile.b + profile.c == r - 2
+    ok = profile.a + profile.b + profile.c == profile.r - 2
     emit("abc-sum", "holds" if ok else "violated",
          None if ok else str(profile))
     return []
@@ -413,10 +422,7 @@ def campaign_exhaustive(s_values: tuple[int, ...], max_a: int,
     """Full enumeration of the projection space: the SDR certificate, the
     refined bound, and the missing-element profile, for every offset set."""
     t0 = time.perf_counter()
-    estimate = sum(comb(max_a, s - 1) for s in s_values)
-    if estimate > cap:
-        raise CapExceeded(
-            f"estimated cardinality {estimate} exceeds cap {cap}")
+    require_within_cap(s_values, max_a, cap)
     tally = Tally()
     for s in s_values:
         for aset in enumerate_offset_sets(s, max_a):

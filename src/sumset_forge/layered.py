@@ -19,7 +19,8 @@ from .classical_checks import CheckOutcome
 from .group_core import (CyclicGroup, ResidueSet, Subgroup, confining_subgroup,
                          containing_coset)
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
-                          lemma2_copies, r_parameter, translated_family)
+                          is_unsaturated, lemma2_copies, r_parameter,
+                          translated_family)
 from .rectify import AffineAssignment, solve_affine
 from .sumset_engine import IntegerSet, sumset
 
@@ -190,7 +191,7 @@ def _prop6_copies(aset: IntegerSet, r: int) -> list[int]:
     counts apply when the offset set actually realizes R = max - s + 3; the
     lemma 2 counts otherwise."""
     s = len(aset)
-    if r in (2, 3) and aset.max() == s + r - 3:
+    if r in (2, 3) and is_unsaturated(aset):
         return [s, 2 if r == 3 else 1] + [1] * (s - 2)
     return lemma2_copies(s, r)
 

@@ -8,7 +8,7 @@ is folded mod d once.  The naive double loops are kept as oracles for tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .group_core import Bitmap, ResidueSet, Subgroup, fold, subgroups
 
@@ -104,19 +104,3 @@ def stabilizer(a: ResidueSet) -> Subgroup:
             return h
     raise AssertionError("unreachable: the trivial subgroup always fixes A")
 
-
-def is_arithmetic_progression(a: IntegerSet) -> Optional[tuple[int, int]]:
-    """(start, difference) when consecutive gaps are all equal, else None.
-
-    Singletons are APs with difference 0; pairs always qualify.
-    """
-    ms = a.members()
-    if not ms:
-        raise ValueError("empty set")
-    if len(ms) == 1:
-        return (ms[0], 0)
-    diff = ms[1] - ms[0]
-    for prev, cur in zip(ms, ms[1:]):
-        if cur - prev != diff:
-            return None
-    return (ms[0], diff)

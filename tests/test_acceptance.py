@@ -2,6 +2,7 @@
 verdict line each.  Every criterion states the exact claim it checks; a FAIL
 line carries the offending count or witness."""
 
+import hashlib
 import json
 import random
 import time
@@ -12,7 +13,9 @@ from math import gcd
 import pytest
 
 from sumset_forge.group_core import CyclicGroup, ResidueSet
-from sumset_forge.classical_checks import check_lev_bound, lemma1_all_differences
+from sumset_forge.classical_checks import (check_lev_bound,
+                                           kneser_decomposition,
+                                           lemma1_all_differences)
 from sumset_forge.harness import (GenParams, _rng_for, campaign_exhaustive,
                                   campaign_random, canonical_instances,
                                   generate_instance, instance_from_doc,
@@ -70,9 +73,15 @@ def test_criterion_1_cauchy_davenport_exhaustive():
 
 def test_criterion_2_kneser_exhaustive():
     """|A+B| = |A+H| + |B+H| - |H| with H = stabilizer(A+B) whenever
-    |A+B| < |A| + |B|, for every pair of nonempty subsets of Z/dZ, d <= 10."""
+    |A+B| < |A| + |B|, for every pair of nonempty subsets of Z/dZ, d <= 10.
+    The shipped `kneser_decomposition` runs on every pair with 0 in A and 0
+    in B for d <= 9, which covers every pair up to translation: it must apply
+    exactly where the inline oracle does and hold wherever it applies."""
     violations = 0
     applicable = 0
+    shipped = 0
+    shipped_applicable = 0
+    disagreements = 0
     for d in range(1, 11):
         g = CyclicGroup(d)
         mask = (1 << d) - 1
@@ -97,7 +106,15 @@ def test_criterion_2_kneser_exhaustive():
             for bbits in range(1, 1 << d):
                 sbits = sums[bbits]
                 nsum = sbits.bit_count()
-                if nsum >= na + bbits.bit_count():
+                applies = nsum < na + bbits.bit_count()
+                if d <= 9 and abits & bbits & 1:
+                    shipped += 1
+                    out = kneser_decomposition(ResidueSet(g, abits),
+                                               ResidueSet(g, bbits))
+                    shipped_applicable += out.applicable
+                    if out.applicable != applies or out.violated:
+                        disagreements += 1
+                if not applies:
                     continue
                 applicable += 1
                 h = stab_cache.get(sbits)
@@ -107,8 +124,12 @@ def test_criterion_2_kneser_exhaustive():
                     + saturate(bbits, h.step, h.order) - h.order
                 if nsum != lhs:
                     violations += 1
-    verdict(2, "kneser exhaustive d<=10", violations == 0,
-            f"{applicable} applicable pairs, {violations} violations")
+    ok = (violations == 0 and disagreements == 0
+          and shipped == (4 ** 9 - 1) // 3)
+    verdict(2, "kneser exhaustive d<=10", ok,
+            f"{applicable} applicable pairs, {violations} violations; "
+            f"shipped check on {shipped} pairs with 0 in A and B, "
+            f"{shipped_applicable} applicable, {disagreements} disagreements")
 
 
 def test_criterion_3_all_differences_exhaustive():
@@ -233,11 +254,20 @@ def test_criterion_7_affine_solver_suite():
 # 13000 generated instances keep the applicable count above 10^4
 CAMPAIGN_COUNT = 13_000
 CAMPAIGN_SEED = 1
+# SHA-256 of its report body; `campaign --mode random --count 13000 --seed 1`
+# writes the same bytes, serially or with SUMSET_FORGE_THREADS
+CAMPAIGN_DIGEST = ("b1b34021565cb16d8d8c9540f73c1d20"
+                   "dfeacb1b5aca2875652fa701a3a5adb8")
 
 
 @pytest.fixture(scope="module")
 def theorem5_campaign():
     return campaign_random(GenParams(), CAMPAIGN_COUNT, seed=CAMPAIGN_SEED)
+
+
+def test_campaign_report_byte_stable(theorem5_campaign):
+    text = theorem5_campaign.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CAMPAIGN_DIGEST
 
 
 def test_criterion_8_structure_campaign(theorem5_campaign):
@@ -340,8 +370,8 @@ def test_criterion_9_size_partition_campaign(theorem5_campaign):
     exactly the applicable instances of that family: each lemma5 finding
     re-verifies from its JSON (naive sumset, witness H, u/v/w, R) and lies in
     the family, and their number equals the family's applicable count.  So
-    the inequality holds on every applicable instance with s >= 2R - 3.  The
-    README's minimal counterexample (d=30) is pinned directly."""
+    the inequality holds on every applicable instance of this campaign with
+    s >= 2R - 3.  The README's d=30 counterexample is pinned directly."""
     counts = theorem5_campaign.tally.counts
     applicable = counts["instances"].get("applicable", 0)
     violated = counts.get("lemma5", {}).get("violated", 0)
@@ -365,14 +395,14 @@ def test_criterion_9_size_partition_campaign(theorem5_campaign):
     layers = [(a, [(a + m) % 30 for m in (0, 10, 20)])
               for a in (0, 3, 4, 5, 6, 8)]
     if Fraction(_naive_layered_sumset_size(layers, 30), 18) != Fraction(7, 3):
-        problems.append("d=30 minimal counterexample: doubling is not 7/3")
-    minimal = LayeredSet.of(30, layers)
-    out = find_structure(minimal)
-    l5 = check_lemma5(minimal, out.subgroup) \
+        problems.append("d=30 counterexample: doubling is not 7/3")
+    d30 = LayeredSet.of(30, layers)
+    out = find_structure(d30)
+    l5 = check_lemma5(d30, out.subgroup) \
         if isinstance(out, StructureWitness) else None
     if not (l5 is not None and l5.applicable and l5.violated
             and l5.witness == (6, 0, 0, 5)):
-        problems.append(f"d=30 minimal counterexample not reproduced: {l5}")
+        problems.append(f"d=30 counterexample not reproduced: {l5}")
 
     verdict(9, "size partition inequality campaign", not problems,
             f"{holds} hold, {violated} violations, {family} applicable "

@@ -1,11 +1,7 @@
-from itertools import combinations, product
-
-import pytest
+from itertools import product
 
 from conftest import random_residue_set
-from sumset_forge.classical_checks import (_coset_witness, check_ap_criterion,
-                                           check_cauchy_davenport,
-                                           check_freiman_3k4, check_lev_bound,
+from sumset_forge.classical_checks import (_coset_witness, check_lev_bound,
                                            kneser_decomposition,
                                            lemma1_all_differences,
                                            prop1_single_coset,
@@ -21,43 +17,6 @@ def rs(d, members):
 
 def iset(members):
     return IntegerSet.from_members(members)
-
-
-class TestCauchyDavenport:
-    def test_examples(self):
-        out = check_cauchy_davenport(rs(5, [0, 1]), rs(5, [0, 1]))
-        assert out.applicable and out.holds
-        full7 = ResidueSet.full(CyclicGroup(7))
-        assert check_cauchy_davenport(full7, full7).holds
-        out = check_cauchy_davenport(rs(7, [0, 2]), rs(7, [0, 3]))
-        assert out.holds and out.witness == (4, 3)
-
-    def test_composite_modulus_not_applicable(self):
-        out = check_cauchy_davenport(rs(6, [0, 1]), rs(6, [0, 1]))
-        assert not out.applicable
-
-
-class TestApCriterion:
-    def test_examples(self):
-        out = check_ap_criterion(iset([0, 2, 4]))
-        assert out.applicable and out.holds
-        assert not check_ap_criterion(iset([0, 1, 3])).applicable
-        out = check_ap_criterion(IntegerSet.of(8, [7]))
-        assert out.applicable and out.holds
-
-
-class TestFreiman3k4:
-    def test_examples(self):
-        out = check_freiman_3k4(iset([0, 1, 2, 4]))
-        assert out.applicable and out.holds
-        assert out.witness == (0, 1, 5)      # covering AP of length 5 = k+b
-        out = check_freiman_3k4(iset([0, 1, 2, 3]))
-        assert out.applicable and out.holds
-        assert not check_freiman_3k4(iset([0, 1, 9])).applicable
-
-    def test_small_sets_rejected(self):
-        with pytest.raises(ValueError):
-            check_freiman_3k4(iset([0, 1]))
 
 
 class TestKneser:
@@ -153,7 +112,8 @@ class TestProp1Prop2:
             sets = [ResidueSet(g, bits) for bits in range(1, 1 << d)]
             for a, b in product(sets, repeat=2):
                 for bound in ((3, 2, len(a)), (2, 1, len(b))):
-                    assert _coset_witness(a, b, *bound) == scan(a, b, *bound)
+                    assert (_coset_witness(sumset(a, b), *bound)
+                            == scan(a, b, *bound))
 
 
 class TestLemma1:

@@ -9,7 +9,7 @@ import sumset_forge.layered as layered
 from sumset_forge.classical_checks import CheckOutcome
 from sumset_forge.cli import main
 from sumset_forge.hall_bounds import HallViolator
-from sumset_forge.harness import (CapExceeded, Finding, GenParams,
+from sumset_forge.harness import (MAX_WIDTH, CapExceeded, Finding, GenParams,
                                   REPORT_VERSION, THREADS_ENV, Tally,
                                   campaign_exhaustive, campaign_random,
                                   canonical_instances, generate_instance,
@@ -77,6 +77,17 @@ class TestGenerator:
             L = generate_instance(p, _rng_for(3, i))
             assert isinstance(L, LayeredSet)     # invariants hold on build
             assert GenParams().s_min <= L.s <= GenParams().s_max
+
+    def test_widest_slack_draws_offsets_across_it(self):
+        """The largest accepted --max-a-slack costs no more per draw than
+        the default, and its draws reach far up the slack range."""
+        p = GenParams(max_a_slack=MAX_WIDTH)
+        tops = []
+        for i in range(40):
+            L = generate_instance(p, _rng_for(5, i))
+            assert L.max_offset() <= L.s - 1 + MAX_WIDTH
+            tops.append(L.max_offset())
+        assert max(tops) > MAX_WIDTH // 2
 
 
 class TestCampaign:
@@ -251,6 +262,26 @@ class TestCampaign:
         counts = campaign_exhaustive((6, 7), 12).tally.counts
         assert counts["prop5"]["holds"] == counts["abc-sum"]["holds"] == 588
         assert len(calls) == 588
+
+    def test_r_parameter_once_per_certificate_and_profile(self,
+                                                           monkeypatch):
+        """R is computed by lemma2 on every offset set and by the (a, b, c)
+        profile on applicable ones; the prop5 applicability test needs none."""
+        import sumset_forge.hall_bounds as hall_bounds
+        import sumset_forge.harness as harness
+        calls = []
+        real = hall_bounds.r_parameter
+
+        def counting(aset):
+            calls.append(aset)
+            return real(aset)
+
+        # every module that could bind the name sees the counter
+        for module in (hall_bounds, harness, layered):
+            monkeypatch.setattr(module, "r_parameter", counting, raising=False)
+        counts = campaign_exhaustive((6, 7), 12).tally.counts
+        assert counts["lemma2"]["holds"] == 1709
+        assert len(calls) == 1709 + 588
 
     def test_worker_count_clamped_to_cores(self, monkeypatch):
         """A large SUMSET_FORGE_THREADS asks for no more workers than
@@ -441,6 +472,13 @@ class TestCli:
         assert "error:" in captured.err and captured.out == ""
         assert ran == []
 
+    def test_campaign_refusal_creates_no_out(self, tmp_path, capsys):
+        out = tmp_path / "new.txt"
+        assert main(["campaign", "--mode", "exhaustive", "--s", "6,7",
+                     "--max-a", "40", "--out", str(out)]) == 2
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_campaign_out_kept_until_report(self, tmp_path):
         out = tmp_path / "report.txt"
         out.write_text("old\n")
@@ -502,6 +540,9 @@ def _cosets_doc(d, offsets, coset):
 _D30 = ('{"d":30,"layers":[{"a":0,"set":[0,10,20]},{"a":3,"set":[3,13,23]},'
         '{"a":4,"set":[4,14,24]},{"a":5,"set":[5,15,25]},'
         '{"a":6,"set":[6,16,26]},{"a":8,"set":[8,18,28]}]}')
+_D2 = ('{"d":2,"layers":[{"a":0,"set":[0]},{"a":1,"set":[0]},'
+       '{"a":2,"set":[0,1]},{"a":3,"set":[0,1]},{"a":4,"set":[0,1]},'
+       '{"a":7,"set":[0,1]}]}')
 _D12 = ('{"d":12,"layers":[{"a":0,"set":[0,4,8]},{"a":1,"set":[1,5,9]},'
         '{"a":2,"set":[2,6,10]},{"a":3,"set":[3,7,11]},'
         '{"a":4,"set":[0,4,8]},{"a":5,"set":[1,5,9]}]}')
@@ -538,6 +579,21 @@ GOLDEN_VERIFY = [
         "check corollary1 holds=true",
         "check prop7 applicable=false",
         "check structure not_applicable reason=[doubling 7/2 >= 5/2]"]),
+    # lemma 5 fails outside the s < 2R - 3 family: s = 6, R = 4 and
+    # u + w = 4 < s, yet u = 4 < w + 2R - 3 = 5
+    ({"d": 2, "layers": [{"a": a, "set": [0] if a < 2 else [0, 1]}
+                         for a in (0, 1, 2, 3, 4, 7)]}, 1, [
+        "check flatten size=24 base=10 ratio=12/5",
+        "check applicable true",
+        "check prop6 bound=24",
+        "check corollary1 holds=true",
+        "check prop7 applicable=true holds=true",
+        "check structure witness order=2 x=0 y=0 j=2 ineq7=equality",
+        "check uvw u=4 v=2 w=0",
+        "check lemma5 applicable=true holds=false",
+        f"finding check=ineq7 status=equality detail=14=14 instance={_D2}",
+        f"finding check=lemma5 status=violated detail=uvw=(4, 2, 0, 4) "
+        f"instance={_D2}"]),
 ]
 
 

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import naive_int_sumset, naive_mod_sumset, random_residue_set
 from sumset_forge.group_core import CyclicGroup, ModulusMismatch, ResidueSet, Subgroup, coset_of, subgroups
-from sumset_forge.sumset_engine import (IntegerSet, is_arithmetic_progression,
-                                        stabilizer, sumset, sumset_int,
-                                        sumset_int_naive, sumset_naive)
+from sumset_forge.sumset_engine import (IntegerSet, stabilizer, sumset,
+                                        sumset_int, sumset_int_naive,
+                                        sumset_naive)
 
 
 def test_sumset_examples():
@@ -101,13 +101,6 @@ def test_stabilizer_of_coset_is_subgroup():
         assert stabilizer(coset_of(h, 5)).order == order
         c = coset_of(h, 5)
         assert len(sumset(c, c)) == len(c)
-
-
-def test_is_arithmetic_progression():
-    assert is_arithmetic_progression(IntegerSet.of(10, [0, 3, 6, 9])) == (0, 3)
-    assert is_arithmetic_progression(IntegerSet.of(5, [0, 1, 2, 4])) is None
-    assert is_arithmetic_progression(IntegerSet.of(6, [5])) == (5, 0)
-    assert is_arithmetic_progression(IntegerSet.of(9, [2, 8])) == (2, 6)
 
 
 @settings(max_examples=150, deadline=None)
