@@ -13,8 +13,8 @@ from math import inf
 
 from .harness import (MAX_WIDTH, CapExceeded, GenParams, LayeredSetError,
                       campaign_exhaustive, campaign_random, load_instance,
-                      require_within_cap, verify_instance, worker_count,
-                      Tally, REPORT_VERSION)
+                      require_exhaustive_domain, verify_instance,
+                      worker_count, Tally, REPORT_VERSION)
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
@@ -96,7 +96,7 @@ def cmd_campaign(args) -> int:
         worker_count()
         if args.mode == "exhaustive":
             # before the probe below, which creates a missing --out file
-            require_within_cap(args.s, args.max_a, args.cap)
+            require_exhaustive_domain(args.s, args.max_a, args.cap)
         if args.out:
             # an unwritable path is refused here, not after the campaign;
             # appending leaves an existing file as it is

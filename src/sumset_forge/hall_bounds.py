@@ -3,7 +3,9 @@
 The R parameter, the SDR certificate behind the 2s+R-3 bound on |A'+A'|, and
 the (a, b, c)-refined bound 2s+R-3+c.  The matching is plain augmenting-path
 bipartite matching with deterministic iteration order (family index ascending,
-ground element ascending) so certificates are reproducible.
+ground element ascending) so certificates are reproducible.  Each search is
+iterative, on an explicit path stack, and takes its next candidate as the
+lowest member not yet seen, straight from the bitmaps.
 """
 
 from __future__ import annotations
@@ -67,31 +69,51 @@ def find_sdr(family: Sequence[IntegerSet]
              ) -> Union[SdrCertificate, HallViolator]:
     """A system of distinct representatives for the family, or a Hall violator.
 
-    Augmenting-path matching; on failure the alternating-reachability set from
-    the unmatched family index is the violator.
+    Augmenting-path matching, one depth-first search per family index.  A
+    search from index i tries the members of family[i] ascending, skipping
+    elements this search has already seen, and follows the owner of each
+    matched one.  Every member below the cursor is already seen, so the next
+    candidate is the lowest set bit of family[i] & unseen.  The path is an
+    explicit stack, so the depth is not bounded by the recursion limit.  On
+    failure the seen elements are all matched, and their owners with i are
+    the violator.
     """
-    owner: dict[int, int] = {}           # ground element -> family index
-    assigned: dict[int, int] = {}        # family index -> ground element
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for e in family[i]:
-            if e in seen:
+    bits = [g.bits for g in family]
+    width = max((b.bit_length() for b in bits), default=0)
+    everything = (1 << width) - 1
+    owner = [-1] * width                 # ground element -> family index
+    assigned = [0] * len(family)         # family index -> ground element
+    for root in range(len(family)):
+        unseen = everything
+        path = [root]                    # family indices on the search path
+        picks: list[int] = []            # picks[k] leads from path[k] onward
+        while path:
+            free = bits[path[-1]] & unseen
+            if not free:
+                path.pop()
+                if picks:
+                    picks.pop()
                 continue
-            seen.add(e)
-            if e not in owner or augment(owner[e], seen):
-                owner[e] = i
-                assigned[i] = e
-                return True
-        return False
-
-    for i in range(len(family)):
-        seen: set[int] = set()
-        if not augment(i, seen):
-            # everything in `seen` is matched and owned by the reachable sets
-            indices = tuple(sorted({i} | {owner[e] for e in seen}))
-            return HallViolator(indices, len(seen))
-    return SdrCertificate(tuple(family),
-                          tuple(assigned[i] for i in range(len(family))))
+            low = free & -free
+            unseen ^= low
+            e = low.bit_length() - 1
+            picks.append(e)
+            if owner[e] < 0:
+                for i, p in zip(path, picks):
+                    owner[p] = i
+                    assigned[i] = p
+                break
+            path.append(owner[e])
+        else:
+            seen = everything ^ unseen
+            union_size = seen.bit_count()
+            indices = {root}
+            while seen:
+                low = seen & -seen
+                indices.add(owner[low.bit_length() - 1])
+                seen ^= low
+            return HallViolator(tuple(sorted(indices)), union_size)
+    return SdrCertificate(tuple(family), tuple(assigned))
 
 
 def _require_normalized(aset: IntegerSet) -> None:

@@ -376,9 +376,15 @@ class CapExceeded(ValueError):
     pass
 
 
-def require_within_cap(s_values: Iterable[int], max_a: int, cap: int) -> None:
-    """Refuse an exhaustive campaign estimated at more than `cap` offset
-    sets: sum of C(max_a, s-1) over the sizes s."""
+def require_exhaustive_domain(s_values: tuple[int, ...], max_a: int,
+                              cap: int) -> None:
+    """Refuse an exhaustive campaign that names a size twice, which would
+    verify and count every offset set of that size twice, or whose estimated
+    cardinality, the sum of C(max_a, s-1) over the sizes, exceeds `cap`."""
+    repeated = sorted({s for s in s_values if s_values.count(s) > 1})
+    if repeated:
+        raise ValueError(f"s values {','.join(map(str, s_values))} repeat "
+                         f"{','.join(map(str, repeated))}")
     estimate = sum(comb(max_a, s - 1) for s in s_values)
     if estimate > cap:
         raise CapExceeded(
@@ -422,7 +428,7 @@ def campaign_exhaustive(s_values: tuple[int, ...], max_a: int,
     """Full enumeration of the projection space: the SDR certificate, the
     refined bound, and the missing-element profile, for every offset set."""
     t0 = time.perf_counter()
-    require_within_cap(s_values, max_a, cap)
+    require_exhaustive_domain(s_values, max_a, cap)
     tally = Tally()
     for s in s_values:
         for aset in enumerate_offset_sets(s, max_a):

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .classical_checks import CheckOutcome
 from .group_core import (CyclicGroup, ResidueSet, Subgroup, confining_subgroup,
-                         containing_coset)
+                         containing_coset, fold)
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
                           is_unsaturated, lemma2_copies, r_parameter,
                           translated_family)
@@ -161,17 +161,30 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     """Sizes of the exact sumset of the layered set: the row at first
     coordinate k is the union of B_i + B_j over offset pairs with
     a_i + a_j = k, and |B~+B~| sums the rows.  The size of every pairwise
-    B_i + B_j is kept as well, in a symmetric table."""
+    B_i + B_j is kept as well, in a symmetric table.
+
+    Row i of the pair table comes from one `sumset`: B_i plus a pack of the
+    layers B_j, j >= i, with B_j at bit (j-i)*2d, in Z/WZ for W = (s-i)*2d.
+    Each B_i + B_j lies below bit 2d-1 of its 2d-bit slot, so no sum crosses
+    into the next slot and the top one ends below W: the fold mod W changes
+    nothing.  Slot j, folded mod d, is B_i + B_j in Z/dZ."""
+    d, n = L.d, L.s
+    width = 2 * d
+    slot = (1 << width) - 1
     rows: dict[int, int] = {}
-    n = L.s
     pair_sizes = [[0] * n for _ in range(n)]
-    for i in range(n):
+    pack = 0
+    for i in reversed(range(n)):
         ai, bi = L.layers[i]
+        pack = pack << width | bi.bits
+        group = CyclicGroup((n - i) * width)
+        out = sumset(ResidueSet(group, bi.bits), ResidueSet(group, pack)).bits
         for j in range(i, n):
-            aj, bj = L.layers[j]
-            piece = sumset(bi, bj)
-            pair_sizes[i][j] = pair_sizes[j][i] = len(piece)
-            rows[ai + aj] = rows.get(ai + aj, 0) | piece.bits
+            row = fold(out & slot, d)
+            out >>= width
+            pair_sizes[i][j] = pair_sizes[j][i] = row.bit_count()
+            k = ai + L.layers[j][0]
+            rows[k] = rows.get(k, 0) | row
     return LayeredSumset(sum(row.bit_count() for row in rows.values()),
                          tuple(map(tuple, pair_sizes)))
 

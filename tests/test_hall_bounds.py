@@ -5,7 +5,9 @@ import pytest
 from sumset_forge.hall_bounds import (BoundViolation, HallViolator,
                                       SdrCertificate, abc_parameters,
                                       find_sdr, lemma2_certificate,
-                                      prop5_bound, r_parameter)
+                                      lemma2_copies, prop5_bound, r_parameter,
+                                      translated_family)
+from sumset_forge.layered import _prop6_copies
 from sumset_forge.sumset_engine import IntegerSet, sumset_int
 
 
@@ -61,6 +63,68 @@ class TestFindSdr:
                 len({p for p in pick}) == n
                 for pick in _cartesian(fam))
             assert isinstance(out, SdrCertificate) == sdr_exists
+
+
+def find_sdr_recursive(family):
+    """The recursive augmenting-path matcher `find_sdr` replaces: the same
+    search order, a set of seen elements, and one Python frame per step."""
+    owner = {}
+    assigned = {}
+
+    def augment(i, seen):
+        for e in family[i]:
+            if e in seen:
+                continue
+            seen.add(e)
+            if e not in owner or augment(owner[e], seen):
+                owner[e] = i
+                assigned[i] = e
+                return True
+        return False
+
+    for i in range(len(family)):
+        seen = set()
+        if not augment(i, seen):
+            indices = tuple(sorted({i} | {owner[e] for e in seen}))
+            return HallViolator(indices, len(seen))
+    return SdrCertificate(tuple(family),
+                          tuple(assigned[i] for i in range(len(family))))
+
+
+class TestFindSdrMatchesRecursiveOracle:
+    def test_translated_families_exhaustive(self):
+        """Lemma 2, prop6 and over-full copy counts on every offset set with
+        s in {6, 7} and max <= 12; the over-full family has s*s members and
+        at most 2*max + 1 ground elements, so it has a violator."""
+        violators = 0
+        for s in (6, 7):
+            for aset in all_offset_sets(s, 12):
+                r = r_parameter(aset)
+                for copies in (lemma2_copies(s, r), _prop6_copies(aset, r),
+                               [s] * s):
+                    family = translated_family(aset, copies)
+                    out = find_sdr(family)
+                    assert out == find_sdr_recursive(family)
+                    violators += isinstance(out, HallViolator)
+        assert violators > 0
+
+    def test_random_small_families(self, rng):
+        kinds = set()
+        for _ in range(500):
+            n = rng.randint(0, 10)
+            fam = [IntegerSet.of(16, rng.sample(range(16), rng.randint(1, 5)))
+                   for _ in range(n)]
+            out = find_sdr(fam)
+            assert out == find_sdr_recursive(fam)
+            kinds.add(type(out))
+        assert kinds == {SdrCertificate, HallViolator}
+
+    def test_deep_search_needs_no_recursion(self):
+        """s = 1000: the first s-1 copies of A' chain every search through
+        all earlier ones, far past the default recursion limit."""
+        aset = iset(range(1000))
+        cert = lemma2_certificate(aset)
+        assert len(cert) == 2 * 1000 + r_parameter(aset) - 3
 
 
 def _cartesian(fam):

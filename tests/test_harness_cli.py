@@ -357,6 +357,11 @@ class TestCampaign:
         with pytest.raises(CapExceeded):
             campaign_exhaustive((6, 7), 40, cap=100)
 
+    def test_repeated_size_refused(self):
+        # a repeated size would verify and count each offset set twice
+        with pytest.raises(ValueError, match="repeat 6"):
+            campaign_exhaustive((6, 6), 8)
+
 
 class TestCli:
     def test_verify_clean_instance(self, tmp_path, capsys):
@@ -477,6 +482,13 @@ class TestCli:
         assert main(["campaign", "--mode", "exhaustive", "--s", "6,7",
                      "--max-a", "40", "--out", str(out)]) == 2
         assert "exceeds cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_campaign_repeated_size_exit(self, tmp_path, capsys):
+        out = tmp_path / "new.txt"
+        assert main(["campaign", "--mode", "exhaustive", "--s", "6,7,6",
+                     "--max-a", "8", "--out", str(out)]) == 2
+        assert "error: s values 6,7,6 repeat 6" in capsys.readouterr().err
         assert not out.exists()
 
     def test_campaign_out_kept_until_report(self, tmp_path):

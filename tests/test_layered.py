@@ -12,7 +12,8 @@ from sumset_forge.harness import (GenParams, _rng_for, canonical_instances,
                                   enumerate_offset_sets, generate_instance)
 from sumset_forge.layered import (INEQ7_EQUALITY, INEQ7_STRICT,
                                   ConclusionFailed, LayeredSet,
-                                  LayeredSetError, NotApplicable,
+                                  LayeredSetError, LayeredSumset,
+                                  NotApplicable,
                                   StructureWitness, _prop6_copies,
                                   check_ineq7, check_lemma5, check_prop7,
                                   corollary1_check, coset_placement,
@@ -85,6 +86,38 @@ def sparse_instance(rng):
     return LayeredSet.of(d, layers)
 
 
+def pairwise_flatten(L):
+    """The pairwise oracle `flatten_sumset` replaces: `sumset_naive` per
+    offset pair i <= j, ORed into the row at a_i + a_j."""
+    rows = {}
+    n = L.s
+    pair_sizes = [[0] * n for _ in range(n)]
+    for i, (ai, bi) in enumerate(L.layers):
+        for j in range(i, n):
+            aj, bj = L.layers[j]
+            piece = sumset_naive(bi, bj)
+            pair_sizes[i][j] = pair_sizes[j][i] = len(piece)
+            rows[ai + aj] = rows.get(ai + aj, 0) | piece.bits
+    return LayeredSumset(sum(row.bit_count() for row in rows.values()),
+                         tuple(map(tuple, pair_sizes)))
+
+
+def small_group_instance(rng):
+    """Random layers of Z/dZ for d <= 8, often the whole group: covers d = 1,
+    where every layer is {0}, and full-group rows."""
+    d = rng.randint(1, 8)
+    s = rng.randint(2, 8)
+    while True:
+        rest = sorted(rng.sample(range(1, s + 4), s - 1))
+        if gcd(*rest) == 1:
+            break
+    layers = [(a, range(d) if rng.random() < 0.3
+               else rng.sample(range(d), rng.randint(1, d)))
+              for a in [0] + rest]
+    layers[0] = (0, {0, *layers[0][1]})
+    return LayeredSet.of(d, layers)
+
+
 def scan_placement(L):
     """The ascending subgroup scan that `coset_placement` replaces: the first
     H confining every layer whose coset values admit an affine solution."""
@@ -140,6 +173,20 @@ class TestFlatten:
                     assert table[i][j] == len(sumset_naive(bi, bj))
             # the cached sumset is not a field: equality and hashing ignore it
             assert L == twin and hash(L) == hash(twin)
+
+    def test_packed_rows_match_pairwise_oracle(self, rng):
+        large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
+                          max_a_slack=8)
+        instances = ([L for _, L in canonical_instances()]
+                     + [generate_instance(GenParams(), _rng_for(31, i))
+                        for i in range(300)]
+                     + [generate_instance(large, _rng_for(32, i))
+                        for i in range(100)]
+                     + [small_group_instance(rng) for _ in range(1000)])
+        assert {L.d for L in instances} >= set(range(1, 9))
+        assert any(len(b) == L.d > 1 for L in instances for _, b in L.layers)
+        for L in instances:
+            assert flatten_sumset(L) == pairwise_flatten(L)
 
 
 class TestProp6:
