@@ -116,8 +116,10 @@ def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
         lo = max(1, ceil(p.density * h))
         layers = []
         for a in offsets:
-            coset = [(a * x + k * step) % d for k in range(h)]
-            layers.append(set(rng.sample(coset, rng.randint(lo, h))))
+            # sample draws by index, so indices j give the members a sample
+            # of the coset list [(a*x + j*step) % d for j < h] would give
+            layers.append({(a * x + j * step) % d for j in
+                           rng.sample(range(h), rng.randint(lo, h))})
         if p.epsilon and rng.random() < p.epsilon:
             i = rng.randrange(s)
             layers[i].add(rng.randrange(d))

@@ -269,7 +269,7 @@ def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
     a_j*b_i - a_i*b_j (y is in H as a_1 = 0 and 0 is in B_1; x follows from
     Bezout), so the step of H is the gcd of those terms and d.  B_i then
     lies in the coset b_i + H, and AffineAssignment reduces b_i mod the step."""
-    firsts = [(a, next(iter(b))) for a, b in L.layers]
+    firsts = [(a, b.min()) for a, b in L.layers]
     q = gcd(*(confining_subgroup(b).step for _, b in L.layers),
             *(aj * bi - ai * bj
               for (ai, bi), (aj, bj) in combinations(firsts, 2)))

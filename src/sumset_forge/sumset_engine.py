@@ -2,12 +2,17 @@
 
 A sumset is one shift-OR over membership bitmaps: A shifted by each member of
 the smaller operand, ORed together, which is A + B in Z.  In Z/dZ that result
-is folded mod d once.  The naive double loops are kept as oracles for tests.
+is folded mod d once, and the shifts stop as soon as the ones done so far fold
+to all of Z/dZ (a saturated sum), which random sets of density 0.05 in
+Z/65536Z reach after about a tenth of their shifts.  The members are read
+with `Bitmap.__iter__`, linear in the width.  The naive double loops are kept
+as oracles for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from .group_core import Bitmap, ResidueSet, Subgroup, fold, subgroups
@@ -38,11 +43,6 @@ class IntegerSet(Bitmap):
             raise ValueError("need at least one member to infer a bound")
         return cls.of(max(ms) + 1, ms)
 
-    def min(self) -> int:
-        if not self.bits:
-            raise ValueError("empty set has no minimum")
-        return (self.bits & -self.bits).bit_length() - 1
-
     def max(self) -> int:
         if not self.bits:
             raise ValueError("empty set has no maximum")
@@ -55,22 +55,41 @@ class IntegerSet(Bitmap):
         return f"IntegerSet(bound={self.bound}, {{{', '.join(map(str, self))}}})"
 
 
-def _shift_or(a: Bitmap, b: Bitmap) -> int:
+def _shift_or(a: Bitmap, b: Bitmap, d: int = 0) -> int:
     """Bitmap of A + B in Z: A shifted by each member of the smaller operand,
-    ORed together."""
-    if len(a) < len(b):
-        a, b = b, a
-    abits, out = a.bits, 0
-    for k in b:
-        out |= abits << k
-    return out
+    ORed together.
+
+    Given d > 0, the caller folds the result mod d, and the shifts stop once
+    the ones done so far fold to all of Z/dZ: the rest cannot add anything.
+    The members are taken in batches with that check between them.  Folding
+    to all of Z/dZ takes at least d bits, and k shifts of A set at most k|A|,
+    so the first batch has ceil(d/|A|) members; each later batch is twice the
+    one before, so the checks number at most log2 of the shifts.  When
+    max A + max B < d - 1 the sum neither wraps nor reaches d - 1, so it is
+    never full and takes one unchecked pass, as it does for d = 0."""
+    abits, bbits = a.bits, b.bits
+    if abits.bit_count() < bbits.bit_count():
+        a, b, abits, bbits = b, a, bbits, abits
+    members, out = iter(b), 0
+    n = left = bbits.bit_count()
+    if d and abits.bit_length() + bbits.bit_length() > d:
+        n = -(-d // abits.bit_count())
+    while True:
+        # islice costs a call per member, so the last batch runs bare
+        for k in members if n >= left else islice(members, n):
+            out |= abits << k
+        left -= n
+        if left <= 0 or out.bit_count() >= d and fold(out, d).bit_count() == d:
+            return out
+        n *= 2
 
 
 def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """A + B in Z/dZ: the sumset in Z, folded mod d once (every shifted copy
-    lies below 2^(2d-1))."""
+    lies below 2^(2d-1)); it stops shifting once the sum is all of Z/dZ."""
     a._require_same_group(b)
-    return ResidueSet(a.group, fold(_shift_or(a, b), a.modulus))
+    d = a.modulus
+    return ResidueSet(a.group, fold(_shift_or(a, b, d), d))
 
 
 def sumset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:

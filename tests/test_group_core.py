@@ -2,9 +2,30 @@ import random
 
 import pytest
 
-from sumset_forge.group_core import (CyclicGroup, ModulusMismatch,
-                                     ResidueSet, Subgroup, confining_subgroup,
-                                     coset_of, containing_coset, subgroups)
+from sumset_forge.group_core import (SCAN_WIDTH, Bitmap, CyclicGroup,
+                                     ModulusMismatch, ResidueSet, Subgroup,
+                                     confining_subgroup, coset_of,
+                                     containing_coset, subgroups)
+
+
+def low_bit_members(bits):
+    """Oracle: peel off the lowest set bit until none is left."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def or_bits(members, bound):
+    """Oracle: one OR per member, after the range check."""
+    bits = 0
+    for m in members:
+        if not 0 <= m < bound:
+            raise ValueError(f"member {m} outside [0, {bound})")
+        bits |= 1 << m
+    return bits
 
 
 def test_subgroup_orders_are_divisors():
@@ -110,3 +131,50 @@ def test_trivial_group_supported():
     s = ResidueSet.of(g, [0])
     assert containing_coset(s, Subgroup(g, 1)) == 0
     assert set(coset_of(Subgroup(g, 1), 0)) == {0}
+
+
+def test_iter_matches_low_bit_oracle_across_scan_width():
+    """Every width 0..2100, on both sides of SCAN_WIDTH: members ascend and
+    equal the low-bit loop's."""
+    assert 0 < SCAN_WIDTH < 2100
+    rng = random.Random(13)
+    for w in range(2101):
+        g = CyclicGroup(max(w, 1))
+        cases = [0]
+        if w:
+            cases += [1, 1 << (w - 1), (1 << w) - 1, rng.getrandbits(w),
+                      rng.getrandbits(w) & rng.getrandbits(w)
+                      & rng.getrandbits(w) | 1 << (w - 1)]
+        for bits in cases:
+            got = list(ResidueSet(g, bits))
+            assert got == low_bit_members(bits), (w, bits)
+
+
+def test_bits_of_matches_loop_oracle_across_scan_width():
+    rng = random.Random(17)
+    for bound in (1, 2, 63, SCAN_WIDTH - 1, SCAN_WIDTH, SCAN_WIDTH + 1,
+                  SCAN_WIDTH + 7, 4096, 65536):
+        for n in (0, 1, bound // 3, bound):
+            members = [rng.randrange(bound) for _ in range(n)]  # repeats too
+            members += [0, bound - 1][:n]
+            assert Bitmap.bits_of(members, bound) == or_bits(members, bound)
+            assert (list(ResidueSet.of(CyclicGroup(bound), members))
+                    == sorted(set(members)))
+        for bad in (-1, bound, bound + 9):
+            with pytest.raises(ValueError) as want:
+                or_bits([0, bad], bound)
+            with pytest.raises(ValueError) as got:
+                Bitmap.bits_of([0, bad], bound)
+            assert str(got.value) == str(want.value) \
+                == f"member {bad} outside [0, {bound})"
+
+
+def test_min_is_the_lowest_member():
+    rng = random.Random(19)
+    for d in (1, 5, SCAN_WIDTH + 3, 70000):
+        g = CyclicGroup(d)
+        for _ in range(5):
+            s = ResidueSet.of(g, rng.sample(range(d), rng.randint(1, min(d, 50))))
+            assert s.min() == next(iter(s)) == min(s.members())
+        with pytest.raises(ValueError, match="no minimum"):
+            ResidueSet(g, 0).min()

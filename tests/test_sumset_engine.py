@@ -5,10 +5,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_int_sumset, naive_mod_sumset, random_residue_set
-from sumset_forge.group_core import CyclicGroup, ModulusMismatch, ResidueSet, Subgroup, coset_of, subgroups
-from sumset_forge.sumset_engine import (IntegerSet, stabilizer, sumset,
-                                        sumset_int, sumset_int_naive,
+from sumset_forge.group_core import (SCAN_WIDTH, Bitmap, CyclicGroup,
+                                     ModulusMismatch, ResidueSet, Subgroup,
+                                     coset_of, fold, subgroups)
+from sumset_forge.sumset_engine import (IntegerSet, _shift_or, stabilizer,
+                                        sumset, sumset_int, sumset_int_naive,
                                         sumset_naive)
+
+
+class CountingSet(Bitmap):
+    """A bitmap that counts the members its iterator has handed out."""
+
+    def __init__(self, bits):
+        self.bits, self.taken = bits, 0
+
+    def __iter__(self):
+        for m in super().__iter__():
+            self.taken += 1
+            yield m
+
+
+def saturation_cases(d, m):
+    """(name, A, B, members of B shifted) with A = [0, m), |B| = m, m | d
+    and m > 3d/m.  The first batch has n0 = d/m members: in "first" they are
+    0, m, ..., d-m, which tile Z/dZ at once; in "later" they are [0, n0),
+    and the second batch (2*n0 more) brings tiles ending at d."""
+    n0 = d // m
+    fill = list(range(d - 1, d - m, -1))
+    tiles = list(range(0, d, m))
+    first = tiles + fill[:m - n0]
+    tiles = [d - k * m for k in range(1, -(-(d - m - n0 + 1) // m) + 1)]
+    later = list(range(n0)) + tiles + fill[:m - n0 - len(tiles)]
+    return [("first", range(m), first, n0), ("later", range(m), later, 3 * n0)]
 
 
 def test_sumset_examples():
@@ -42,6 +70,44 @@ def test_sumset_matches_naive_oracle_randomized(rng):
         assert len(fast) <= min(d, len(a) * len(b))
 
 
+def test_sumset_stops_once_saturated():
+    """The shifts stop at the first batch boundary where the sum folds to all
+    of Z/dZ: at the first, at a later one, or (A = B = the even residues,
+    whose sum in Z has d bits but folds to half of Z/dZ) never.  The result
+    always equals the double-loop oracle."""
+    for d, m in ((64, 16), (1088, 64), (4096, 256)):
+        g = CyclicGroup(d)
+        evens = range(0, d, 2)
+        for name, am, bm, taken in saturation_cases(d, m) + [
+                ("never", evens, evens, d // 2)]:
+            a, b = (CountingSet(Bitmap.bits_of(x, d)) for x in (am, bm))
+            assert len(a) == len(b)
+            out = fold(_shift_or(a, b, d), d)
+            naive = sumset_naive(ResidueSet.of(g, am), ResidueSet.of(g, bm))
+            assert out == naive.bits, (d, name)
+            assert (a.taken, b.taken) == (0, taken), (d, name)
+            assert (out == (1 << d) - 1) == (name != "never")
+    assert 64 < SCAN_WIDTH < 1088
+
+
+def test_sumset_saturation_edge_cases(rng):
+    for d in (1, 2, 7, SCAN_WIDTH - 1, SCAN_WIDTH + 1, 3000):
+        g = CyclicGroup(d)
+        empty, full = ResidueSet(g, 0), ResidueSet.full(g)
+        zero = ResidueSet.of(g, [0])
+        assert sumset(empty, full).bits == sumset(full, empty).bits == 0
+        assert sumset(empty, empty).bits == 0
+        assert sumset(full, full).bits == full.bits
+        assert sumset(zero, zero).bits == zero.bits
+        for density in (0.02, 0.1, 0.5):
+            n = max(1, round(density * d))
+            a = ResidueSet.of(g, rng.sample(range(d), n))
+            b = ResidueSet.of(g, rng.sample(range(d), n))       # |A| = |B|
+            assert sumset(a, b).bits == sumset_naive(a, b).bits, (d, density)
+            c = ResidueSet.of(g, rng.sample(range(d), max(1, n // 3)))
+            assert sumset(a, c).bits == sumset_naive(a, c).bits, (d, density)
+
+
 def test_sumset_int_examples():
     a = IntegerSet.of(2, [0, 1])
     assert set(sumset_int(a, a)) == {0, 1, 2}
@@ -60,6 +126,12 @@ def test_sumset_int_matches_naive(rng):
         a = IntegerSet.of(n, rng.sample(range(n), rng.randint(1, n)))
         b = IntegerSet.of(n, rng.sample(range(n), rng.randint(1, n)))
         assert set(sumset_int(a, b)) == naive_int_sumset(set(a), set(b))
+        assert sumset_int(a, b).bits == sumset_int_naive(a, b).bits
+    # sparse operands on both sides of SCAN_WIDTH: one pass, no early stop
+    for _ in range(60):
+        n = rng.randint(SCAN_WIDTH // 2, 3 * SCAN_WIDTH)
+        a = IntegerSet.of(n, rng.sample(range(n), rng.randint(1, 60)))
+        b = IntegerSet.of(n, rng.sample(range(n), rng.randint(1, 60)))
         assert sumset_int(a, b).bits == sumset_int_naive(a, b).bits
 
 
