@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from sumset_forge.group_core import (SCAN_WIDTH, Bitmap, CyclicGroup,
-                                     ModulusMismatch, ResidueSet, Subgroup,
-                                     confining_subgroup, coset_of,
+from sumset_forge.group_core import (BUILD_WIDTH, SCAN_WIDTH, Bitmap,
+                                     CyclicGroup, ModulusMismatch, ResidueSet,
+                                     Subgroup, confining_subgroup, coset_of,
                                      containing_coset, subgroups)
 
 
@@ -150,10 +150,10 @@ def test_iter_matches_low_bit_oracle_across_scan_width():
             assert got == low_bit_members(bits), (w, bits)
 
 
-def test_bits_of_matches_loop_oracle_across_scan_width():
+def test_bits_of_matches_loop_oracle_across_build_width():
     rng = random.Random(17)
-    for bound in (1, 2, 63, SCAN_WIDTH - 1, SCAN_WIDTH, SCAN_WIDTH + 1,
-                  SCAN_WIDTH + 7, 4096, 65536):
+    for bound in (1, 2, 63, SCAN_WIDTH + 1, BUILD_WIDTH - 1, BUILD_WIDTH,
+                  BUILD_WIDTH + 1, BUILD_WIDTH + 7, 65536):
         for n in (0, 1, bound // 3, bound):
             members = [rng.randrange(bound) for _ in range(n)]  # repeats too
             members += [0, bound - 1][:n]
