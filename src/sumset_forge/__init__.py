@@ -15,7 +15,7 @@ from .rectify import (AffineAssignment, ClosureState, closure_step,
 from .layered import (ConclusionFailed, LayeredSet, LayeredSetError,
                       LayeredSumset, NotApplicable, StructureWitness,
                       check_ineq7, check_lemma5, check_prop7,
-                      corollary1_check, doubling_ratio, find_structure,
-                      flatten_sumset, prop6_lower_bound, uvw_partition)
+                      corollary1_check, find_structure, flatten_sumset,
+                      prop6_lower_bound, uvw_partition)
 
 __version__ = "0.1.0"

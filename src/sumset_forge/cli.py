@@ -30,25 +30,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify one instance file")
     p_verify.add_argument("file")
 
+    gen = GenParams()
     p_camp = sub.add_parser("campaign", help="run a verification campaign")
     p_camp.add_argument("--mode", choices=("exhaustive", "random"),
                         required=True)
-    p_camp.add_argument("--d", type=_int_tuple,
-                        default=(12, 16, 18, 24, 30, 36),
+    p_camp.add_argument("--d", type=_int_tuple, default=gen.d_values,
                         help="comma-separated moduli (random mode)")
-    p_camp.add_argument("--s", type=_int_tuple, default=(6, 7, 8, 9),
+    p_camp.add_argument("--s", type=_int_tuple,
+                        default=tuple(range(gen.s_min, gen.s_max + 1)),
                         help="comma-separated layer counts / sizes")
     p_camp.add_argument("--max-a", type=int, default=12,
                         help="offset ceiling (exhaustive mode)")
     p_camp.add_argument("--count", type=int, default=10_000,
                         help="instances to generate (random mode)")
     p_camp.add_argument("--seed", type=int, default=1)
-    p_camp.add_argument("--density", type=float, default=0.75)
-    p_camp.add_argument("--epsilon", type=float, default=0.0)
-    p_camp.add_argument("--max-a-slack", type=int, default=3)
+    p_camp.add_argument("--density", type=float, default=gen.density)
+    p_camp.add_argument("--epsilon", type=float, default=gen.epsilon)
+    p_camp.add_argument("--max-a-slack", type=int, default=gen.max_a_slack)
     p_camp.add_argument("--no-canonical", action="store_true",
                         help="skip the canonical instance battery")
-    p_camp.add_argument("--cap", type=int, default=2_000_000)
+    p_camp.add_argument("--cap", type=int,
+                        default=campaign_exhaustive.__kwdefaults__["cap"])
     p_camp.add_argument("--out", help="write the report here (default stdout)")
 
     p_report = sub.add_parser("report", help="pretty-print a report file")
@@ -109,9 +111,8 @@ def cmd_campaign(args) -> int:
         return 2
     if args.mode == "random":
         params = GenParams(d_values=args.d, s_min=min(args.s),
-                           s_max=max(args.s), density=args.density,
-                           epsilon=args.epsilon,
-                           max_a_slack=args.max_a_slack)
+                           s_max=max(args.s), max_a_slack=args.max_a_slack,
+                           density=args.density, epsilon=args.epsilon)
         report = campaign_random(params, args.count, args.seed,
                                  include_canonical=not args.no_canonical)
     else:

@@ -203,12 +203,7 @@ def confining_subgroup(s: ResidueSet) -> Subgroup:
 
 def containing_coset(s: ResidueSet, h: Subgroup) -> Optional[int]:
     """Least representative x with s contained in x + H, or None if s meets
-    two or more cosets of H."""
-    if not s:
-        raise ValueError("empty set has no coset")
+    two or more cosets of H.  s lies in one coset of H iff H contains the
+    confining subgroup of s, that is iff the step of H divides its step."""
     s._require_same_group(h)
-    step = h.step
-    reps = {m % step for m in s}
-    if len(reps) > 1:
-        return None
-    return reps.pop()
+    return None if confining_subgroup(s).step % h.step else s.min() % h.step

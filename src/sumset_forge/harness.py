@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from math import ceil, comb, gcd
+from math import ceil, gcd
 from typing import Callable, Iterable, Optional
 
 from . import layered as ls
@@ -222,11 +222,10 @@ def _outcome(emit, out: CheckOutcome, detail: str) -> str:
 # time, so a wrapper bound to the module name sees every call.
 
 def _check_flatten(L: LayeredSet, emit) -> list[str]:
-    applicable = ls.is_applicable(L)
-    emit("instances", "applicable" if applicable else "not_applicable")
-    return [f"check flatten size={L.flat.total} base={L.size()} "
-            f"ratio={ls.doubling_ratio(L)}",
-            f"check applicable {str(applicable).lower()}"]
+    emit("instances", "applicable" if L.applicable else "not_applicable")
+    return [f"check flatten size={L.flat.total} base={L.size} "
+            f"ratio={L.ratio}",
+            f"check applicable {str(L.applicable).lower()}"]
 
 
 def _check_prop6(L: LayeredSet, emit) -> list[str]:
@@ -382,15 +381,24 @@ def require_exhaustive_domain(s_values: tuple[int, ...], max_a: int,
                               cap: int) -> None:
     """Refuse an exhaustive campaign that names a size twice, which would
     verify and count every offset set of that size twice, or whose estimated
-    cardinality, the sum of C(max_a, s-1) over the sizes, exceeds `cap`."""
+    cardinality, the sum of C(max_a, s-1) over the sizes, exceeds `cap`.
+    With n = max_a and k = min(s-1, n-s+1), C(n, s-1) = C(n, k) is built as
+    C(n-k+i, i) for i = 1..k; these never decrease, so the sum stops once it
+    passes `cap` and a huge domain is refused without computing its size."""
     repeated = sorted({s for s in s_values if s_values.count(s) > 1})
     if repeated:
         raise ValueError(f"s values {','.join(map(str, s_values))} repeat "
                          f"{','.join(map(str, repeated))}")
-    estimate = sum(comb(max_a, s - 1) for s in s_values)
-    if estimate > cap:
-        raise CapExceeded(
-            f"estimated cardinality {estimate} exceeds cap {cap}")
+    estimate = 0
+    for s in s_values:
+        k = min(s - 1, max_a - s + 1)
+        term, i = int(k >= 0), 0        # C(n, s-1) = 0 when s-1 > n
+        while i < k and estimate + term <= cap:
+            i += 1
+            term = term * (max_a - k + i) // i
+        estimate += term
+    if estimate > cap:      # the partial estimate may be too long to print
+        raise CapExceeded(f"estimated cardinality exceeds cap {cap}")
 
 
 def enumerate_offset_sets(s: int, max_a: int) -> Iterable[IntegerSet]:
@@ -425,7 +433,7 @@ def _check_prop5(aset: IntegerSet, emit) -> list[str]:
 OFFSET_CHECKS = (_check_lemma2, _check_prop5)
 
 
-def campaign_exhaustive(s_values: tuple[int, ...], max_a: int,
+def campaign_exhaustive(s_values: tuple[int, ...], max_a: int, *,
                         cap: int = 2_000_000) -> CampaignReport:
     """Full enumeration of the projection space: the SDR certificate, the
     refined bound, and the missing-element profile, for every offset set."""

@@ -16,8 +16,8 @@ from math import gcd
 from typing import Optional, Union
 
 from .classical_checks import CheckOutcome
-from .group_core import (CyclicGroup, ResidueSet, Subgroup, confining_subgroup,
-                         containing_coset, fold)
+from .group_core import (CyclicGroup, ResidueSet, Subgroup, containing_coset,
+                         fold)
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
                           is_unsaturated, lemma2_copies, r_parameter,
                           translated_family)
@@ -38,9 +38,7 @@ PROFILE_MEMO_SIZE = 1024
 
 
 def tau(s: int) -> Optional[Fraction]:
-    if s < 4:
-        return None
-    return TAU.get(s, TAU_DEFAULT)
+    return None if s < 4 else TAU.get(s, TAU_DEFAULT)
 
 
 class LayeredSetError(ValueError):
@@ -93,9 +91,6 @@ class LayeredSet:
     def offsets(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.layers)
 
-    def size(self) -> int:
-        return sum(len(b) for _, b in self.layers)
-
     def max_offset(self) -> int:
         return self.layers[-1][0]
 
@@ -106,9 +101,20 @@ class LayeredSet:
         return flatten_sumset(self)
 
     @cached_property
+    def size(self) -> int:
+        """|B~|, summed once."""
+        return sum(len(b) for _, b in self.layers)
+
+    @cached_property
     def ratio(self) -> Fraction:
         """The doubling |B~ + B~| / |B~|, built once."""
-        return Fraction(self.flat.total, self.size())
+        return Fraction(self.flat.total, self.size)
+
+    @cached_property
+    def applicable(self) -> bool:
+        """The small-doubling hypothesis ratio < tau(s), decided once."""
+        t = tau(self.s)
+        return t is not None and self.ratio < t
 
     @cached_property
     def profile(self) -> "OffsetProfile":
@@ -189,15 +195,6 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
                          tuple(map(tuple, pair_sizes)))
 
 
-def doubling_ratio(L: LayeredSet) -> Fraction:
-    return L.ratio
-
-
-def is_applicable(L: LayeredSet) -> bool:
-    t = tau(L.s)
-    return t is not None and L.ratio < t
-
-
 def _prop6_copies(aset: IntegerSet, r: int) -> list[int]:
     """Copies of each a_i + A' in the prop6 family; a copy of a_i + A'
     charges its representative to layer index i.  The stronger R=2 / R=3
@@ -248,29 +245,28 @@ def corollary1_check(L: LayeredSet) -> bool:
     sizes taken in descending order; R comes from the offsets as given."""
     sizes = sorted((len(b) for _, b in L.layers), reverse=True)
     rhs = (L.s - 2) * sizes[0] + sum(sizes[1:L.profile.r])
-    return L.flat.total - L.size() >= rhs
+    return L.flat.total - L.size >= rhs
 
 
 def check_prop7(L: LayeredSet) -> CheckOutcome:
     """max a_i < 1.5 s under the small-doubling hypothesis."""
     name = "prop7"
-    t = tau(L.s)
-    if t is None:
-        return CheckOutcome(name, applicable=False, witness="out-of-range s")
-    if not is_applicable(L):
-        return CheckOutcome(name, applicable=False)
+    if not L.applicable:
+        return CheckOutcome(name, applicable=False, witness=(
+            "out-of-range s" if tau(L.s) is None else None))
     return CheckOutcome(name, True, 2 * L.max_offset() < 3 * L.s,
                         witness=(L.max_offset(), L.s))
 
 
 def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
     """The smallest H with every B_i inside a_i*x + y + H, and that (x, y).
-    With b_i in B_i, an (x, y) exists iff H holds each B_i - B_i and each
-    a_j*b_i - a_i*b_j (y is in H as a_1 = 0 and 0 is in B_1; x follows from
-    Bezout), so the step of H is the gcd of those terms and d.  B_i then
-    lies in the coset b_i + H, and AffineAssignment reduces b_i mod the step."""
+    With b_i = min B_i, an (x, y) exists iff H holds each m - b_i (m in B_i)
+    and each a_j*b_i - a_i*b_j (y is in H as a_1 = 0 and 0 is in B_1; x
+    follows from Bezout), so the step of H is one gcd of those terms and d.
+    B_i then lies in b_i + H, and AffineAssignment reduces b_i mod the step."""
     firsts = [(a, b.min()) for a, b in L.layers]
-    q = gcd(*(confining_subgroup(b).step for _, b in L.layers),
+    q = gcd(L.d, *(m - bi for (_, b), (_, bi) in zip(L.layers, firsts)
+                   for m in b),
             *(aj * bi - ai * bj
               for (ai, bi), (aj, bj) in combinations(firsts, 2)))
     h = Subgroup(L.group, L.d // q)
@@ -284,11 +280,10 @@ def find_structure(L: LayeredSet
     """The structural witness, the smallest subgroup H such that every B_i
     sits inside a_i*x + y + H for some (x, y), checked against every stated
     conclusion.  Every other such H contains it: it is the only candidate."""
-    t = tau(L.s)
-    if t is None:
-        return NotApplicable(f"no doubling threshold for s={L.s}", L.ratio)
-    if L.ratio >= t:
-        return NotApplicable(f"doubling {L.ratio} >= {t}", L.ratio)
+    if not L.applicable:
+        t = tau(L.s)
+        return NotApplicable(f"no doubling threshold for s={L.s}" if t is None
+                             else f"doubling {L.ratio} >= {t}", L.ratio)
 
     found = coset_placement(L)
     if found is None:
@@ -314,7 +309,7 @@ def find_structure(L: LayeredSet
     if status == INEQ7_VIOLATED:
         return ConclusionFailed(
             "ineq7", f"(max a_i)|H| = {L.max_offset() * h.order} > "
-                     f"{L.flat.total - L.size()}")
+                     f"{L.flat.total - L.size}")
     return StructureWitness(h, x, y, j, ineq7=status)
 
 
@@ -349,7 +344,7 @@ def check_lemma5(L: LayeredSet, h: Subgroup) -> CheckOutcome:
     s >= 2R - 3.  Applicable instances with s < 2R - 3 exist (README, d=30),
     and on them this check reports a violation."""
     name = "lemma5"
-    if not is_applicable(L):
+    if not L.applicable:
         return CheckOutcome(name, applicable=False)
     u, v, w = uvw_partition(L, h)
     r = L.profile.r
@@ -359,7 +354,7 @@ def check_lemma5(L: LayeredSet, h: Subgroup) -> CheckOutcome:
 def check_ineq7(L: LayeredSet, h: Subgroup) -> str:
     """(max a_i)|H| against |B~+B~| - |B~|, exactly."""
     lhs = L.max_offset() * h.order
-    rhs = L.flat.total - L.size()
+    rhs = L.flat.total - L.size
     if lhs < rhs:
         return INEQ7_STRICT
     if lhs == rhs:

@@ -1,0 +1,107 @@
+"""Fuzzing of the command line: whatever the input, `verify` and `campaign`
+end in exit 0 (clean), 1 (violations) or 2 (refused), never in a traceback,
+which would exit 1 and read as "violations found"."""
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sumset_forge.cli import main
+from sumset_forge.harness import THREADS_ENV
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda children: (st.lists(children, max_size=6)
+                      | st.dictionaries(st.text(max_size=5), children,
+                                        max_size=4)),
+    max_leaves=30)
+
+
+@st.composite
+def instance_docs(draw):
+    """A layered set with 0 first and in B_1 and offsets increasing, which
+    may still break an invariant (the gcd), some with a field replaced by an
+    arbitrary JSON value: most reach the checks, the rest the validation."""
+    d = draw(st.integers(1, 24))
+    step = draw(st.sampled_from([k for k in range(1, d + 1) if d % k == 0]))
+    x = draw(st.integers(0, d - 1))
+    rest = draw(st.lists(st.integers(1, 10), min_size=2, max_size=7,
+                         unique=True))
+    # B_i inside a_i*x + H for the subgroup H of the drawn step, so that
+    # small doublings, and with them the structure checks, are reached
+    coset = range(d // step)
+    layers = [{"a": a, "set": [(a * x + j * step) % d for j in draw(
+                  st.just(coset) | st.lists(st.sampled_from(coset),
+                                            min_size=1, max_size=6))]}
+              for a in [0] + sorted(rest)]
+    layers[0]["set"].append(0)
+    doc = {"d": d, "layers": layers}
+    if draw(st.integers(0, 3)) == 0:
+        field = draw(st.sampled_from(["d", "layers", "a", "set"]))
+        target = (doc if field in ("d", "layers")
+                  else layers[draw(st.integers(0, len(layers) - 1))])
+        target[field] = draw(JSON_VALUES)
+    return doc
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:           # argparse refusing a flag
+        return exc.code
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=JSON_VALUES | instance_docs())
+def test_verify_any_json_document(doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+def _int_list(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _campaign_flags(ints, fractions, min_size):
+    """Every campaign value flag, drawn from `ints(lo, hi)`, `fractions` and
+    lists of at least `min_size` values; exhaustive domains stay small
+    through --max-a and --cap."""
+    return st.fixed_dictionaries({
+        "--mode": st.sampled_from(["random", "exhaustive"]),
+        "--d": st.lists(ints(1, 40), min_size=min_size,
+                        max_size=3).map(_int_list),
+        "--s": st.lists(ints(2, 10), min_size=min_size,
+                        max_size=3).map(_int_list),
+        "--max-a": ints(1, 12).map(str),
+        "--count": ints(0, 8).map(str),
+        "--seed": st.integers().map(str),
+        "--density": fractions.map(str),
+        "--epsilon": fractions.map(str),
+        "--max-a-slack": ints(0, 8).map(str),
+        "--cap": ints(0, 500).map(str),
+    })
+
+
+# in range, so the campaigns run; and one past each end, or not finite
+VALID_FLAGS = _campaign_flags(st.integers, st.floats(0, 1), 1)
+BOUNDED_FLAGS = _campaign_flags(
+    lambda lo, hi: st.integers(lo - 1, hi + 1),
+    st.floats(-0.5, 1.5) | st.sampled_from(["nan", "inf", "-inf"]), 0)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=VALID_FLAGS | BOUNDED_FLAGS, no_canonical=st.booleans())
+def test_campaign_bounded_flags(flags, no_canonical, monkeypatch, capsys):
+    monkeypatch.setenv(THREADS_ENV, "1")
+    # --flag=value keeps a value such as "-1" from reading as a flag
+    argv = ["campaign"] + [f"{flag}={value}" for flag, value in flags.items()]
+    if no_canonical:
+        argv.append("--no-canonical")
+    assert _exit_code(argv) in (0, 1, 2)
+    capsys.readouterr()

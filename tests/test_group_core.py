@@ -92,6 +92,32 @@ def test_containing_coset_differences_in_subgroup():
                 assert (x - y) % 24 in h
 
 
+def residue_coset_oracle(s, h):
+    """The residue-set pass `containing_coset` replaced: the one residue of
+    s mod the step of H, or None when there are two or more."""
+    reps = {m % h.step for m in s}
+    return reps.pop() if len(reps) == 1 else None
+
+
+def test_containing_coset_matches_residue_oracle(rng):
+    """Every nonempty subset of Z/dZ for d <= 8 against every subgroup, then
+    coset-confined and random sets at widths on both sides of SCAN_WIDTH."""
+    for d in range(1, 9):
+        g = CyclicGroup(d)
+        for bits in range(1, 1 << d):
+            s = ResidueSet(g, bits)
+            for h in subgroups(g):
+                assert containing_coset(s, h) == residue_coset_oracle(s, h)
+    for d in (720, 2048, 5040):
+        g = CyclicGroup(d)
+        for h in subgroups(g):
+            coset = coset_of(h, rng.randrange(d)).members()
+            inside = rng.sample(coset, rng.randint(1, len(coset)))
+            for s in (ResidueSet.of(g, inside),
+                      ResidueSet.of(g, rng.sample(range(d), 5))):
+                assert containing_coset(s, h) == residue_coset_oracle(s, h)
+
+
 def test_containing_coset_empty_rejected():
     g = CyclicGroup(6)
     with pytest.raises(ValueError, match="empty"):

@@ -1,7 +1,11 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import time
 from collections import Counter
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,7 +18,8 @@ from sumset_forge.harness import (MAX_WIDTH, CapExceeded, Finding, GenParams,
                                   campaign_exhaustive, campaign_random,
                                   canonical_instances, generate_instance,
                                   instance_from_doc, instance_to_json,
-                                  load_instance, verify_instance, _rng_for)
+                                  load_instance, require_exhaustive_domain,
+                                  verify_instance, _rng_for)
 from sumset_forge.layered import LayeredSet, LayeredSetError, offset_profile
 
 
@@ -205,10 +210,49 @@ class TestCampaign:
             for i in range(40)]
         for L in instances:
             verify_instance(L, Tally())
-        assert builds == [(L.flat.total, L.size()) for L in instances]
+        assert builds == [(L.flat.total, L.size) for L in instances]
         assert "ratio" not in {f.name for f in dataclasses.fields(LayeredSet)}
         fresh = instance_from_doc(json.loads(instance_to_json(instances[0])))
         assert "ratio" in vars(instances[0]) and fresh == instances[0]
+
+    def test_size_and_doubling_decided_once_per_instance(self, monkeypatch):
+        """|B~| and the doubling hypothesis are computed once per instance,
+        however many checks read them, and the threshold is consulted once
+        on an applicable instance; neither cached value is a field."""
+        calls = Counter()
+        for name in ("size", "applicable"):
+            real = vars(LayeredSet)[name].func
+
+            def counting(L, real=real, name=name):
+                calls[name, id(L)] += 1
+                return real(L)
+
+            prop = functools.cached_property(counting)
+            prop.__set_name__(LayeredSet, name)
+            monkeypatch.setattr(LayeredSet, name, prop)
+        taus = Counter()
+        real_tau = layered.tau
+
+        def tau(s):
+            taus[s] += 1
+            return real_tau(s)
+
+        monkeypatch.setattr(layered, "tau", tau)
+        instances = [L for _, L in canonical_instances()] + [
+            generate_instance(GenParams(epsilon=0.2), _rng_for(6, i))
+            for i in range(40)]
+        applicable = 0
+        for L in instances:
+            taus.clear()
+            verify_instance(L, Tally())
+            if L.applicable:
+                applicable += 1
+                assert sum(taus.values()) == 1
+        assert calls == Counter({(name, id(L)): 1 for L in instances
+                                 for name in ("size", "applicable")})
+        assert 10 < applicable < len(instances)
+        fields = {f.name for f in dataclasses.fields(LayeredSet)}
+        assert not fields & {"size", "applicable"}
 
     def test_one_uvw_partition_per_witness(self, monkeypatch):
         """The `check uvw` line and lemma5 share one size partition."""
@@ -357,6 +401,22 @@ class TestCampaign:
         with pytest.raises(CapExceeded):
             campaign_exhaustive((6, 7), 40, cap=100)
 
+    def test_cap_refuses_what_the_binomial_sum_exceeds(self):
+        """The early-stopping estimate refuses exactly the domains whose sum
+        of C(max_a, s-1) passes the cap, at the cap and one either side."""
+        for max_a in range(0, 16):
+            for n in range(4):
+                for s_values in combinations(range(2, 19), n):
+                    total = sum(comb(max_a, s - 1) for s in s_values)
+                    for cap in {0, total - 1, total, total + 1}:
+                        try:
+                            require_exhaustive_domain(s_values, max_a, cap)
+                            refused = False
+                        except CapExceeded as exc:
+                            refused = True
+                            assert "exceeds cap" in str(exc)
+                        assert refused == (total > cap)
+
     def test_repeated_size_refused(self):
         # a repeated size would verify and count each offset set twice
         with pytest.raises(ValueError, match="repeat 6"):
@@ -397,6 +457,19 @@ class TestCli:
                      "--max-a", "40", "--cap", "1000"])
         assert code == 2
         assert "refused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s", ["2000000", "200000"])
+    def test_campaign_huge_domain_refused_fast(self, s, capsys):
+        """A domain whose binomials run to millions of digits is refused
+        without computing them: C(10^8, 1999999) alone ran for minutes, and
+        printing C(10^8, 199999) broke the int-to-string digit limit."""
+        t0 = time.perf_counter()
+        code = main(["campaign", "--mode", "exhaustive", "--s", s,
+                     "--max-a", "100000000"])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("refused:")
+        assert "exceeds cap 2000000" in err and elapsed < 1.0
 
     def test_report_rejects_foreign_file(self, tmp_path, capsys):
         path = tmp_path / "foo.txt"

@@ -17,9 +17,8 @@ from sumset_forge.layered import (INEQ7_EQUALITY, INEQ7_STRICT,
                                   StructureWitness, _prop6_copies,
                                   check_ineq7, check_lemma5, check_prop7,
                                   corollary1_check, coset_placement,
-                                  doubling_ratio,
                                   find_structure, flatten_sumset,
-                                  is_applicable, is_coset_saturated,
+                                  is_coset_saturated,
                                   offset_profile, prop6_lower_bound, tau,
                                   uvw_partition, verify_witness)
 from sumset_forge.rectify import AffineAssignment, solve_affine_bruteforce
@@ -151,8 +150,8 @@ class TestValidation:
 class TestFlatten:
     def test_full_coset_example(self):
         L = full_coset_instance()
-        assert flatten_sumset(L).total == 33 and L.size() == 18
-        assert doubling_ratio(L) == Fraction(33, 18)
+        assert flatten_sumset(L).total == 33 and L.size == 18
+        assert L.ratio == Fraction(33, 18)
 
     def test_singleton_example(self):
         assert flatten_sumset(singleton_instance()).total == 21
@@ -196,7 +195,7 @@ class TestProp6:
 
     def test_b6_variant_bound(self):
         L = b6_singleton_variant()
-        assert flatten_sumset(L).total == 31 and L.size() == 16
+        assert flatten_sumset(L).total == 31 and L.size == 16
         assert prop6_lower_bound(L) <= 31
 
     def test_two_layer_singletons(self):
@@ -314,7 +313,7 @@ class TestFindStructure:
         assert isinstance(w, StructureWitness)
         assert w.subgroup.order == 12 and (w.x, w.y) == (0, 0)
         assert w.ineq7 == INEQ7_EQUALITY
-        assert flatten_sumset(L).total - L.size() == 60
+        assert flatten_sumset(L).total - L.size == 60
 
     def test_placement_matches_subgroup_scan(self, rng):
         params = ((GenParams(), 3000),
