@@ -10,8 +10,8 @@ from .classical_checks import (CheckOutcome, check_lev_bound,
 from .hall_bounds import (BoundViolation, HallViolator, IntervalProfile,
                           SdrCertificate, abc_parameters, find_sdr,
                           lemma2_certificate, prop5_bound, r_parameter)
-from .rectify import (AffineAssignment, ClosureState, closure_step,
-                      find_seed_pair, good_closure, solve_affine)
+from .rectify import (AffineAssignment, bezout, closure_step, find_seed_pair,
+                      good_closure, solve_affine)
 from .layered import (ConclusionFailed, LayeredSet, LayeredSetError,
                       LayeredSumset, NotApplicable, StructureWitness,
                       check_ineq7, check_lemma5, check_prop7,

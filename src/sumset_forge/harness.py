@@ -13,6 +13,7 @@ import json
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -385,7 +386,7 @@ def require_exhaustive_domain(s_values: tuple[int, ...], max_a: int,
     With n = max_a and k = min(s-1, n-s+1), C(n, s-1) = C(n, k) is built as
     C(n-k+i, i) for i = 1..k; these never decrease, so the sum stops once it
     passes `cap` and a huge domain is refused without computing its size."""
-    repeated = sorted({s for s in s_values if s_values.count(s) > 1})
+    repeated = sorted(s for s, n in Counter(s_values).items() if n > 1)
     if repeated:
         raise ValueError(f"s values {','.join(map(str, s_values))} repeat "
                          f"{','.join(map(str, repeated))}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import gcd
 from typing import Optional, Union
 
@@ -21,7 +20,7 @@ from .group_core import (CyclicGroup, ResidueSet, Subgroup, containing_coset,
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
                           is_unsaturated, lemma2_copies, r_parameter,
                           translated_family)
-from .rectify import AffineAssignment, solve_affine
+from .rectify import AffineAssignment, bezout, solve_affine
 from .sumset_engine import IntegerSet, sumset
 
 INEQ7_STRICT = "strict"
@@ -131,12 +130,14 @@ class LayeredSumset:
 
 @dataclass(frozen=True)
 class OffsetProfile:
-    """The offset set A', its R, and the prop6 matching: a pair (i, j) per
-    SDR representative a_i + a_j, or the Hall violator when there is none."""
+    """The offset set A', its R, the prop6 matching (a pair (i, j) per SDR
+    representative a_i + a_j, or the Hall violator when there is none) and
+    the Bezout coefficients of the offsets, sum c_i a_i = 1."""
 
     offset_set: IntegerSet
     r: int
     matching: Union[tuple[tuple[int, int], ...], HallViolator]
+    bezout: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,8 @@ def _prop6_copies(aset: IntegerSet, r: int) -> list[int]:
 
 @lru_cache(maxsize=PROFILE_MEMO_SIZE)
 def offset_profile(offsets: tuple[int, ...]) -> OffsetProfile:
-    """R and the prop6 matching of an offset tuple, computed once per tuple
-    while it stays in the memo."""
+    """R, the prop6 matching and the Bezout coefficients of an offset tuple,
+    computed once per tuple while it stays in the memo."""
     aset = IntegerSet.from_members(offsets)
     r = r_parameter(aset)
     copies = _prop6_copies(aset, r)
@@ -219,7 +220,7 @@ def offset_profile(offsets: tuple[int, ...]) -> OffsetProfile:
         index_of = {a: i for i, a in enumerate(offsets)}
         out = tuple((i, index_of[rep - offsets[i]])
                     for i, rep in zip(charge, out.representatives))
-    return OffsetProfile(aset, r, out)
+    return OffsetProfile(aset, r, out, bezout(aset))
 
 
 def prop6_lower_bound(L: LayeredSet) -> int:
@@ -261,17 +262,20 @@ def check_prop7(L: LayeredSet) -> CheckOutcome:
 def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
     """The smallest H with every B_i inside a_i*x + y + H, and that (x, y).
     With b_i = min B_i, an (x, y) exists iff H holds each m - b_i (m in B_i)
-    and each a_j*b_i - a_i*b_j (y is in H as a_1 = 0 and 0 is in B_1; x
-    follows from Bezout), so the step of H is one gcd of those terms and d.
-    B_i then lies in b_i + H, and AffineAssignment reduces b_i mod the step."""
-    firsts = [(a, b.min()) for a, b in L.layers]
-    q = gcd(L.d, *(m - bi for (_, b), (_, bi) in zip(L.layers, firsts)
-                   for m in b),
-            *(aj * bi - ai * bj
-              for (ai, bi), (aj, bj) in combinations(firsts, 2)))
+    and each a_j*b_i - a_i*b_j (y is in H as a_1 = 0 and 0 is in B_1).  With
+    the offsets' Bezout coefficients c and x0 = sum c_i b_i, the s terms
+    b_i - a_i*x0 say the same, modulo the step of H: b_i = a_i*x0 for all i
+    gives a_j*b_i - a_i*b_j = a_j*a_i*x0 - a_i*a_j*x0 = 0, and conversely
+    a_j*x0 = sum c_i*a_j*b_i = sum c_i*a_i*b_j = b_j.  So the step of H is
+    one gcd of d, each m - b_i and each b_i - a_i*x0.  B_i then lies in
+    b_i + H, and AffineAssignment reduces b_i mod the step."""
+    p = L.profile
+    firsts = tuple(b.min() for _, b in L.layers)
+    x0 = sum(c * b for c, b in zip(p.bezout, firsts))
+    q = gcd(L.d, *(m - bi for (_, b), bi in zip(L.layers, firsts) for m in b),
+            *(bi - a * x0 for a, bi in zip(L.offsets(), firsts)))
     h = Subgroup(L.group, L.d // q)
-    xy = solve_affine(AffineAssignment(L.profile.offset_set,
-                                       tuple(b for _, b in firsts), q))
+    xy = solve_affine(AffineAssignment(p.offset_set, firsts, q), p.bezout)
     return None if xy is None else (h, *xy)
 
 
@@ -288,7 +292,7 @@ def find_structure(L: LayeredSet
     found = coset_placement(L)
     if found is None:
         return ConclusionFailed("coset-structure",
-                                "no confining subgroup found")
+                                "affine solve found no (x, y) for H")
     h, x, y = found
 
     if not 2 * L.max_offset() < 3 * L.s:

@@ -14,13 +14,6 @@ from .sumset_engine import IntegerSet, sumset_int
 
 
 @dataclass(frozen=True)
-class ClosureState:
-    current: IntegerSet
-    ambient: IntegerSet
-    steps: int
-
-
-@dataclass(frozen=True)
 class AffineAssignment:
     """One residue mod q per member of the a-set."""
 
@@ -48,20 +41,18 @@ def closure_step(g: IntegerSet, ambient: IntegerSet) -> IntegerSet:
     return IntegerSet(ambient.bound, out & ambient.bits)
 
 
-def good_closure(g: IntegerSet, ambient: IntegerSet) -> ClosureState:
+def good_closure(g: IntegerSet, ambient: IntegerSet) -> IntegerSet:
     """Least fixpoint of closure_step; each productive step adds at least one
     element, so at most |ambient| iterations run."""
     if g.bits & ~ambient.bits:
         raise ValueError("seed must be contained in the ambient set")
     current = IntegerSet(ambient.bound, g.bits)
-    steps = 0
     for _ in range(len(ambient)):
         nxt = closure_step(current, ambient)
         if nxt.bits == current.bits:
             break
         current = nxt
-        steps += 1
-    return ClosureState(current, ambient, steps)
+    return current
 
 
 def find_seed_pair(a: IntegerSet) -> Optional[tuple[int, int]]:
@@ -76,7 +67,7 @@ def find_seed_pair(a: IntegerSet) -> Optional[tuple[int, int]]:
     for m in a:
         if m + 1 in a:
             seed = IntegerSet.of(a.bound, (m, m + 1))
-            if good_closure(seed, a).current.bits == a.bits:
+            if good_closure(seed, a).bits == a.bits:
                 return (m, m + 1)
     return None
 
@@ -96,11 +87,14 @@ def solve_affine_bruteforce(assign: AffineAssignment) -> Optional[tuple[int, int
     return None
 
 
-def _bezout(members) -> tuple[int, list[int]]:
-    """(g, c) with g = gcd(members) and sum c_i * m_i = g, by extended Euclid
-    folded over the members."""
+def bezout(aset: IntegerSet) -> tuple[int, ...]:
+    """Coefficients c with sum c_i a_i = 1 over an a-set holding 0 whose
+    nonzero members have gcd 1 (the singleton {0} gets (0,)), by extended
+    Euclid folded over the members."""
+    if 0 not in aset:
+        raise ValueError("a-set must contain 0")
     g, coeffs = 0, []
-    for m in members:
+    for m in aset:
         a, b, u0, u1, v0, v1 = g, m, 1, 0, 0, 1
         # invariant: u0*g + v0*m == a and u1*g + v1*m == b
         while b:
@@ -109,22 +103,22 @@ def _bezout(members) -> tuple[int, list[int]]:
             u0, u1 = u1, u0 - t * u1
             v0, v1 = v1, v0 - t * v1
         g, coeffs = a, [c * u0 for c in coeffs] + [v0]
-    return g, coeffs
-
-
-def solve_affine(assign: AffineAssignment) -> Optional[tuple[int, int]]:
-    """(x, y) with x_i = a_i*x + y in Z/qZ for all i, or None.
-
-    a_1 = 0 forces y = x_1.  With Bezout coefficients sum c_i a_i = 1, any
-    solution has x = sum c_i (a_i x) = sum c_i (x_i - y), so that candidate is
-    the only one: it is verified and returned, and the result equals the
-    brute-force search's.
-    """
-    if 0 not in assign.aset:
-        raise ValueError("a-set must contain 0")
-    g, coeffs = _bezout(assign.aset)
     if g > 1:
         raise ValueError(f"gcd of nonzero a_i is {g}, expected 1")
+    return tuple(coeffs)
+
+
+def solve_affine(assign: AffineAssignment, coeffs: tuple[int, ...]
+                 ) -> Optional[tuple[int, int]]:
+    """(x, y) with x_i = a_i*x + y in Z/qZ for all i, or None, given the
+    a-set's `bezout` coefficients (sum c_i a_i = 1; 0 for {0}).  a_1 = 0
+    forces y = x_1, and any solution has x = sum c_i (a_i x) =
+    sum c_i (x_i - y): that one candidate is verified and returned, so the
+    result equals the brute-force search's."""
+    aset = assign.aset
+    if 0 not in aset or (sum(c * a for c, a in zip(coeffs, aset))
+                         != int(len(aset) > 1)):
+        raise ValueError("Bezout coefficients do not fit the a-set")
     q = assign.q
     y = assign.values[0]
     x = sum(c * (v - y) for c, v in zip(coeffs, assign.values)) % q

@@ -22,7 +22,8 @@ from sumset_forge.harness import (GenParams, _rng_for, campaign_exhaustive,
                                   instance_to_json)
 from sumset_forge.layered import (LayeredSet, StructureWitness, check_lemma5,
                                   find_structure, tau, verify_witness)
-from sumset_forge.rectify import AffineAssignment, find_seed_pair, solve_affine
+from sumset_forge.rectify import (AffineAssignment, bezout, find_seed_pair,
+                                  solve_affine)
 from sumset_forge.sumset_engine import (IntegerSet, stabilizer, sumset,
                                         sumset_int, sumset_naive)
 
@@ -233,6 +234,7 @@ def test_criterion_7_affine_solver_suite():
                 continue
             sets += 1
             members = aset.members()
+            coeffs = bezout(aset)
             cases = [(q, x, y) for q in range(1, 7)
                      for x in range(q) for y in range(q)]
             rng = random.Random(f"acceptance7:{members}")
@@ -242,7 +244,7 @@ def test_criterion_7_affine_solver_suite():
             for q, x, y in cases:
                 assign = AffineAssignment(
                     aset, tuple((m * x + y) % q for m in members), q)
-                got = solve_affine(assign)
+                got = solve_affine(assign, coeffs)
                 if got is None or any(
                         (m * got[0] + got[1]) % q != v
                         for m, v in zip(members, assign.values)):

@@ -194,6 +194,42 @@ class TestCampaign:
         assert len(seen) == 303
         assert len(sdr_calls) == len(set(seen)) < len(seen)
 
+    def test_bezout_once_per_offset_set(self, monkeypatch, empty_memo):
+        """Bezout coefficients are computed once per distinct offset tuple
+        over a cold-memo campaign, and `solve_affine` reads them from the
+        offset profile without running Euclid itself."""
+        import sumset_forge.harness as harness
+        import sumset_forge.rectify as rectify
+        monkeypatch.setenv(THREADS_ENV, "1")
+        seen, euclid, solved = [], Counter(), []
+        real_verify = harness.verify_instance
+        real_bezout = rectify.bezout
+        real_solve = rectify.solve_affine
+
+        def verify(L, tally):
+            seen.append(L.offsets())
+            return real_verify(L, tally)
+
+        def bezout(aset):
+            euclid[tuple(aset)] += 1
+            return real_bezout(aset)
+
+        def solve(assign, coeffs):
+            before = sum(euclid.values())
+            out = real_solve(assign, coeffs)
+            assert sum(euclid.values()) == before
+            solved.append(tuple(assign.aset))
+            return out
+
+        monkeypatch.setattr(harness, "verify_instance", verify)
+        monkeypatch.setattr(rectify, "bezout", bezout)
+        monkeypatch.setattr(layered, "bezout", bezout)
+        monkeypatch.setattr(layered, "solve_affine", solve)
+        campaign_random(GenParams(epsilon=0.2), 300, seed=4)
+        assert len(seen) == 303
+        assert set(euclid.values()) == {1} and set(euclid) == set(seen)
+        assert set(solved) <= set(euclid) and len(solved) > len(set(solved))
+
     def test_ratio_built_once_per_instance(self, monkeypatch):
         """One doubling Fraction per instance, however many checks read it;
         the cached ratio is not a field, so equality ignores it."""
@@ -470,6 +506,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("refused:")
         assert "exceeds cap 2000000" in err and elapsed < 1.0
+
+    def test_campaign_many_sizes_checked_in_linear_time(self, tmp_path):
+        """Repeated sizes are found in one pass.  Of the sizes 2..12001 only
+        2..13 have offset sets at max_a = 12, so the other 11988 must add
+        less than a second to the campaign over 2..13; counting each size
+        in the whole list, twice per command, added about 5 s."""
+        elapsed, bodies = [], []
+        for top in (13, 12001):
+            out = tmp_path / f"report{top}.txt"
+            t0 = time.perf_counter()
+            code = main(["campaign", "--mode", "exhaustive", "--s",
+                         ",".join(map(str, range(2, top + 1))),
+                         "--max-a", "12", "--out", str(out)])
+            elapsed.append(time.perf_counter() - t0)
+            assert code == 0
+            bodies.append([line for line in out.read_text().splitlines()
+                           if not line.startswith("param s ")])
+        assert bodies[0] == bodies[1]
+        assert elapsed[1] - elapsed[0] < 1.0, elapsed
 
     def test_report_rejects_foreign_file(self, tmp_path, capsys):
         path = tmp_path / "foo.txt"

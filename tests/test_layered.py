@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -235,6 +236,7 @@ class TestProp6:
             assert prop6_lower_bound(L) == expected
             assert L.profile.offset_set == aset
             assert L.profile.r == r_parameter(aset)
+            assert sum(map(mul, L.profile.bezout, offsets)) == 1
         # repeated offset tuples were answered from the memo
         assert offset_profile.cache_info().hits > 0
 

@@ -1,6 +1,6 @@
 import pytest
 
-from sumset_forge.rectify import (AffineAssignment, closure_step,
+from sumset_forge.rectify import (AffineAssignment, bezout, closure_step,
                                   find_seed_pair, good_closure, solve_affine,
                                   solve_affine_bruteforce)
 from sumset_forge.sumset_engine import IntegerSet
@@ -13,12 +13,12 @@ def iset(bound, members):
 class TestClosure:
     def test_examples(self):
         out = good_closure(iset(6, [0, 1]), iset(6, range(6)))
-        assert set(out.current) == set(range(6))
+        assert set(out) == set(range(6))
         ambient = iset(6, [0, 1, 3, 4, 5])
         out = good_closure(iset(6, [3, 4]), ambient)
-        assert out.current.bits == ambient.bits
+        assert out.bits == ambient.bits
         out = good_closure(iset(6, [0, 1]), ambient)
-        assert set(out.current) == {0, 1}      # stuck: 2 is outside the ambient
+        assert set(out) == {0, 1}      # stuck: 2 is outside the ambient
 
     def test_seed_outside_ambient_rejected(self):
         with pytest.raises(ValueError):
@@ -33,16 +33,15 @@ class TestClosure:
             ambient = iset(bound, amb_members)
             seed_a = iset(bound, rng.sample(amb_members,
                                             rng.randint(1, len(amb_members))))
-            closed = good_closure(seed_a, ambient).current
+            closed = good_closure(seed_a, ambient)
             # extensive
             assert seed_a.issubset(closed)
-            # idempotent
-            again = good_closure(closed, ambient)
-            assert again.current.bits == closed.bits and again.steps == 0
+            # idempotent: closing the closed set returns it unchanged
+            assert good_closure(closed, ambient) == closed
             # monotone: a subset seed closes to a subset
             sub = iset(bound, rng.sample(list(seed_a),
                                          rng.randint(1, len(seed_a))))
-            assert good_closure(sub, ambient).current.issubset(closed)
+            assert good_closure(sub, ambient).issubset(closed)
 
 
 class TestFindSeedPair:
@@ -66,28 +65,45 @@ class TestFindSeedPair:
                     pair = find_seed_pair(a)
                     assert pair is not None
                     seed = iset(s, pair)
-                    assert good_closure(seed, a).current.bits == a.bits
+                    assert good_closure(seed, a).bits == a.bits
 
 
 class TestSolveAffine:
     def test_examples(self):
         a = IntegerSet.from_members(range(6))
         assign = AffineAssignment(a, tuple((3 * m + 2) % 4 for m in a), 4)
-        assert solve_affine(assign) == (3, 2)
-        constant = AffineAssignment(IntegerSet.from_members([0, 1, 3]),
-                                    (5, 5, 5), 7)
-        assert solve_affine(constant) == (0, 5)
-        bad = AffineAssignment(IntegerSet.from_members([0, 1, 2]),
-                               (0, 0, 1), 5)
-        assert solve_affine(bad) is None
+        assert solve_affine(assign, bezout(a)) == (3, 2)
+        a013 = IntegerSet.from_members([0, 1, 3])
+        constant = AffineAssignment(a013, (5, 5, 5), 7)
+        assert solve_affine(constant, bezout(a013)) == (0, 5)
+        a012 = IntegerSet.from_members([0, 1, 2])
+        bad = AffineAssignment(a012, (0, 0, 1), 5)
+        assert solve_affine(bad, bezout(a012)) is None
 
     def test_requires_zero_and_gcd_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a-set must contain 0"):
+            bezout(IntegerSet.from_members([1, 2]))
+        with pytest.raises(ValueError, match="gcd of nonzero a_i is 2"):
+            bezout(IntegerSet.from_members([0, 2, 4]))
+        for members in ([0], [0, 1], [0, 3, 5], [0, 4, 6, 9], [0, 6, 10, 15]):
+            a = IntegerSet.from_members(members)
+            c = bezout(a)
+            assert len(c) == len(members)
+            assert sum(ci * m for ci, m in zip(c, members)) == (len(a) > 1)
+
+    def test_refuses_coefficients_of_another_aset(self):
+        """Coefficients that do not give sum c_i a_i = 1 on this a-set are
+        refused, never read as "no solution"."""
+        a = IntegerSet.from_members([0, 2, 3])
+        assign = AffineAssignment(a, (1, 5, 0), 7)
+        assert solve_affine(assign, bezout(a)) == (2, 1)
+        for other in ([0, 1, 3], [0, 1, 2, 3], [0, 1], [0]):
+            c = bezout(IntegerSet.from_members(other))
+            with pytest.raises(ValueError, match="do not fit the a-set"):
+                solve_affine(assign, c)
+        with pytest.raises(ValueError, match="do not fit the a-set"):
             solve_affine(AffineAssignment(IntegerSet.from_members([1, 2]),
-                                          (0, 0), 3))
-        with pytest.raises(ValueError):
-            solve_affine(AffineAssignment(IntegerSet.from_members([0, 2, 4]),
-                                          (0, 0, 0), 3))
+                                          (0, 0), 3), (-1, 1))
 
     def test_solution_reverifies(self, rng):
         for _ in range(2000):
@@ -103,7 +119,7 @@ class TestSolveAffine:
             a = IntegerSet.from_members(members)
             values = tuple(rng.randrange(q) for _ in members)
             assign = AffineAssignment(a, values, q)
-            got = solve_affine(assign)
+            got = solve_affine(assign, bezout(a))
             if got is not None:
                 x, y = got
                 assert all((m * x + y) % q == v
@@ -130,10 +146,10 @@ class TestSolveAffine:
                 values = tuple((m * x + y) % q for m in members)
             else:
                 values = tuple(rng.randrange(q) for _ in members)
-            assign = AffineAssignment(IntegerSet.from_members(members),
-                                      values, q)
+            a = IntegerSet.from_members(members)
+            assign = AffineAssignment(a, values, q)
             brute = solve_affine_bruteforce(assign)
             outcomes.add((n == 1, brute is None))
-            assert solve_affine(assign) == brute
+            assert solve_affine(assign, bezout(a)) == brute
         # singleton {0} included; both solvable and unsolvable cases seen
         assert outcomes == {(True, False), (False, False), (False, True)}
