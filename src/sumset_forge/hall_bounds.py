@@ -1,11 +1,13 @@
 """Hall-marriage machinery and projection-side lower bounds.
 
 The R parameter, the SDR certificate behind the 2s+R-3 bound on |A'+A'|, and
-the (a, b, c)-refined bound 2s+R-3+c.  The matching is plain augmenting-path
-bipartite matching with deterministic iteration order (family index ascending,
-ground element ascending) so certificates are reproducible.  Each search is
-iterative, on an explicit path stack, and takes its next candidate as the
-lowest member not yet seen, straight from the bitmaps.
+the (a, b, c)-refined bound 2s+R-3+c.  The matching is bipartite matching in a
+deterministic order (family index ascending, ground element ascending) so
+certificates are reproducible.  One greedy pass first gives each index the
+lowest member not yet taken; augmenting-path searches then run only from the
+indices it left unmatched.  Each search is iterative, on an explicit path
+stack, and takes its next candidate as the lowest member not yet seen,
+straight from the bitmaps.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ class SdrCertificate:
     representatives: tuple[int, ...]
 
     def __post_init__(self):
-        seen = set()
+        seen = 0
         for i, (s, r) in enumerate(zip(self.family, self.representatives)):
-            if r not in s:
+            if r < 0 or not s.bits >> r & 1:
                 raise ValueError(f"representative {r} not in family set {i}")
-            if r in seen:
+            if seen >> r & 1:
                 raise ValueError(f"representative {r} repeated")
-            seen.add(r)
+            seen |= 1 << r
 
     def __len__(self) -> int:
         return len(self.representatives)
@@ -69,21 +71,38 @@ def find_sdr(family: Sequence[IntegerSet]
              ) -> Union[SdrCertificate, HallViolator]:
     """A system of distinct representatives for the family, or a Hall violator.
 
-    Augmenting-path matching, one depth-first search per family index.  A
-    search from index i tries the members of family[i] ascending, skipping
-    elements this search has already seen, and follows the owner of each
-    matched one.  Every member below the cursor is already seen, so the next
-    candidate is the lowest set bit of family[i] & unseen.  The path is an
-    explicit stack, so the depth is not bounded by the recursion limit.  On
-    failure the seen elements are all matched, and their owners with i are
-    the violator.
+    First a greedy seed: each index in turn takes the lowest member of
+    family[i] not yet taken, if any.  Then one augmenting-path search per
+    index the seed left unmatched, in index order.  A search from index i
+    tries the members of family[i] ascending, skipping elements this search
+    has already seen, and follows the owner of each matched one.  Every
+    member below the cursor is already seen, so the next candidate is the
+    lowest set bit of family[i] & unseen.  The path is an explicit stack, so
+    the depth is not bounded by the recursion limit.
+
+    The seed is only the matching the searches start from, and the violator
+    argument holds for any matching.  When a search from i fails, every
+    element it saw is matched, to an index it reached and exhausted.  So the
+    seen elements hold every member of i and of their owners, and i with
+    those owners is one index more than there are seen elements.
     """
     bits = [g.bits for g in family]
     width = max((b.bit_length() for b in bits), default=0)
     everything = (1 << width) - 1
     owner = [-1] * width                 # ground element -> family index
-    assigned = [0] * len(family)         # family index -> ground element
+    assigned = [-1] * len(family)        # family index -> ground element
+    taken = 0
+    for i, b in enumerate(bits):
+        free = b & ~taken
+        if free:
+            low = free & -free
+            taken |= low
+            e = low.bit_length() - 1
+            owner[e] = i
+            assigned[i] = e
     for root in range(len(family)):
+        if assigned[root] >= 0:
+            continue
         unseen = everything
         path = [root]                    # family indices on the search path
         picks: list[int] = []            # picks[k] leads from path[k] onward

@@ -52,6 +52,15 @@ class TestFindSdr:
                 # matches a brute-force maximum matching of full size
                 assert len(set(out.representatives)) == n
 
+    def test_certificate_rejects_bad_representatives(self):
+        fam = (iset([1, 2]), iset([2, 3]))
+        assert SdrCertificate(fam, (1, 2)).representatives == (1, 2)
+        for reps in ((3, 2), (-1, 2), (1, 0)):
+            with pytest.raises(ValueError, match="not in family set"):
+                SdrCertificate(fam, reps)
+        with pytest.raises(ValueError, match="representative 2 repeated"):
+            SdrCertificate(fam, (2, 2))
+
     def test_matches_bruteforce_matching_size(self, rng):
         from itertools import permutations
         for _ in range(200):
@@ -65,11 +74,11 @@ class TestFindSdr:
             assert isinstance(out, SdrCertificate) == sdr_exists
 
 
-def find_sdr_recursive(family):
-    """The recursive augmenting-path matcher `find_sdr` replaces: the same
-    search order, a set of seen elements, and one Python frame per step."""
-    owner = {}
-    assigned = {}
+def _augment_from(family, roots, owner, assigned):
+    """Recursive augmenting-path searches from each root in turn, over the
+    matching in `owner` and `assigned`: members ascending, a set of seen
+    elements, one Python frame per step.  The violator on the first failure,
+    else None."""
 
     def augment(i, seen):
         for e in family[i]:
@@ -82,13 +91,53 @@ def find_sdr_recursive(family):
                 return True
         return False
 
-    for i in range(len(family)):
+    for i in roots:
         seen = set()
         if not augment(i, seen):
             indices = tuple(sorted({i} | {owner[e] for e in seen}))
             return HallViolator(indices, len(seen))
-    return SdrCertificate(tuple(family),
-                          tuple(assigned[i] for i in range(len(family))))
+    return None
+
+
+def find_sdr_recursive(family):
+    """The plain recursive matcher: one search per family index from an
+    empty matching."""
+    owner, assigned = {}, {}
+    violator = _augment_from(family, range(len(family)), owner, assigned)
+    return violator or SdrCertificate(
+        tuple(family), tuple(assigned[i] for i in range(len(family))))
+
+
+def find_sdr_seeded_recursive(family):
+    """The recursive matcher `find_sdr` replaces, with its greedy seed: each
+    index in turn takes its lowest member not yet taken, and the searches
+    run only from the indices the seed left unmatched."""
+    owner, assigned = {}, {}
+    for i, g in enumerate(family):
+        e = next((e for e in g if e not in owner), None)
+        if e is not None:
+            owner[e] = i
+            assigned[i] = e
+    roots = [i for i in range(len(family)) if i not in assigned]
+    violator = _augment_from(family, roots, owner, assigned)
+    return violator or SdrCertificate(
+        tuple(family), tuple(assigned[i] for i in range(len(family))))
+
+
+def assert_matches_oracles(family):
+    """`find_sdr` equals the seeded oracle exactly, and agrees with the plain
+    matcher on whether an SDR exists; a violator must break Hall's
+    condition."""
+    out = find_sdr(family)
+    assert out == find_sdr_seeded_recursive(family)
+    plain = find_sdr_recursive(family)
+    assert type(out) is type(plain)
+    if isinstance(out, HallViolator):
+        union = set()
+        for i in out.indices:
+            union |= set(family[i])
+        assert len(union) == out.union_size < len(out.indices)
+    return out
 
 
 class TestFindSdrMatchesRecursiveOracle:
@@ -103,8 +152,7 @@ class TestFindSdrMatchesRecursiveOracle:
                 for copies in (lemma2_copies(s, r), _prop6_copies(aset, r),
                                [s] * s):
                     family = translated_family(aset, copies)
-                    out = find_sdr(family)
-                    assert out == find_sdr_recursive(family)
+                    out = assert_matches_oracles(family)
                     violators += isinstance(out, HallViolator)
         assert violators > 0
 
@@ -114,14 +162,20 @@ class TestFindSdrMatchesRecursiveOracle:
             n = rng.randint(0, 10)
             fam = [IntegerSet.of(16, rng.sample(range(16), rng.randint(1, 5)))
                    for _ in range(n)]
-            out = find_sdr(fam)
-            assert out == find_sdr_recursive(fam)
-            kinds.add(type(out))
+            kinds.add(type(assert_matches_oracles(fam)))
         assert kinds == {SdrCertificate, HallViolator}
 
     def test_deep_search_needs_no_recursion(self):
-        """s = 1000: the first s-1 copies of A' chain every search through
-        all earlier ones, far past the default recursion limit."""
+        """A chain G_i = {i, i+1} for i < n-1, then G_{n-1} = {0}: the seed
+        gives index i element i, leaves n-1 unmatched, and its one search
+        walks all n indices, far past the default recursion limit."""
+        n = 1000
+        fam = [iset([i, i + 1]) for i in range(n - 1)] + [iset([0])]
+        out = find_sdr(fam)
+        assert isinstance(out, SdrCertificate)
+        assert out.representatives == tuple(range(1, n)) + (0,)
+
+    def test_lemma2_at_s_1000(self):
         aset = iset(range(1000))
         cert = lemma2_certificate(aset)
         assert len(cert) == 2 * 1000 + r_parameter(aset) - 3

@@ -734,6 +734,22 @@ GOLDEN_VERIFY = [
         f"finding check=ineq7 status=equality detail=14=14 instance={_D2}",
         f"finding check=lemma5 status=violated detail=uvw=(4, 2, 0, 4) "
         f"instance={_D2}"]),
+    # the prop6 bound sums the pair sizes of whichever SDR find_sdr returns:
+    # the greedy-seeded search's SDR certifies 197 here, while the SDR of an
+    # unseeded search (one augmenting path per index) certifies 205
+    ({"d": 13, "layers": [
+        {"a": a, "set": members} for a, members in zip(
+            (0, 1, 3, 6, 8, 11, 12),
+            ([0, 5, 6, 11, 12], [0, 1, 5, 6, 7, 8, 10, 11, 12],
+             [0, 1, 2, 3, 4, 5, 7, 8, 10, 12],
+             [0, 1, 2, 4, 5, 6, 7, 10, 11, 12], [4, 5, 8], [4, 10],
+             [1, 2, 4, 7, 11, 12]))]}, 0, [
+        "check flatten size=250 base=45 ratio=50/9",
+        "check applicable false",
+        "check prop6 bound=197",
+        "check corollary1 holds=true",
+        "check prop7 applicable=false",
+        "check structure not_applicable reason=[doubling 50/9 >= 5/2]"]),
 ]
 
 
