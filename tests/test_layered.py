@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -7,11 +9,11 @@ import pytest
 
 from sumset_forge.group_core import (CyclicGroup, ResidueSet, Subgroup,
                                      containing_coset, subgroups)
-from sumset_forge.hall_bounds import (find_sdr, lemma2_copies, r_parameter,
-                                      translated_family)
+from sumset_forge.hall_bounds import (HallViolator, find_sdr, lemma2_copies,
+                                      r_parameter, translated_family)
 from sumset_forge.harness import (GenParams, _rng_for, canonical_instances,
                                   enumerate_offset_sets, generate_instance)
-from sumset_forge.layered import (INEQ7_EQUALITY, INEQ7_STRICT,
+from sumset_forge.layered import (DENSE_SPAN, INEQ7_EQUALITY, INEQ7_STRICT,
                                   ConclusionFailed, LayeredSet,
                                   LayeredSetError, LayeredSumset,
                                   NotApplicable,
@@ -86,20 +88,48 @@ def sparse_instance(rng):
     return LayeredSet.of(d, layers)
 
 
-def pairwise_flatten(L):
-    """The pairwise oracle `flatten_sumset` replaces: `sumset_naive` per
-    offset pair i <= j, ORed into the row at a_i + a_j."""
+def pairwise_flatten(L, kernel=sumset_naive):
+    """The pairwise oracle `flatten_sumset` replaces: one `kernel` sumset per
+    offset pair i <= j, ORed into the row at a_i + a_j, and the size of each
+    pair of the prop6 matching (none when it is a Hall violator)."""
+    pieces = {(i, j): kernel(L.layers[i][1], L.layers[j][1])
+              for i in range(L.s) for j in range(i, L.s)}
     rows = {}
-    n = L.s
-    pair_sizes = [[0] * n for _ in range(n)]
-    for i, (ai, bi) in enumerate(L.layers):
-        for j in range(i, n):
-            aj, bj = L.layers[j]
-            piece = sumset_naive(bi, bj)
-            pair_sizes[i][j] = pair_sizes[j][i] = len(piece)
-            rows[ai + aj] = rows.get(ai + aj, 0) | piece.bits
-    return LayeredSumset(sum(row.bit_count() for row in rows.values()),
-                         tuple(map(tuple, pair_sizes)))
+    for (i, j), piece in pieces.items():
+        k = L.layers[i][0] + L.layers[j][0]
+        rows[k] = rows.get(k, 0) | piece.bits
+    matching = L.profile.matching
+    return LayeredSumset(
+        sum(row.bit_count() for row in rows.values()),
+        [] if isinstance(matching, HallViolator) else
+        [len(pieces[min(p), max(p)]) for p in matching])
+
+
+def spread_instance(rng):
+    """Random layers of Z/dZ, d <= 120, on offsets drawn up to 3s, 100 or
+    10**6: spans on both sides of DENSE_SPAN * s, most far beyond it."""
+    d = rng.choice([1, 7, 12, 24, 60, 120])
+    s = rng.randint(2, 9)
+    while True:
+        rest = sorted(rng.sample(range(1, rng.choice([3 * s, 100, 10**6])),
+                                 s - 1))
+        if gcd(*rest) == 1:
+            break
+    layers = [(a, rng.sample(range(d), rng.randint(1, d)))
+              for a in [0] + rest]
+    layers[0] = (0, {0, *layers[0][1]})
+    return LayeredSet.of(d, layers)
+
+
+def verify_witness_elementwise(L, w):
+    """The residue loop `verify_witness` replaces: every member against the
+    residue of its coset a*x + y, modulo the step of H."""
+    h, d = w.subgroup, L.d
+    for a, b in L.layers:
+        target = (a * w.x + w.y) % d
+        if any((m - target) % h.step != 0 for m in b):
+            return False
+    return 3 * len(L.layers[w.j][1]) >= 2 * h.order
 
 
 def small_group_instance(rng):
@@ -166,11 +196,10 @@ class TestFlatten:
         for _ in range(2000):
             L = random_instance(rng)
             twin = LayeredSet(L.group, L.layers)
-            table = L.flat.pair_sizes
             assert L.flat is L.flat and L.flat == flatten_sumset(L)
-            for i, (_, bi) in enumerate(L.layers):
-                for j, (_, bj) in enumerate(L.layers):
-                    assert table[i][j] == len(sumset_naive(bi, bj))
+            assert L.flat.pair_sizes == [
+                len(sumset_naive(L.layers[i][1], L.layers[j][1]))
+                for i, j in L.profile.matching]
             # the cached sumset is not a field: equality and hashing ignore it
             assert L == twin and hash(L) == hash(twin)
 
@@ -187,6 +216,86 @@ class TestFlatten:
         assert any(len(b) == L.d > 1 for L in instances for _, b in L.layers)
         for L in instances:
             assert flatten_sumset(L) == pairwise_flatten(L)
+
+    def test_packed_rows_at_s_in_the_hundreds(self):
+        """The widest slots and packs: s = 100..200, d up to 120.  The
+        oracle adds each pair with `sumset`, itself checked against
+        `sumset_naive`, which takes 14-46 s per dense instance here."""
+        hundreds = GenParams(d_values=(48, 60, 72, 96, 120), s_min=100,
+                             s_max=200)
+        instances = [generate_instance(hundreds, _rng_for(33, i))
+                     for i in range(4)]
+        assert max(L.size for L in instances) > 10_000
+        for L in instances:
+            assert flatten_sumset(L) == pairwise_flatten(L, sumset)
+
+    def test_wide_offset_spans_match_pairwise_oracle(self, rng):
+        """Offsets far apart are packed by index and their rows keyed by
+        a_i + a_j; dense ones are placed by offset.  Both agree with the
+        oracle, on either side of the DENSE_SPAN * s boundary too."""
+        d = 24
+        edge = [LayeredSet.of(d, [(a, rng.sample(range(d), 9))
+                                  for a in (0, 1, top)])
+                for top in (DENSE_SPAN * 3 - 1, DENSE_SPAN * 3)]
+        edge = [LayeredSet.of(d, [(0, {0, *L.layers[0][1]}), *L.layers[1:]])
+                for L in edge]
+        instances = (edge + [spread_instance(rng) for _ in range(400)]
+                     + [random_instance(rng) for _ in range(200)])
+        wide = [L.max_offset() >= DENSE_SPAN * L.s for L in instances]
+        assert wide[:2] == [False, True]
+        assert sum(wide) > 250 and not all(wide)
+        assert any(L.max_offset() > 10**5 for L in instances)
+        for L in instances:
+            assert flatten_sumset(L) == pairwise_flatten(L)
+
+    def test_bitmaps_scale_with_layer_count(self, monkeypatch):
+        """No pack, row or fold grows with the offset span: every `sumset`
+        runs on at most DENSE_SPAN * s slots of 2d bits, and flattening
+        nine layers of Z/120Z spread up to 8 * 10**6 allocates little."""
+        moduli = []
+
+        def recording(a, b):
+            moduli.append(a.group.modulus)
+            return sumset(a, b)
+
+        monkeypatch.setattr("sumset_forge.layered.sumset", recording)
+        spread = (0, 1, 1094067, 1996193, 3103410, 4565327, 4971434,
+                  5066050, 7683503)
+        instances = [LayeredSet.of(120, [(0, range(0, 120, 2)), (1, [1]),
+                                         (10**6, range(60))]),
+                     LayeredSet.of(120, [(a, range(a % 7, 120, 3))
+                                         for a in spread])]
+        for L in instances:
+            L.profile
+            moduli.clear()
+            tracemalloc.start()
+            flat = flatten_sumset(L)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert len(moduli) == L.s
+            assert max(moduli) <= DENSE_SPAN * L.s * 2 * L.d
+            assert peak < 100_000
+            assert flat == pairwise_flatten(L)
+
+    def test_sizes_are_unhashable(self):
+        """`pair_sizes` is a list, so `LayeredSumset` states that it has no
+        hash rather than fail inside a generated one."""
+        flat = flatten_sumset(full_coset_instance())
+        assert LayeredSumset.__hash__ is None
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(flat)
+
+    def test_packed_rows_without_matching(self, rng, monkeypatch,
+                                          empty_memo):
+        """With no SDR the total is unchanged and no pair size is kept."""
+        monkeypatch.setattr("sumset_forge.layered.find_sdr",
+                            lambda family: HallViolator((0, 1), 1))
+        instances = ([L for _, L in canonical_instances()]
+                     + [small_group_instance(rng) for _ in range(200)])
+        for L in instances:
+            flat = flatten_sumset(L)
+            assert isinstance(L.profile.matching, HallViolator)
+            assert flat == pairwise_flatten(L) and flat.pair_sizes == []
 
 
 class TestProp6:
@@ -342,6 +451,52 @@ class TestFindStructure:
             out = find_structure(L)
             if isinstance(out, StructureWitness):
                 assert verify_witness(L, out)
+
+    def test_witness_mask_matches_elementwise_oracle(self, rng):
+        """Every subgroup, at the placement's (x, y) and a random one, on
+        instances with d = 1, full-group layers and one-residue layers."""
+        instances = ([small_group_instance(rng) for _ in range(300)]
+                     + [random_instance(rng) for _ in range(200)]
+                     + [sparse_instance(rng) for _ in range(300)])
+        seen = set()
+        for L in instances:
+            _, x0, y0 = coset_placement(L)
+            for h in subgroups(L.group):
+                for x, y in ((x0, y0), (rng.randrange(L.d),
+                                        rng.randrange(L.d))):
+                    w = StructureWitness(h, x, y, rng.randrange(L.s),
+                                         INEQ7_STRICT)
+                    ok = verify_witness(L, w)
+                    assert ok == verify_witness_elementwise(L, w), (L, w)
+                    seen.add((ok, h.step == L.d, L.d == 1))
+        assert {(True, True, True), (True, False, False),
+                (False, True, False), (False, False, False)} <= seen
+
+    def test_rejects_tampered_witness(self, rng):
+        """x + 1 or y + 1 moves some layer out of its coset unless H is all
+        of Z/dZ (the offsets have gcd 1), and no smaller subgroup holds the
+        layers at (x, y), since H is the smallest that does."""
+        instances = ([L for _, L in canonical_instances()]
+                     + [generate_instance(GenParams(epsilon=0.1),
+                                          _rng_for(41, i))
+                        for i in range(500)]
+                     + [sparse_instance(rng) for _ in range(500)])
+        proper = smaller = 0
+        for L in instances:
+            w = find_structure(L)
+            if not isinstance(w, StructureWitness):
+                continue
+            assert verify_witness(L, w)
+            whole = w.subgroup.order == L.d
+            proper += not whole
+            for bad in (replace(w, x=(w.x + 1) % L.d),
+                        replace(w, y=(w.y + 1) % L.d)):
+                assert verify_witness(L, bad) == whole
+            for h in subgroups(L.group):
+                if h.order < w.subgroup.order:
+                    smaller += 1
+                    assert not verify_witness(L, replace(w, subgroup=h))
+        assert proper >= 300 and smaller >= 1000
 
 
 class TestUvwAndLemma5:
