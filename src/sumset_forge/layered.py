@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .classical_checks import CheckOutcome
 from .group_core import (CyclicGroup, ResidueSet, Subgroup, containing_coset,
-                         fold)
+                         fold, lattice)
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
                           is_unsaturated, lemma2_copies, r_parameter,
                           translated_family)
@@ -178,11 +178,6 @@ class ConclusionFailed:
     detail: str
 
 
-def _lattice(n: int, step: int) -> int:
-    """Bitmap of the multiples of step below n; step divides n."""
-    return ((1 << n) - 1) // ((1 << step) - 1)
-
-
 def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     """Sizes of the exact sumset of the layered set: the row at first
     coordinate k is the union of B_i + B_j over offset pairs with
@@ -204,11 +199,14 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     in Z.  One masked fold, (Y | Y >> d) & M with M on the low d bits of
     each slot, reduces every slot mod d at once: bits d..2d-2 of a slot
     land on bits 0..d-2 of the same slot, and what the next slot shifts
-    into bits d..2d-1 is masked off.  Y has 2 max a + 1 slots, so a wide
-    offset span would make it and the packs scale with max a instead of s;
-    there each slot is ORed into its row by a_i + a_j instead, and every
-    bitmap stays within s slots.  A matched pair's size is its one slot,
-    folded."""
+    into bits d..2d-1 is masked off.  M is the lattice S of slot starts
+    times 2^d - 1, taken as (S << d) - S in linear time: at d = 8192 and
+    max a = 14 that takes 0.1 ms, a multiplication 0.7 ms and building M
+    by a division by 2^2d - 1 about 15 ms.  Y has 2 max a + 1 slots, so a
+    wide offset span would make it and the packs scale with max a instead
+    of s; there each slot is ORed into its row by a_i + a_j instead, and
+    every bitmap stays within s slots.  A matched pair's size is its one
+    slot, folded."""
     d, s, offsets = L.d, L.s, L.offsets()
     width = 2 * d
     dense = offsets[-1] < DENSE_SPAN * s
@@ -228,8 +226,8 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
         y = 0
         for a, row in zip(offsets, sums):
             y |= row << 2 * a * width
-        mask = _lattice((2 * offsets[-1] + 1) * width, width) * ((1 << d) - 1)
-        total = ((y | y >> d) & mask).bit_count()
+        starts = lattice((2 * offsets[-1] + 1) * width, width)
+        total = ((y | y >> d) & ((starts << d) - starts)).bit_count()
     else:
         rows: dict[int, int] = {}
         for i, out in enumerate(sums):
@@ -373,9 +371,9 @@ def verify_witness(L: LayeredSet, w: StructureWitness) -> bool:
     against that mask."""
     h = w.subgroup
     step = h.step
-    lattice = _lattice(L.d, step)
+    multiples = lattice(L.d, step)
     for a, b in L.layers:
-        if b.bits & ~(lattice << (a * w.x + w.y) % step):
+        if b.bits & ~(multiples << (a * w.x + w.y) % step):
             return False
     return 3 * len(L.layers[w.j][1]) >= 2 * h.order
 

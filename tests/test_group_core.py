@@ -5,7 +5,7 @@ import pytest
 from sumset_forge.group_core import (BUILD_WIDTH, SCAN_WIDTH, Bitmap,
                                      CyclicGroup, ModulusMismatch, ResidueSet,
                                      Subgroup, confining_subgroup, coset_of,
-                                     containing_coset, subgroups)
+                                     containing_coset, lattice, subgroups)
 
 
 def low_bit_members(bits):
@@ -116,6 +116,57 @@ def test_containing_coset_matches_residue_oracle(rng):
             for s in (ResidueSet.of(g, inside),
                       ResidueSet.of(g, rng.sample(range(d), 5))):
                 assert containing_coset(s, h) == residue_coset_oracle(s, h)
+
+
+def test_lattice_is_the_multiples_of_step():
+    """Widths that step divides and widths it does not, from one multiple
+    (n <= step) up to every bit (step 1)."""
+    for n in range(1, 130):
+        for step in range(1, n + 3):
+            want = sum(1 << k for k in range(0, n, step))
+            assert lattice(n, step) == want, (n, step)
+    for n, step in ((720720, 4004), (524288, 1024), (11520, 240),
+                    (65535, 3), (55440, 110)):
+        assert lattice(n, step) == ((1 << n) - 1) // ((1 << step) - 1)
+
+
+def member_gcd_coset_oracle(s, h):
+    """The member-gcd answer: s lies in one coset of H iff the step of H
+    divides the step of the confining subgroup of s; the coset is then the
+    one of min s."""
+    return None if confining_subgroup(s).step % h.step else s.min() % h.step
+
+
+def test_containing_coset_matches_member_gcd_oracle(rng):
+    """Every subgroup of every Z/dZ, d <= 60, against sets inside one of its
+    cosets, inside a coset of each other subgroup, and at random; then
+    coset-confined and unconfined sets at d = 55440 and 65536."""
+    for d in range(1, 61):
+        g = CyclicGroup(d)
+        hs = subgroups(g)
+        sets = [ResidueSet.of(g, rng.sample(range(d), rng.randint(1, d)))
+                for _ in range(3)]
+        for k in hs:
+            coset = coset_of(k, rng.randrange(d)).members()
+            sets.append(ResidueSet.of(
+                g, rng.sample(coset, rng.randint(1, len(coset)))))
+        for h in hs:
+            for s in sets:
+                assert containing_coset(s, h) == member_gcd_coset_oracle(s, h)
+    for d in (55440, 65536):
+        g = CyclicGroup(d)
+        hs = subgroups(g)
+        for k in rng.sample(hs, 12):
+            coset = coset_of(k, rng.randrange(d)).members()
+            inside = ResidueSet.of(g, rng.sample(coset, min(len(coset), 40)))
+            outside = ResidueSet(g, inside.bits | 1 << (inside.min() + 1) % d)
+            for h in rng.sample(hs, 12) + [k]:
+                for s in (inside, outside):
+                    assert (containing_coset(s, h)
+                            == member_gcd_coset_oracle(s, h))
+            assert containing_coset(inside, k) is not None
+            if k.order < d:
+                assert containing_coset(outside, k) is None
 
 
 def test_containing_coset_empty_rejected():

@@ -1,15 +1,18 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_int_sumset, naive_mod_sumset, random_residue_set
+from sumset_forge import sumset_engine
 from sumset_forge.group_core import (SCAN_WIDTH, Bitmap, CyclicGroup,
                                      ModulusMismatch, ResidueSet, Subgroup,
                                      coset_of, fold, subgroups)
-from sumset_forge.sumset_engine import (IntegerSet, _shift_or, stabilizer,
-                                        sumset, sumset_int, sumset_int_naive,
+from sumset_forge.sumset_engine import (IntegerSet, _quotient_sumset,
+                                        _shift_or, stabilizer, sumset,
+                                        sumset_int, sumset_int_naive,
                                         sumset_naive)
 
 
@@ -106,6 +109,116 @@ def test_sumset_saturation_edge_cases(rng):
             assert sumset(a, b).bits == sumset_naive(a, b).bits, (d, density)
             c = ResidueSet.of(g, rng.sample(range(d), max(1, n // 3)))
             assert sumset(a, c).bits == sumset_naive(a, c).bits, (d, density)
+
+
+def in_coset(rng, d, step, size, rep=None, reach=None):
+    """size members of the coset rep + step Z/dZ (rep at random if None),
+    drawn from its first `reach` elements (all of them if None)."""
+    rep = rng.randrange(d) if rep is None else rep
+    picks = rng.sample(range(reach or d // step), size)
+    return ResidueSet.of(CyclicGroup(d), ((rep + step * k) % d for k in picks))
+
+
+def test_quotient_sumset_fires_and_matches_naive(rng):
+    """Coset-confined operands the cost rule sends to Z/(d/g)Z: the same
+    step on both sides, nested steps (common g = the smaller step), a whole
+    coset, fills whose quotient sum is all of Z/(d/g)Z, a sparse quotient
+    sum, and representatives at d - 1, where every sum wraps."""
+    d, big = 65536, 131072
+    cases = [
+        (d, 512, 512, 120, 110, None, None),        # fills past half: full
+        (d, 512, 512, 128, 128, None, None),        # whole cosets
+        (d, 512, 512, 120, 115, d - 1, d - 1),      # wraps
+        (big, 1024, 512, 120, 200, None, None),     # nested steps, g = 512
+        (big, 1024, 1024, 110, 110, big - 1, 3),
+        (big, 512, 512, 200, 180, None, None),
+    ]
+    for _ in range(6):
+        cases.append((d, 512, 512, rng.randint(108, 128),
+                      rng.randint(108, 128), None, None))
+    # 280 of the first 300 elements of each coset: a sum of 599 of 1024
+    cases += [(d, 64, 64, 280, 280, None, None, 300),
+              (d, 64, 64, 280, 280, d - 1, d - 64, 300)]
+    sparse = 0
+    for n, step_a, step_b, na, nb, rep_a, rep_b, *reach in cases:
+        a = in_coset(rng, n, step_a, na, rep_a, *reach)
+        b = in_coset(rng, n, step_b, nb, rep_b, *reach)
+        got = _quotient_sumset(a, b)
+        assert got is not None, (n, step_a, step_b, na, nb)
+        want = sumset_naive(a, b)
+        assert got.bits == sumset(a, b).bits == sumset(b, a).bits == want.bits
+        sparse += len(want) < n // min(step_a, step_b)
+    assert sparse == 2      # the others fill their coset
+
+
+def test_quotient_sumset_declines_unconfined_and_unprofitable(rng):
+    """None, and the plain result from sumset, for: random operands, a
+    confined pair plus one stray member that only the member pass sees
+    (g falls to 1, or to a g the rule refuses), operands too small for the
+    rule, and widths where it never pays."""
+    d = 65536
+    g = CyclicGroup(d)
+    random_pair = [ResidueSet.of(g, rng.sample(range(d), 300))
+                   for _ in range(2)]
+    a, b = in_coset(rng, d, 512, 120), in_coset(rng, d, 512, 120)
+    middle = sorted(a)[60]
+    strays = [ResidueSet(g, a.bits | 1 << (middle + off) % d)
+              for off in (1, 256)]
+    cases = [tuple(random_pair), (strays[0], b), (b, strays[1]),
+             (in_coset(rng, d, 512, 5), in_coset(rng, d, 512, 5)),
+             (in_coset(rng, 4096, 8, 300), in_coset(rng, 4096, 8, 300)),
+             (in_coset(rng, d, 512, 128), ResidueSet.of(g, [7]))]
+    for x, y in cases:
+        assert _quotient_sumset(x, y) is None
+        assert sumset(x, y).bits == sumset_naive(x, y).bits
+
+
+def forced_quotient():
+    """The cost rule with no price on the quotient's work, so every pair
+    of nonempty operands inside cosets of a proper subgroup takes it."""
+    return mock.patch.multiple(sumset_engine, QUOTIENT_PASSES=0,
+                               MEMBER_BITS=0)
+
+
+def test_quotient_sumset_exact_on_every_shape(rng):
+    """With the rule forced open, small d: a step per side (common g their
+    gcd with the offset between the cosets), singletons (g = d, Z/1Z),
+    whole cosets and random sets, each against the double loop."""
+    fired = 0
+    with forced_quotient():
+        for _ in range(600):
+            d = rng.randint(1, 90)
+            divisors = CyclicGroup(d).divisors()
+            ops = []
+            for _side in range(2):
+                step = rng.choice(divisors)
+                size = rng.choice([1, d // step, rng.randint(1, d // step)])
+                ops.append(in_coset(rng, d, step, size))
+            if rng.random() < 0.1:
+                ops[1] = random_residue_set(rng, d)
+            a, b = ops
+            got = _quotient_sumset(a, b)
+            fired += got is not None
+            assert sumset(a, b).bits == sumset_naive(a, b).bits, (a, b)
+            assert got is None or got.bits == sumset_naive(a, b).bits
+    assert fired > 300
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 96), st.data())
+def test_quotient_sumset_properties(d, data):
+    divisors = CyclicGroup(d).divisors()
+    ops = []
+    for _side in range(2):
+        step = data.draw(st.sampled_from(divisors))
+        rep = data.draw(st.integers(0, d - 1))
+        picks = data.draw(st.sets(st.integers(0, d // step - 1), min_size=1))
+        ops.append(ResidueSet.of(CyclicGroup(d),
+                                 ((rep + step * k) % d for k in picks)))
+    a, b = ops
+    with forced_quotient():
+        got = sumset(a, b)
+    assert set(got) == naive_mod_sumset(set(a), set(b), d)
 
 
 def test_sumset_int_examples():
