@@ -13,7 +13,7 @@ from math import gcd
 from typing import Any, Optional
 
 from .group_core import (ResidueSet, Subgroup, confining_subgroup,
-                         containing_coset)
+                         containing_coset, residues)
 from .sumset_engine import IntegerSet, stabilizer, sumset, sumset_int
 
 
@@ -32,7 +32,8 @@ class CheckOutcome:
 def kneser_decomposition(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
     """|A+B| = |A+H| + |B+H| - |H| with H = stabilizer(A+B), when |A+B| < |A|+|B|.
     X+H is the union of the cosets of H that X meets, so
-    |X+H| = |H| * |{x mod step : x in X}|."""
+    |X+H| = |H| * |{x mod step : x in X}|, counted from the bitmap of those
+    residues (`residues`) with no member pass."""
     name = "kneser"
     if not a or not b:
         raise ValueError("empty input set")
@@ -41,7 +42,8 @@ def kneser_decomposition(a: ResidueSet, b: ResidueSet) -> CheckOutcome:
         return CheckOutcome(name, applicable=False)
     h = stabilizer(s)
     step = h.step
-    cosets = len({x % step for x in a}) + len({x % step for x in b})
+    cosets = (residues(a.bits, step).bit_count()
+              + residues(b.bits, step).bit_count())
     return CheckOutcome(name, True, len(s) == h.order * (cosets - 1),
                         witness=h)
 

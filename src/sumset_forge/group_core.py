@@ -51,6 +51,66 @@ def lattice(n: int, step: int) -> int:
     return m & ((1 << n) - 1)
 
 
+def coset_step(bits: int, m0: int, d: int, g: int = 0) -> int:
+    """gcd(d, g, m - m0 over the members m of `bits`), m0 its least member,
+    with no member pass.  g starts as the gcd with the span (max - m0);
+    each round tests the members above m0 against the lattice of multiples
+    of g with one mask, and a stray member, one not on it, replaces g by
+    its gcd with the stray's offset.  g at least halves each round, so
+    there are at most log2(d) rounds."""
+    span = bits.bit_length() - 1 - m0
+    g = gcd(d, g, span)
+    t = bits >> m0
+    while g > 1:
+        stray = t & lattice(span + 1, g) ^ t
+        if not stray:
+            break
+        g = gcd(g, (stray & -stray).bit_length() - 1)
+    return g
+
+
+# `gather`'s tables: entry v of the table for bit offset o is b"1" when bit
+# o of the byte v is set, else b"0".
+_DIGITS = tuple(bytes(b"01"[v >> o & 1] for v in range(256)) for o in range(8))
+
+
+def gather(bits: int, g: int, n: int) -> int:
+    """Bits 0, g, ..., (n - 1)g of `bits`, packed into bits 0..n-1, from one
+    byte string rather than a member pass.  Bit kg is bit (kg mod 8) of byte
+    kg // 8, and kg mod 8 repeats with period P = 8 / gcd(g, 8), so each k
+    in one class mod P reads its byte at a fixed stride, lcm(g, 8) / 8, and
+    at one bit offset: one slice and one `bytes.translate` to binary digits
+    per class.  The classes are interleaved, highest k first, into the
+    digits of one `int(., 2)`."""
+    if n <= 0:
+        return 0
+    last = (n - 1) * g
+    raw = bits.to_bytes(max(last // 8 + 1, (bits.bit_length() + 7) // 8),
+                        "little")
+    period = 8 // gcd(g, 8)
+    stride = period * g // 8
+    digits = bytearray(n)
+    for j in range(min(period, n)):
+        count = (n - 1 - j) // period + 1
+        start = j * g // 8
+        digits[n - 1 - j::-period] = raw[
+            start:start + stride * count:stride].translate(_DIGITS[j * g % 8])
+    return int(digits, 2)
+
+
+def residues(bits: int, step: int) -> int:
+    """Bitmap of {m mod step} over the members m of `bits`.  Each round ORs
+    the bits above a cut onto those below it; the cut is a multiple of step
+    at or above half the width, so residues are kept and the width falls to
+    at most half plus step: the rounds cost O(width) together."""
+    width = bits.bit_length()
+    while width > step:
+        cut = step * -(-width // (2 * step))
+        bits = bits & (1 << cut) - 1 | bits >> cut
+        width = cut
+    return bits
+
+
 # Bitmaps wider than this are read as one binary string.  The low-bit loop
 # costs three full-width big-int operations per member; the string scan costs
 # one pass plus a `str.rfind` per member.  One full iteration at density
@@ -194,7 +254,7 @@ class Subgroup:
         return r % self.group.modulus % self.step == 0
 
     def element_set(self) -> ResidueSet:
-        return ResidueSet.of(self.group, range(0, self.group.modulus, self.step))
+        return ResidueSet(self.group, lattice(self.group.modulus, self.step))
 
 
 def subgroups(g: CyclicGroup) -> list[Subgroup]:
@@ -207,22 +267,26 @@ def coset_of(h: Subgroup, x: int) -> ResidueSet:
     d = h.group.modulus
     if not 0 <= x < d:
         raise ValueError(f"representative {x} outside [0, {d})")
-    return ResidueSet.of(h.group, ((x + k) % d for k in range(0, d, h.step)))
+    return ResidueSet(h.group, fold(lattice(d, h.step) << x, d))
 
 
 def confining_subgroup(s: ResidueSet) -> Subgroup:
     """The smallest subgroup H with the nonempty set s inside one coset of
     H.  s lies in a coset of H iff H contains s - s, so H has step
-    gcd(d, s - m0), and every subgroup confining s contains it."""
-    d, m0 = s.modulus, s.min()
-    return Subgroup(s.group, d // gcd(d, *(m - m0 for m in s)))
+    gcd(d, s - m0), and every subgroup confining s contains it.  The gcd
+    comes from mask tests (`coset_step`), not a member pass."""
+    d = s.modulus
+    return Subgroup(s.group, d // coset_step(s.bits, s.min(), d))
 
 
 def containing_coset(s: ResidueSet, h: Subgroup) -> Optional[int]:
     """Least representative x with s contained in x + H, or None if s meets
     two or more cosets of H.  With m0 = min s, s lies in m0 + H iff every
     m - m0 is a multiple of the step of H: one mask test of s shifted down
-    by m0 against the lattice of those multiples, with no member pass."""
+    by m0 against the lattice of those multiples, with no member pass.  The
+    test is t & lattice ^ t, the members off the lattice, as the complement
+    ~lattice would build a negative d-bit int."""
     s._require_same_group(h)
     m0, step = s.min(), h.step
-    return None if s.bits >> m0 & ~lattice(s.modulus, step) else m0 % step
+    t = s.bits >> m0
+    return None if t & lattice(s.modulus, step) ^ t else m0 % step

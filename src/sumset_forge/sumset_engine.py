@@ -10,10 +10,12 @@ with `Bitmap.__iter__`, linear in the width.
 Operands inside cosets of one subgroup, of step g = gcd(d, A - min A,
 B - min B) > 1, are added in the quotient: A + B = min A + min B + g(A' + B')
 with A' = (A - min A)/g and B' = (B - min B)/g in Z/(d/g)Z, so the shifts
-are d/g bits wide.  The result is the same bitmap.  A cost rule on |A|, |B|,
-d and d/g decides when the member passes this needs are worth it, and a
-g > 1 is ruled out from the spans and a few members at each end before any
-member pass.  The naive double loops are kept as oracles for tests.
+are d/g bits wide.  The result is the same bitmap.  g is found by mask
+tests against the lattice of its multiples (`coset_step`) and A' and B' are
+read out by byte-strided slices (`gather`), neither a member pass.  A cost
+rule on |A|, |B|, d and d/g decides when this is worth it, and a g > 1 is
+ruled out from the spans and a few members at each end first.  The naive
+double loops are kept as oracles for tests.
 """
 
 from __future__ import annotations
@@ -23,16 +25,17 @@ from itertools import islice
 from math import gcd
 from typing import Iterable, Optional
 
-from .group_core import (Bitmap, CyclicGroup, ResidueSet, Subgroup, fold,
-                         lattice, subgroups)
+from .group_core import (Bitmap, CyclicGroup, ResidueSet, Subgroup,
+                         coset_step, fold, gather, lattice, subgroups)
 
 # The cost rule for adding operands inside cosets of a subgroup of step g in
 # Z/qZ, q = d/g (`_quotient_pays`).  The plain path shifts d bits per member
 # of the smaller operand; the quotient shifts q bits, and adds work that is
 # priced in d-bit shifts (QUOTIENT_PASSES) and in bits shifted per member
-# (MEMBER_BITS): reading the operands' members and building the result are
-# O(d) passes over a binary string or a bytearray, and each member of A, B
-# and the result (at most q of them) costs a few Python operations.
+# (MEMBER_BITS): finding g and reading out the operands (`coset_step`,
+# `gather`) and building the result are O(d) passes over big ints, byte
+# strings or a bytearray, and each member of the result (at most q of them)
+# costs a few Python operations.
 # Measured on 648 coset-confined sums, 2 vCPU Xeon, CPython 3.11.7: the 16
 # pairs of two `coset_pairs_large_d` rounds, and 632 flatten sums of three
 # campaigns at d = 1024..16384.  In the quotient the pairs at d >= 55440 ran
@@ -43,9 +46,13 @@ from .group_core import (Bitmap, CyclicGroup, ResidueSet, Subgroup, fold,
 # 9553 and up on the faster pairs and 6892 and down on every other sum.
 # Scoring min(|A|, |B|) d against |A| + |B| alone cannot separate them:
 # flatten sums that ran 2x slower score above the pairs at d = 55440.
+# That measurement read the operands member by member, an O(d) binary
+# string plus a Python step per member of A and B, which `gather` does not
+# pay, so the rule now overprices the quotient.  The constants are kept as
+# measured, so that the same sums take the quotient; re-pricing them is open.
 QUOTIENT_PASSES = 64
 MEMBER_BITS = 8192
-# bits read at each end of an operand to reject g > 1 before a member pass
+# bits read at each end of an operand to reject g > 1 before the mask tests
 PROBE_BITS = 64
 
 
@@ -157,9 +164,11 @@ def _quotient_sumset(a: ResidueSet, b: ResidueSet) -> Optional[ResidueSet]:
     before the members are counted.  Rejection costs no member pass: g
     starts as the gcd of d with both spans (max - min), then the members
     near each end of each operand are probed, and the rule is asked again
-    at that g.  Only a g > 1 that survives pays one pass over the members,
-    larger operand first, which stops at g = 1 and keeps each m - min; the
-    rule is asked once more, as the pass may have made g smaller."""
+    at that g.  Only a g > 1 that survives is made exact by mask tests
+    (`coset_step`), and the rule is asked once more, as they may have made
+    g smaller.  A' and B' are bits 0, g, 2g, ... of each operand shifted
+    down by its minimum (`gather`).  A quotient sum that is not a whole
+    coset maps back member by member."""
     d = a.modulus
     if d <= 2 * MEMBER_BITS + 1:
         return None
@@ -171,22 +180,12 @@ def _quotient_sumset(a: ResidueSet, b: ResidueSet) -> Optional[ResidueSet]:
     g = _probe(b.bits, b0, _probe(a.bits, a0, g))
     if not _quotient_pays(na, nb, d, d // g):
         return None
-    passes = []
-    for s, m0 in ((a, a0), (b, b0)) if na >= nb else ((b, b0), (a, a0)):
-        offsets = []
-        for m in s:
-            m -= m0
-            if m % g:
-                g = gcd(g, m)
-                if g == 1:
-                    return None
-            offsets.append(m)
-        passes.append(offsets)
+    g = coset_step(b.bits, b0, d, coset_step(a.bits, a0, d, g))
     if not _quotient_pays(na, nb, d, d // g):
         return None
     q = CyclicGroup(d // g)
-    qa, qb = (ResidueSet.of(q, [m // g for m in offsets])
-              for offsets in passes)
+    qa, qb = (ResidueSet(q, gather(s.bits >> m0, g, q.modulus))
+              for s, m0 in ((a, a0), (b, b0)))
     total = ResidueSet(q, fold(_shift_or(qa, qb, q.modulus), q.modulus))
     r = a0 + b0
     if len(total) == q.modulus:
@@ -200,7 +199,7 @@ def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     Operands inside cosets of one subgroup of step g > 1 are added in
     Z/(d/g)Z instead and mapped back, the same bitmap, when the cost rule
     (`_quotient_pays`) says the d-bit shifts cost more than the quotient's
-    member passes (`_quotient_sumset`)."""
+    extra work (`_quotient_sumset`)."""
     a._require_same_group(b)
     quotient = _quotient_sumset(a, b)
     if quotient is not None:

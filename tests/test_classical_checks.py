@@ -1,13 +1,14 @@
 from itertools import product
 
 from conftest import random_residue_set
-from sumset_forge.classical_checks import (_coset_witness, check_lev_bound,
+from sumset_forge.classical_checks import (CheckOutcome, _coset_witness,
+                                           check_lev_bound,
                                            kneser_decomposition,
                                            lemma1_all_differences,
                                            prop1_single_coset,
                                            prop2_single_coset)
-from sumset_forge.group_core import (CyclicGroup, ResidueSet, containing_coset,
-                                     subgroups)
+from sumset_forge.group_core import (CyclicGroup, ResidueSet, Subgroup,
+                                     coset_of, containing_coset, subgroups)
 from sumset_forge.sumset_engine import IntegerSet, stabilizer, sumset
 
 
@@ -52,6 +53,48 @@ class TestKneser:
                     assert out.holds
                     assert out.witness == stabilizer(s)
         assert applicable > 0
+
+
+    def test_large_moduli_match_member_count(self, rng):
+        """d = 55440 and 720720: pairs inside one coset, A across two
+        cosets, intervals, and random pairs at density 0.05, against the
+        outcome with the cosets counted one member at a time."""
+        def member_count_oracle(a, b):
+            s = sumset(a, b)
+            if len(s) >= len(a) + len(b):
+                return CheckOutcome("kneser", applicable=False)
+            h = stabilizer(s)
+            cosets = (len({x % h.step for x in a})
+                      + len({x % h.step for x in b}))
+            return CheckOutcome("kneser", True,
+                                len(s) == h.order * (cosets - 1), witness=h)
+
+        def part(h, x, fill):
+            coset = coset_of(h, x).members()
+            return rng.sample(coset, round(fill * len(coset)))
+
+        applicable = 0
+        for d, order in ((55440, 504), (55440, 110), (720720, 180)):
+            g = CyclicGroup(d)
+            h = Subgroup(g, order)
+            x, y = rng.randrange(d), rng.randrange(d)
+            pairs = [
+                (part(h, x, 0.78), part(h, y, 0.72)),
+                (part(h, x, 0.78) + part(h, x + 1, 0.78), part(h, y, 0.72)),
+                (part(h, x, 0.3), part(h, y, 0.2)),
+            ]
+            # intervals: H is trivial, so every member is its own coset
+            pairs.append(([(x + k) % d for k in range(500)],
+                          [(y + k) % d for k in range(300)]))
+            pairs.append((rng.sample(range(d), d // 20),
+                          rng.sample(range(d), d // 20)))
+            for ma, mb in pairs:
+                a, b = ResidueSet.of(g, ma), ResidueSet.of(g, mb)
+                out = kneser_decomposition(a, b)
+                assert out == member_count_oracle(a, b), (d, order)
+                assert out.holds is not False
+                applicable += out.applicable
+        assert applicable == 9
 
 
 class TestProp1Prop2:

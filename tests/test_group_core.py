@@ -1,11 +1,15 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumset_forge.group_core import (BUILD_WIDTH, SCAN_WIDTH, Bitmap,
                                      CyclicGroup, ModulusMismatch, ResidueSet,
                                      Subgroup, confining_subgroup, coset_of,
-                                     containing_coset, lattice, subgroups)
+                                     coset_step, containing_coset, gather,
+                                     lattice, residues, subgroups)
 
 
 def low_bit_members(bits):
@@ -130,11 +134,138 @@ def test_lattice_is_the_multiples_of_step():
         assert lattice(n, step) == ((1 << n) - 1) // ((1 << step) - 1)
 
 
+def member_gcd_step(s):
+    """Oracle: the step of the smallest subgroup confining s, the gcd of d
+    with every m - min s, one member at a time."""
+    m0 = s.min()
+    return gcd(s.modulus, *(m - m0 for m in s))
+
+
 def member_gcd_coset_oracle(s, h):
     """The member-gcd answer: s lies in one coset of H iff the step of H
-    divides the step of the confining subgroup of s; the coset is then the
-    one of min s."""
-    return None if confining_subgroup(s).step % h.step else s.min() % h.step
+    divides the step of the smallest subgroup confining s; the coset is
+    then the one of min s."""
+    return None if member_gcd_step(s) % h.step else s.min() % h.step
+
+
+def confined_and_random_sets(rng, d, hs, per_subgroup_cap=None):
+    """Three random sets, then for each subgroup in hs a set inside one of
+    its cosets (at most per_subgroup_cap members when given)."""
+    g = CyclicGroup(d)
+    sets = [ResidueSet.of(g, rng.sample(range(d), rng.randint(1, min(d, 60))))
+            for _ in range(3)]
+    for k in hs:
+        coset = coset_of(k, rng.randrange(d)).members()
+        size = rng.randint(1, min(len(coset), per_subgroup_cap or len(coset)))
+        sets.append(ResidueSet.of(g, rng.sample(coset, size)))
+    return sets
+
+
+def test_confining_subgroup_matches_member_gcd(rng):
+    """Every d <= 60, against sets inside a coset of each subgroup and at
+    random; then d = 55440 and 65536, confined sets with and without one
+    stray member."""
+    for d in range(1, 61):
+        for s in confined_and_random_sets(rng, d, subgroups(CyclicGroup(d))):
+            assert confining_subgroup(s).step == member_gcd_step(s), s
+    for d in (55440, 65536):
+        g = CyclicGroup(d)
+        for s in confined_and_random_sets(rng, d, subgroups(g), 40):
+            stray = ResidueSet(g, s.bits | 1 << rng.randrange(d))
+            for t in (s, stray):
+                h = confining_subgroup(t)
+                assert h.step == member_gcd_step(t)
+                assert containing_coset(t, h) == t.min() % h.step
+
+
+def test_coset_step_matches_member_gcd(rng):
+    """Random and coset-confined bitmaps, with stray members at offsets
+    that force several rounds, and a starting g that only lowers the gcd."""
+    for _ in range(400):
+        d = rng.choice([rng.randint(1, 200), 720, 4096, 55440])
+        g = CyclicGroup(d)
+        step = rng.choice(g.divisors())
+        s = ResidueSet.of(g, coset_of(Subgroup(g, d // step),
+                                      rng.randrange(d)).members()[::2])
+        if rng.random() < 0.5:
+            s = ResidueSet(g, s.bits | 1 << rng.randrange(d))
+        m0 = s.min()
+        want = member_gcd_step(s)
+        assert coset_step(s.bits, m0, d) == want, (d, step)
+        start = rng.randint(0, 2 * d)
+        assert coset_step(s.bits, m0, d, start) == gcd(want, start)
+    # offsets 2^16 - 2^k for k >= j, 2^16 and 0: the lowest stray at
+    # g = 2^(k+1) is 2^16 - 2^k, so g halves once per round, 16 - j rounds
+    d = 1 << 17
+    for j in range(17):
+        top = 1 << 16
+        bits = 1 | 1 << top | sum(1 << top - (1 << k) for k in range(j, 16))
+        assert coset_step(bits, 0, d) == 1 << j
+    assert coset_step(1 << 5, 5, d) == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.data())
+def test_coset_step_properties(d, data):
+    members = data.draw(st.sets(st.integers(0, d - 1), min_size=1))
+    bits = Bitmap.bits_of(members, d)
+    m0 = min(members)
+    assert coset_step(bits, m0, d) == gcd(d, *(m - m0 for m in members))
+
+
+def gather_oracle(bits, g, n):
+    """Bits 0, g, ..., (n - 1)g, one at a time."""
+    return sum(((bits >> k * g) & 1) << k for k in range(n))
+
+
+def test_gather_matches_oracle(rng):
+    """g = 1, g below 8, g not a multiple of 8 (110, 4004) and multiples
+    of 8, with n g inside and past the bit length, n below the period."""
+    for g in (1, 2, 3, 5, 6, 7, 8, 12, 16, 24, 110, 512, 1024, 4004):
+        for width in (0, 1, 9, 64, 1000, 9000):
+            bits = rng.getrandbits(width) if width else 0
+            top = width // g + 1
+            for n in {0, 1, 2, 3, 7, 8, 9, top, top + 5, rng.randint(0, top)}:
+                want = gather_oracle(bits, g, n)
+                assert gather(bits, g, n) == want, (g, width, n)
+    for d, step in ((720720, 4004), (55440, 110), (524288, 1024)):
+        bits = rng.getrandbits(d)
+        n = d // step
+        assert gather(bits, step, n) == gather_oracle(bits, step, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2000), st.integers(1, 70), st.integers(0, 400),
+       st.randoms(use_true_random=False))
+def test_gather_properties(width, g, n, r):
+    bits = r.getrandbits(width) if width else 0
+    assert gather(bits, g, n) == gather_oracle(bits, g, n)
+
+
+def residues_oracle(bits, step):
+    return sum(1 << k for k in {m % step for m in low_bit_members(bits)})
+
+
+def test_residues_match_oracle(rng):
+    """Steps that divide the width and steps that do not, sparse and dense
+    bitmaps, and steps at or above the width."""
+    for width in (1, 7, 64, 100, 1000, 5040):
+        for step in {1, 2, 3, 7, 8, 63, 64, 65, 97, width, width + 3}:
+            for bits in (1 << width - 1, (1 << width) - 1,
+                         rng.getrandbits(width) | 1 << width - 1,
+                         rng.getrandbits(width) & rng.getrandbits(width)
+                         & rng.getrandbits(width)):
+                want = residues_oracle(bits, step)
+                assert residues(bits, step) == want, (width, step)
+    assert residues(0, 5) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 3000)), st.integers(1, 400))
+def test_residues_properties(members, step):
+    bits = sum(1 << m for m in members)
+    want = sum(1 << k for k in {m % step for m in members})
+    assert residues(bits, step) == want
 
 
 def test_containing_coset_matches_member_gcd_oracle(rng):

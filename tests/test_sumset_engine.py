@@ -153,7 +153,7 @@ def test_quotient_sumset_fires_and_matches_naive(rng):
 
 def test_quotient_sumset_declines_unconfined_and_unprofitable(rng):
     """None, and the plain result from sumset, for: random operands, a
-    confined pair plus one stray member that only the member pass sees
+    confined pair plus one stray member that only the mask tests see
     (g falls to 1, or to a g the rule refuses), operands too small for the
     rule, and widths where it never pays."""
     d = 65536
