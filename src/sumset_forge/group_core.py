@@ -7,6 +7,7 @@ operation entry.  Everything here is immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -37,7 +38,17 @@ def fold(bits: int, d: int) -> int:
     return (bits | bits >> d) & ((1 << d) - 1)
 
 
-def lattice(n: int, step: int) -> int:
+# lattices kept by `lattice`; one coset pair needs one to three (n, step)
+# keys.  The benchmark's widest, n = 720720, is 88 KiB.  Lattices wider
+# than LATTICE_CACHE_WIDTH (the input cap on d) are built every time, so
+# the cache holds at most 32 x 2 MiB: `flatten_sumset` asks for lattices up
+# to 4 max a + 2 times wider than d, for its slot starts and the sums of
+# its packed operands.
+LATTICE_CACHE_SIZE = 32
+LATTICE_CACHE_WIDTH = 1 << 24
+
+
+def build_lattice(n: int, step: int) -> int:
     """Bitmap of the multiples of step below n.  Each round ORs the bitmap
     onto itself shifted by the width it covers, doubling the multiples set,
     so it takes log2(n/step) shifts.  Dividing 2^n - 1 by 2^step - 1 gives
@@ -51,18 +62,32 @@ def lattice(n: int, step: int) -> int:
     return m & ((1 << n) - 1)
 
 
+kept_lattices = lru_cache(maxsize=LATTICE_CACHE_SIZE)(build_lattice)
+
+
+def lattice(n: int, step: int) -> int:
+    """`build_lattice(n, step)`.  The last LATTICE_CACHE_SIZE results up to
+    LATTICE_CACHE_WIDTH bits are kept (`kept_lattices`), so the quotient
+    sums, their map back, `coset_step`, `containing_coset` and
+    `verify_witness` build each (d, step) once between them."""
+    if n > LATTICE_CACHE_WIDTH:
+        return build_lattice(n, step)
+    return kept_lattices(n, step)
+
+
 def coset_step(bits: int, m0: int, d: int, g: int = 0) -> int:
     """gcd(d, g, m - m0 over the members m of `bits`), m0 its least member,
     with no member pass.  g starts as the gcd with the span (max - m0);
     each round tests the members above m0 against the lattice of multiples
     of g with one mask, and a stray member, one not on it, replaces g by
     its gcd with the stray's offset.  g at least halves each round, so
-    there are at most log2(d) rounds."""
+    there are at most log2(d) rounds.  The mask is the lattice of g below
+    d, which the other users of the subgroup of step g share."""
     span = bits.bit_length() - 1 - m0
     g = gcd(d, g, span)
     t = bits >> m0
     while g > 1:
-        stray = t & lattice(span + 1, g) ^ t
+        stray = t & lattice(d, g) ^ t
         if not stray:
             break
         g = gcd(g, (stray & -stray).bit_length() - 1)
@@ -182,21 +207,38 @@ class Bitmap:
         return tuple(self)
 
     def min(self) -> int:
-        """The least member, from the lowest set bit: of the low 64 bits
-        when one is set there, which costs no operation as wide as the
-        bitmap."""
-        bits = self.bits & 0xFFFFFFFFFFFFFFFF or self.bits
+        """The least member m, the lowest set bit of a low window that starts
+        64 bits wide and doubles until it holds a member: the windows cost
+        O(m) together, not the bitmap's width."""
+        bits = self.bits
         if not bits:
             raise ValueError("empty set has no minimum")
-        return (bits & -bits).bit_length() - 1
+        low, width = bits & 0xFFFFFFFFFFFFFFFF, 64
+        while not low:
+            width <<= 1
+            low = bits & (1 << width) - 1
+        return (low & -low).bit_length() - 1
 
     def __bool__(self) -> bool:
         return self.bits != 0
 
 
+# ResidueSets wider than this keep their size once counted.  A memo hit
+# costs about 170 ns and a first count about 120 ns more than a bare count,
+# which takes 120 ns at 64-256 bits, 250 at 2048, 380 at 4096 and 590 at
+# 8192 (2 vCPU Xeon, CPython 3.11.7): from 2048 bits the memo pays on a set
+# counted three times, from 4096 on one counted twice.  The campaigns' sets
+# (d <= 120) never reach it.
+MEMO_WIDTH = 2048
+
+
 @dataclass(frozen=True)
 class ResidueSet(Bitmap):
-    """A subset of Z/dZ, stored as a membership bitmap (python int)."""
+    """A subset of Z/dZ, stored as a membership bitmap (python int).  Its
+    size and confining step are computed on first use and kept in the
+    instance __dict__, outside the compared fields, so equality, hashing
+    and repr see only the group and the bits.  A pickle carries the memo
+    too; it holds for the same bits."""
 
     group: CyclicGroup
     bits: int
@@ -205,9 +247,43 @@ class ResidueSet(Bitmap):
         if self.bits < 0 or self.bits >> self.group.modulus:
             raise ValueError("bitmap has bits outside [0, d)")
 
+    def __len__(self) -> int:
+        """|S|, counted once and kept in the instance __dict__ above
+        MEMO_WIDTH; narrower bitmaps count faster than a lookup."""
+        if self.group.modulus <= MEMO_WIDTH:
+            return self.bits.bit_count()
+        memo = self.__dict__
+        n = memo.get("_size")
+        if n is None:
+            n = memo["_size"] = self.bits.bit_count()
+        return n
+
+    @property
+    def confining_step(self) -> int:
+        """gcd(d, m - min S over the members m): the step of the smallest
+        subgroup with S inside one of its cosets (`coset_step`), decided
+        once and kept in the instance __dict__.  S must be nonempty."""
+        memo = self.__dict__
+        g = memo.get("_step")
+        if g is None:
+            g = memo["_step"] = coset_step(self.bits, self.min(),
+                                           self.group.modulus)
+        return g
+
     @classmethod
     def of(cls, group: CyclicGroup, members: Iterable[int]) -> "ResidueSet":
         return cls(group, cls.bits_of(members, group.modulus))
+
+    @classmethod
+    def known(cls, group: CyclicGroup, bits: int, size: int,
+              step: Optional[int] = None) -> "ResidueSet":
+        """A set whose builder already knows its size and, if given, its
+        confining step; both go straight into the memo."""
+        s = cls(group, bits)
+        s.__dict__["_size"] = size
+        if step is not None:
+            s.__dict__["_step"] = step
+        return s
 
     @classmethod
     def full(cls, group: CyclicGroup) -> "ResidueSet":
@@ -274,9 +350,9 @@ def confining_subgroup(s: ResidueSet) -> Subgroup:
     """The smallest subgroup H with the nonempty set s inside one coset of
     H.  s lies in a coset of H iff H contains s - s, so H has step
     gcd(d, s - m0), and every subgroup confining s contains it.  The gcd
-    comes from mask tests (`coset_step`), not a member pass."""
-    d = s.modulus
-    return Subgroup(s.group, d // coset_step(s.bits, s.min(), d))
+    comes from mask tests (`coset_step`), not a member pass, once per set
+    (`ResidueSet.confining_step`)."""
+    return Subgroup(s.group, s.modulus // s.confining_step)
 
 
 def containing_coset(s: ResidueSet, h: Subgroup) -> Optional[int]:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from . import layered as ls
 from .classical_checks import CheckOutcome
-from .group_core import CyclicGroup
+from .group_core import Bitmap, CyclicGroup, ResidueSet, fold
 from .hall_bounds import (BoundViolation, abc_parameters, is_unsaturated,
                           lemma2_certificate, prop5_bound)
 from .layered import (ConclusionFailed, LayeredSet, LayeredSetError,
@@ -119,14 +119,19 @@ def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
         for a in offsets:
             # sample draws by index, so indices j give the members a sample
             # of the coset list [(a*x + j*step) % d for j < h] would give
-            layers.append({(a * x + j * step) % d for j in
-                           rng.sample(range(h), rng.randint(lo, h))})
+            ax = a * x
+            layers.append(Bitmap.bits_of(
+                ((ax + j * step) % d
+                 for j in rng.sample(range(h), rng.randint(lo, h))), d))
         if p.epsilon and rng.random() < p.epsilon:
             i = rng.randrange(s)
-            layers[i].add(rng.randrange(d))
-        b0 = rng.choice(sorted(layers[0]))
-        layers = [{(m - b0) % d for m in b} for b in layers]
-        return LayeredSet.of(d, list(zip(offsets, layers)))
+            layers[i] |= 1 << rng.randrange(d)
+        group = CyclicGroup(d)
+        # members() ascends, as sorted() of the member set did
+        b0 = rng.choice(ResidueSet(group, layers[0]).members())
+        return LayeredSet(group, tuple(
+            (a, ResidueSet(group, fold(bits << d - b0, d)))
+            for a, bits in zip(offsets, layers)))
 
 
 def canonical_instances() -> list[tuple[str, LayeredSet]]:

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .classical_checks import CheckOutcome
 from .group_core import (CyclicGroup, ResidueSet, Subgroup, containing_coset,
-                         fold, lattice)
+                         coset_step, fold, lattice)
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
                           is_unsaturated, lemma2_copies, r_parameter,
                           translated_family)
@@ -315,13 +315,19 @@ def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
     gives a_j*b_i - a_i*b_j = a_j*a_i*x0 - a_i*a_j*x0 = 0, and conversely
     a_j*x0 = sum c_i*a_j*b_i = sum c_i*a_i*b_j = b_j.  So the step of H is
     one gcd of d, each m - b_i and each b_i - a_i*x0.  B_i then lies in
-    b_i + H, and AffineAssignment reduces b_i mod the step."""
+    b_i + H, and AffineAssignment reduces b_i mod the step.  The b_i terms
+    come first; each layer's m - b_i then lower q by mask tests
+    (`coset_step`), with no member pass, until q = 1."""
     p = L.profile
+    d = L.d
     firsts = tuple(b.min() for _, b in L.layers)
     x0 = sum(c * b for c, b in zip(p.bezout, firsts))
-    q = gcd(L.d, *(m - bi for (_, b), bi in zip(L.layers, firsts) for m in b),
-            *(bi - a * x0 for a, bi in zip(L.offsets(), firsts)))
-    h = Subgroup(L.group, L.d // q)
+    q = gcd(d, *(bi - a * x0 for a, bi in zip(L.offsets(), firsts)))
+    for (_, b), bi in zip(L.layers, firsts):
+        if q == 1:
+            break
+        q = coset_step(b.bits, bi, d, q)
+    h = Subgroup(L.group, d // q)
     xy = solve_affine(AffineAssignment(p.offset_set, firsts, q), p.bezout)
     return None if xy is None else (h, *xy)
 

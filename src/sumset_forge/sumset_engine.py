@@ -25,8 +25,8 @@ from itertools import islice
 from math import gcd
 from typing import Iterable, Optional
 
-from .group_core import (Bitmap, CyclicGroup, ResidueSet, Subgroup,
-                         coset_step, fold, gather, lattice, subgroups)
+from .group_core import (Bitmap, CyclicGroup, ResidueSet, Subgroup, fold,
+                         gather, lattice, subgroups)
 
 # The cost rule for adding operands inside cosets of a subgroup of step g in
 # Z/qZ, q = d/g (`_quotient_pays`).  The plain path shifts d bits per member
@@ -164,11 +164,14 @@ def _quotient_sumset(a: ResidueSet, b: ResidueSet) -> Optional[ResidueSet]:
     before the members are counted.  Rejection costs no member pass: g
     starts as the gcd of d with both spans (max - min), then the members
     near each end of each operand are probed, and the rule is asked again
-    at that g.  Only a g > 1 that survives is made exact by mask tests
-    (`coset_step`), and the rule is asked once more, as they may have made
-    g smaller.  A' and B' are bits 0, g, 2g, ... of each operand shifted
-    down by its minimum (`gather`).  A quotient sum that is not a whole
-    coset maps back member by member."""
+    at that g.  Only a g > 1 that survives is made exact, from each
+    operand's confining step (`ResidueSet.confining_step`, found by mask
+    tests once per operand), and the rule is asked once more, as that may
+    have made g smaller.  A' and B' are bits 0, g, 2g, ... of each operand
+    shifted down by its minimum (`gather`).  A quotient sum that is not a
+    whole coset maps back member by member.  The sum's size, and for a
+    whole coset its confining step g, are known here and go into its
+    memo."""
     d = a.modulus
     if d <= 2 * MEMBER_BITS + 1:
         return None
@@ -180,7 +183,7 @@ def _quotient_sumset(a: ResidueSet, b: ResidueSet) -> Optional[ResidueSet]:
     g = _probe(b.bits, b0, _probe(a.bits, a0, g))
     if not _quotient_pays(na, nb, d, d // g):
         return None
-    g = coset_step(b.bits, b0, d, coset_step(a.bits, a0, d, g))
+    g = gcd(g, a.confining_step, b.confining_step)
     if not _quotient_pays(na, nb, d, d // g):
         return None
     q = CyclicGroup(d // g)
@@ -188,9 +191,11 @@ def _quotient_sumset(a: ResidueSet, b: ResidueSet) -> Optional[ResidueSet]:
               for s, m0 in ((a, a0), (b, b0)))
     total = ResidueSet(q, fold(_shift_or(qa, qb, q.modulus), q.modulus))
     r = a0 + b0
-    if len(total) == q.modulus:
-        return ResidueSet(a.group, lattice(d, g) << r % g)
-    return ResidueSet.of(a.group, [(r + g * k) % d for k in total])
+    n = len(total)
+    if n == q.modulus:
+        return ResidueSet.known(a.group, lattice(d, g) << r % g, n, g)
+    return ResidueSet.known(
+        a.group, Bitmap.bits_of([(r + g * k) % d for k in total], d), n)
 
 
 def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:

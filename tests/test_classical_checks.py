@@ -8,7 +8,8 @@ from sumset_forge.classical_checks import (CheckOutcome, _coset_witness,
                                            prop1_single_coset,
                                            prop2_single_coset)
 from sumset_forge.group_core import (CyclicGroup, ResidueSet, Subgroup,
-                                     coset_of, containing_coset, subgroups)
+                                     coset_of, coset_step, containing_coset,
+                                     kept_lattices, subgroups)
 from sumset_forge.sumset_engine import IntegerSet, stabilizer, sumset
 
 
@@ -181,3 +182,49 @@ class TestLevBound:
         assert not check_lev_bound(iset([1, 2]), iset([1])).applicable
         assert not check_lev_bound(iset([0, 2, 4]), iset([0, 2])).applicable
         assert not check_lev_bound(iset([0, 1]), IntegerSet.of(4, [0, 3])).applicable
+
+
+def test_memo_warm_and_fresh_operands_give_the_same_outcomes(rng):
+    """d = 55440, 524288 and 720720, on coset pairs that take the quotient
+    sum (balanced and unbalanced fills), a pair with one stray member and a
+    sparse random pair: every check gives the same outcome on operands
+    whose size and confining step are already memoised as on fresh copies
+    with an empty lattice cache, and a sum's memoised facts are the ones
+    counted from its bits."""
+    def outcomes(a, b):
+        s = sumset(a, b)
+        facts = (len(s), s.confining_step)
+        assert facts == (s.bits.bit_count(), coset_step(s.bits, s.min(),
+                                                        s.modulus))
+        return [s, facts, stabilizer(s), kneser_decomposition(a, b),
+                prop1_single_coset(a, b), prop2_single_coset(a, b)]
+
+    def part(h, x, fill):
+        coset = coset_of(h, x).members()
+        return rng.sample(coset, round(fill * len(coset)))
+
+    applicable = set()
+    for d, order in ((55440, 504), (524288, 512), (720720, 180)):
+        g = CyclicGroup(d)
+        h = Subgroup(g, order)
+        x, y = rng.randrange(d), rng.randrange(d)
+        # whether the sum reads the operands' confining steps: the random
+        # pair is rejected by the probe first; the stray may or may not be
+        pairs = [(part(h, x, 0.78), part(h, y, 0.72), True),
+                 (part(h, x, 0.78), part(h, y, 0.53), True),
+                 (part(h, x, 0.78) + [rng.randrange(d)], part(h, y, 0.72),
+                  None),
+                 (rng.sample(range(d), 300), rng.sample(range(d), 200),
+                  False)]
+        for ma, mb, steps in pairs:
+            a, b = ResidueSet.of(g, ma), ResidueSet.of(g, mb)
+            a, b = (a, b) if len(a) >= len(b) else (b, a)
+            outcomes(a, b)
+            assert steps in (None, "_step" in a.__dict__)
+            warm = outcomes(a, b)
+            kept_lattices.cache_clear()
+            fresh = outcomes(ResidueSet(g, a.bits), ResidueSet(g, b.bits))
+            assert warm == fresh, (d, order)
+            applicable.update(o.name for o in warm[3:] if o.applicable)
+    assert applicable == {"kneser", "prop1_single_coset",
+                          "prop2_single_coset"}

@@ -1,3 +1,4 @@
+import pickle
 import random
 from math import gcd
 
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumset_forge.group_core import (BUILD_WIDTH, SCAN_WIDTH, Bitmap,
-                                     CyclicGroup, ModulusMismatch, ResidueSet,
-                                     Subgroup, confining_subgroup, coset_of,
-                                     coset_step, containing_coset, gather,
-                                     lattice, residues, subgroups)
+from sumset_forge.group_core import (BUILD_WIDTH, LATTICE_CACHE_SIZE,
+                                     LATTICE_CACHE_WIDTH, MEMO_WIDTH,
+                                     SCAN_WIDTH, Bitmap, CyclicGroup,
+                                     ModulusMismatch, ResidueSet, Subgroup,
+                                     build_lattice, confining_subgroup,
+                                     coset_of, coset_step, containing_coset,
+                                     gather, kept_lattices, lattice, residues,
+                                     subgroups)
 
 
 def low_bit_members(bits):
@@ -132,6 +136,24 @@ def test_lattice_is_the_multiples_of_step():
     for n, step in ((720720, 4004), (524288, 1024), (11520, 240),
                     (65535, 3), (55440, 110)):
         assert lattice(n, step) == ((1 << n) - 1) // ((1 << step) - 1)
+
+
+def test_lattice_cache_is_bounded_and_matches_the_build():
+    """The cache keeps the last LATTICE_CACHE_SIZE keys, and none wider
+    than LATTICE_CACHE_WIDTH."""
+    kept_lattices.cache_clear()
+    keys = [(n, step) for n in (1, 7, 64, 120, 4096, 55440)
+            for step in (1, 2, 3, 5, 8, 12, 110, 4096) if step <= n]
+    keys += [(720720, 4004), (524288, 1024)]
+    assert len(keys) > LATTICE_CACHE_SIZE
+    for n, step in keys + keys[::-1]:
+        assert lattice(n, step) == build_lattice(n, step), (n, step)
+    info = kept_lattices.cache_info()
+    assert info.maxsize == LATTICE_CACHE_SIZE
+    assert info.currsize == LATTICE_CACHE_SIZE and info.hits > 0
+    for n in (LATTICE_CACHE_WIDTH, LATTICE_CACHE_WIDTH + 5):
+        assert lattice(n, 1 << 20) == build_lattice(n, 1 << 20)
+    assert kept_lattices.cache_info().misses == info.misses + 1
 
 
 def member_gcd_step(s):
@@ -386,3 +408,71 @@ def test_min_is_the_lowest_member():
             assert s.min() == next(iter(s)) == min(s.members())
         with pytest.raises(ValueError, match="no minimum"):
             ResidueSet(g, 0).min()
+
+
+def least_bit(bits):
+    """Oracle: the lowest set bit, from the whole-width negation."""
+    return (bits & -bits).bit_length() - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 63, 64, 65, 4095, 4096, -1]), st.data())
+def test_min_windows_up_to_the_least_member(least, data):
+    """Least members on both sides of the 64-bit first window and of later
+    doublings, and at d - 1; any bits above it."""
+    d = data.draw(st.integers(max(least + 1, 1), 9000))
+    least = d - 1 if least < 0 else least
+    above = data.draw(st.integers(0, (1 << d - least - 1) - 1))
+    bits = (above << 1 | 1) << least
+    s = ResidueSet(CyclicGroup(d), bits)
+    assert s.min() == least == least_bit(bits)
+
+
+def memo_cases(rng):
+    """Sets at widths on both sides of 64, SCAN_WIDTH and MEMO_WIDTH, and
+    at 720720: random, inside a coset, singletons and whole cosets."""
+    for d in (63, 64, 65, SCAN_WIDTH, SCAN_WIDTH + 1, MEMO_WIDTH,
+              MEMO_WIDTH + 1, 720720):
+        g = CyclicGroup(d)
+        yield ResidueSet.of(g, rng.sample(range(d), min(d, 40)))
+        yield ResidueSet(g, 1 << rng.randrange(d))
+        proper = [h for h in g.divisors() if 1 < h < d]
+        for order in proper[:1] + proper[-1:]:
+            coset = coset_of(Subgroup(g, order), rng.randrange(d))
+            yield coset
+            yield ResidueSet.of(g, rng.sample(coset.members(),
+                                              min(order // 2 + 1, 200)))
+
+
+def test_memoised_facts_match_oracles_and_leave_the_set_alone(rng):
+    """`len` and `confining_step` against the bit count and the member gcd,
+    twice (the second from the memo where there is one); a set with warm
+    memos is equal to a fresh copy, with the same hash and repr, and its
+    pickle (how worker processes get sets) loads to an equal set with the
+    same facts."""
+    seen = set()
+    for s in memo_cases(rng):
+        fresh = ResidueSet(s.group, s.bits)
+        for _ in range(2):
+            assert len(s) == s.bits.bit_count()
+            assert s.confining_step == member_gcd_step(s)
+        seen.add(("_size" in s.__dict__, s.modulus > MEMO_WIDTH))
+        assert s == fresh and hash(s) == hash(fresh)
+        assert repr(s) == repr(fresh)
+        again = pickle.loads(pickle.dumps(s))
+        assert again == s and hash(again) == hash(s)
+        assert (len(again), again.confining_step) == (len(s),
+                                                      s.confining_step)
+        assert confining_subgroup(s) == confining_subgroup(fresh)
+    assert seen == {(False, False), (True, True)}
+
+
+def test_known_facts_are_the_computed_ones(rng):
+    g = CyclicGroup(55440)
+    for order in (1, 2, 504, 55440):
+        h = Subgroup(g, order)
+        coset = coset_of(h, rng.randrange(55440))
+        known = ResidueSet.known(g, coset.bits, order, h.step)
+        assert known == coset
+        assert (len(known), known.confining_step) == (
+            len(coset), coset.confining_step) == (order, h.step)

@@ -5,13 +5,14 @@ import json
 import time
 from collections import Counter
 from itertools import combinations
-from math import comb
+from math import ceil, comb, gcd
 
 import pytest
 
 import sumset_forge.layered as layered
 from sumset_forge.classical_checks import CheckOutcome
 from sumset_forge.cli import main
+from sumset_forge.group_core import CyclicGroup
 from sumset_forge.hall_bounds import HallViolator
 from sumset_forge.harness import (MAX_WIDTH, CapExceeded, Finding, GenParams,
                                   REPORT_VERSION, THREADS_ENV, Tally,
@@ -67,7 +68,47 @@ class TestInstanceIO:
             load_instance(str(path))
 
 
+def generate_instance_sets(p, rng):
+    """Oracle: the generator as it was, layers built as sets of members with
+    the same rng draws, then `LayeredSet.of`."""
+    while True:
+        d = rng.choice(p.d_values)
+        h = rng.choice(CyclicGroup(d).divisors())
+        s = rng.randint(p.s_min, p.s_max)
+        top = s - 1 + max(0, rng.choice(range(-3, p.max_a_slack + 1)))
+        offsets = sorted(rng.sample(range(1, top), s - 2)) if s > 2 else []
+        offsets = [0] + offsets + [top]
+        if gcd(*offsets) != 1:
+            continue
+        step = d // h
+        x = rng.randrange(d)
+        lo = max(1, ceil(p.density * h))
+        layers = [{(a * x + j * step) % d for j in
+                   rng.sample(range(h), rng.randint(lo, h))} for a in offsets]
+        if p.epsilon and rng.random() < p.epsilon:
+            layers[rng.randrange(s)].add(rng.randrange(d))
+        b0 = rng.choice(sorted(layers[0]))
+        layers = [{(m - b0) % d for m in b} for b in layers]
+        return LayeredSet.of(d, list(zip(offsets, layers)))
+
+
 class TestGenerator:
+    def test_bitmap_layers_match_set_oracle(self):
+        """The same instances, and the same draws after them, as the
+        set-based generator: default, large-s, off-coset (density 0,
+        epsilon 0.3) and large-d parameters."""
+        large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
+                          max_a_slack=8)
+        for seed, (p, count) in enumerate((
+                (GenParams(), 2000), (large, 300),
+                (GenParams(density=0, epsilon=0.3), 2000),
+                (GenParams(d_values=(8192, 16384), epsilon=0.5), 10))):
+            for i in range(count):
+                rng, want_rng = _rng_for(seed, i), _rng_for(seed, i)
+                assert (generate_instance(p, rng)
+                        == generate_instance_sets(p, want_rng)), (p, i)
+                assert rng.random() == want_rng.random()
+
     def test_deterministic_per_index(self):
         p = GenParams()
         a = generate_instance(p, _rng_for(9, 4))

@@ -24,7 +24,8 @@ from sumset_forge.layered import (DENSE_SPAN, INEQ7_EQUALITY, INEQ7_STRICT,
                                   is_coset_saturated,
                                   offset_profile, prop6_lower_bound, tau,
                                   uvw_partition, verify_witness)
-from sumset_forge.rectify import AffineAssignment, solve_affine_bruteforce
+from sumset_forge.rectify import (AffineAssignment, solve_affine,
+                                  solve_affine_bruteforce)
 from sumset_forge.sumset_engine import IntegerSet, sumset, sumset_naive
 
 
@@ -160,6 +161,18 @@ def scan_placement(L):
         if xy is not None:
             return (h.order, *xy)
     return None
+
+
+def member_gcd_placement(L):
+    """Oracle: `coset_placement` with its step as one gcd over every member
+    of every layer, as it was before the mask tests."""
+    p = L.profile
+    firsts = tuple(b.min() for _, b in L.layers)
+    x0 = sum(c * b for c, b in zip(p.bezout, firsts))
+    q = gcd(L.d, *(m - bi for (_, b), bi in zip(L.layers, firsts) for m in b),
+            *(bi - a * x0 for a, bi in zip(L.offsets(), firsts)))
+    xy = solve_affine(AffineAssignment(p.offset_set, firsts, q), p.bezout)
+    return None if xy is None else (Subgroup(L.group, L.d // q), *xy)
 
 
 class TestValidation:
@@ -444,6 +457,21 @@ class TestFindStructure:
             assert (h.order, x, y) == scan_placement(L), L
             orders.add(h.order == L.d)
         assert len(instances) >= 10_000 and orders == {True, False}
+
+    def test_placement_matches_member_gcd(self, rng):
+        """The mask-test chain gives the member gcd's (H, x, y), also with
+        layers off their coset (epsilon) and at large s."""
+        large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
+                          max_a_slack=8, epsilon=0.2)
+        instances = [L for _, L in canonical_instances()]
+        for seed, (p, count) in enumerate(((GenParams(), 2000),
+                                           (GenParams(epsilon=0.3), 1000),
+                                           (large, 150))):
+            instances += [generate_instance(p, _rng_for(50 + seed, i))
+                          for i in range(count)]
+        instances += [sparse_instance(rng) for _ in range(1000)]
+        for L in instances:
+            assert coset_placement(L) == member_gcd_placement(L), L
 
     def test_witness_reverifies_randomized(self, rng):
         for _ in range(400):
