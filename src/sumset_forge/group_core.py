@@ -42,8 +42,8 @@ def fold(bits: int, d: int) -> int:
 # keys.  The benchmark's widest, n = 720720, is 88 KiB.  Lattices wider
 # than LATTICE_CACHE_WIDTH (the input cap on d) are built every time, so
 # the cache holds at most 32 x 2 MiB: `flatten_sumset` asks for lattices up
-# to 4 max a + 2 times wider than d, for its slot starts and the sums of
-# its packed operands.
+# to 4 max a + 2 times wider than d, for its slot starts alone, as its
+# packed sums never wrap and so are never whole cosets.
 LATTICE_CACHE_SIZE = 32
 LATTICE_CACHE_WIDTH = 1 << 24
 
@@ -67,8 +67,8 @@ kept_lattices = lru_cache(maxsize=LATTICE_CACHE_SIZE)(build_lattice)
 
 def lattice(n: int, step: int) -> int:
     """`build_lattice(n, step)`.  The last LATTICE_CACHE_SIZE results up to
-    LATTICE_CACHE_WIDTH bits are kept (`kept_lattices`), so the quotient
-    sums, their map back, `coset_step`, `containing_coset` and
+    LATTICE_CACHE_WIDTH bits are kept (`kept_lattices`), so the
+    whole-coset sums, `coset_step`, `containing_coset` and
     `verify_witness` build each (d, step) once between them."""
     if n > LATTICE_CACHE_WIDTH:
         return build_lattice(n, step)

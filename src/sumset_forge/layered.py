@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .classical_checks import CheckOutcome
 from .group_core import (CyclicGroup, ResidueSet, Subgroup, containing_coset,
-                         coset_step, fold, lattice)
+                         coset_step, fold, gather, lattice)
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
                           is_unsaturated, lemma2_copies, r_parameter,
                           translated_family)
@@ -38,6 +38,16 @@ PROFILE_MEMO_SIZE = 1024
 # `flatten_sumset` places layers at their offsets while max a < DENSE_SPAN * s
 # and by index otherwise, so none of its bitmaps scales with a wide span
 DENSE_SPAN = 2
+
+# `LayeredSet.flat` adds the layers in Z/|H|Z, H their smallest coset
+# subgroup, from this d on.  Below it, placing the layers and reading them
+# out costs more than the d - |H| bits it saves per shift.  Checking the
+# 300 instances of `campaign --count 300 --seed 1 --d w` on fresh copies,
+# the quotient took 1.15-1.18x the plain time at w = 288 and 360, 0.96-1.08x
+# at 480, 0.96x at 540, 0.90x at 600 and 0.63-0.86x from 720 to 4096
+# (medians of 7-9 alternating runs, 2 vCPU Xeon, CPython 3.11.7;
+# BENCH_21.json, extra.quotient_width)
+QUOTIENT_WIDTH = 512
 
 
 def tau(s: int) -> Optional[Fraction]:
@@ -98,9 +108,21 @@ class LayeredSet:
         return self.layers[-1][0]
 
     @cached_property
+    def placement(self) -> Optional[tuple[Subgroup, int, int]]:
+        """`coset_placement`, found once and shared by `find_structure` and
+        the flatten."""
+        return coset_placement(self)
+
+    @cached_property
     def flat(self) -> "LayeredSumset":
         """B~ + B~, computed on first use and shared by every check.  The
-        cache lives in the instance __dict__, outside the compared fields."""
+        cache lives in the instance __dict__, outside the compared fields.
+        From d = QUOTIENT_WIDTH on, when the layers' coset subgroup H is
+        proper, it is the flatten of `coset_quotient`, the same sizes with
+        shifts |H| bits wide instead of d."""
+        found = self.placement if self.d >= QUOTIENT_WIDTH else None
+        if found is not None and found[0].order < self.d:
+            return flatten_sumset(coset_quotient(self, *found))
         return flatten_sumset(self)
 
     @cached_property
@@ -332,6 +354,22 @@ def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
     return None if xy is None else (h, *xy)
 
 
+def coset_quotient(L: LayeredSet, h: Subgroup, x: int, y: int) -> LayeredSet:
+    """The layered set (Z/|H|Z, B_i'') with B_i'' = {(m - c_i)/step : m in
+    B_i}, c_i = a_i*x + y, given B_i inside c_i + H (`coset_placement`).
+    Each B_i is rotated by -c_i into H and its multiples of the step are
+    packed down (`gather`).  B_i + B_j = (a_i + a_j)x + 2y + step(B_i'' +
+    B_j''), and u -> c + step*u is injective on Z/|H|Z, so every pair of
+    row k moves by the same (a_i + a_j)x + 2y = kx + 2y: the rows and the
+    pair sums keep their sizes, and `flatten_sumset` of the quotient
+    equals `flatten_sumset(L)`.  0 stays in the first layer: c_1 = y,
+    which the placement takes as min B_1 = 0 reduced mod the step."""
+    q = CyclicGroup(h.order)
+    return LayeredSet(q, tuple(
+        (a, ResidueSet(q, gather(b.shift(-(a * x + y)).bits, h.step, h.order)))
+        for a, b in L.layers))
+
+
 def find_structure(L: LayeredSet
                    ) -> Union[StructureWitness, NotApplicable, ConclusionFailed]:
     """The structural witness, the smallest subgroup H such that every B_i
@@ -342,7 +380,7 @@ def find_structure(L: LayeredSet
         return NotApplicable(f"no doubling threshold for s={L.s}" if t is None
                              else f"doubling {L.ratio} >= {t}", L.ratio)
 
-    found = coset_placement(L)
+    found = L.placement
     if found is None:
         return ConclusionFailed("coset-structure",
                                 "affine solve found no (x, y) for H")

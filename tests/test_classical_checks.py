@@ -185,8 +185,8 @@ class TestLevBound:
 
 
 def test_memo_warm_and_fresh_operands_give_the_same_outcomes(rng):
-    """d = 55440, 524288 and 720720, on coset pairs that take the quotient
-    sum (balanced and unbalanced fills), a pair with one stray member and a
+    """d = 55440, 524288 and 720720, on coset pairs whose sum is a whole
+    coset (balanced and unbalanced fills), a pair with one stray member and a
     sparse random pair: every check gives the same outcome on operands
     whose size and confining step are already memoised as on fresh copies
     with an empty lattice cache, and a sum's memoised facts are the ones
@@ -209,7 +209,7 @@ def test_memo_warm_and_fresh_operands_give_the_same_outcomes(rng):
         h = Subgroup(g, order)
         x, y = rng.randrange(d), rng.randrange(d)
         # whether the sum reads the operands' confining steps: the random
-        # pair is rejected by the probe first; the stray may or may not be
+        # pair fails the span bound first; the stray may or may not
         pairs = [(part(h, x, 0.78), part(h, y, 0.72), True),
                  (part(h, x, 0.78), part(h, y, 0.53), True),
                  (part(h, x, 0.78) + [rng.randrange(d)], part(h, y, 0.72),

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -20,6 +21,7 @@ from sumset_forge.layered import (DENSE_SPAN, INEQ7_EQUALITY, INEQ7_STRICT,
                                   StructureWitness, _prop6_copies,
                                   check_ineq7, check_lemma5, check_prop7,
                                   corollary1_check, coset_placement,
+                                  coset_quotient,
                                   find_structure, flatten_sumset,
                                   is_coset_saturated,
                                   offset_profile, prop6_lower_bound, tau,
@@ -289,6 +291,40 @@ class TestFlatten:
             assert max(moduli) <= DENSE_SPAN * L.s * 2 * L.d
             assert peak < 100_000
             assert flat == pairwise_flatten(L)
+
+    def test_coset_quotient_flatten_matches_plain(self, monkeypatch):
+        """With QUOTIENT_WIDTH at 0, every instance whose coset subgroup H
+        is proper flattens in Z/|H|Z, and its total and matched pair sizes
+        equal the plain flatten's: default, large-s and off-coset
+        instances (epsilon, where H is often all of Z/dZ), and trivial H
+        (layers a*x + y alone), which flattens in Z/1Z."""
+        monkeypatch.setattr("sumset_forge.layered.QUOTIENT_WIDTH", 0)
+        large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
+                          max_a_slack=8)
+        off = GenParams(density=0.0, epsilon=0.3)
+        instances = ([L for _, L in canonical_instances()]
+                     + [generate_instance(GenParams(), _rng_for(34, i))
+                        for i in range(300)]
+                     + [generate_instance(large, _rng_for(35, i))
+                        for i in range(40)]
+                     + [generate_instance(off, _rng_for(36, i))
+                        for i in range(300)])
+        kinds = Counter()
+        for L in instances:
+            found = L.placement
+            assert found is L.placement and found == coset_placement(L)
+            h, x, y = found
+            plain = flatten_sumset(L)
+            assert L.flat == plain
+            if h.order < L.d:
+                q = coset_quotient(L, h, x, y)
+                assert q.d == h.order and q.offsets() == L.offsets()
+                assert [len(b) for _, b in q.layers] == [
+                    len(b) for _, b in L.layers]
+                assert flatten_sumset(q) == plain
+            kinds["full" if h.order == L.d else
+                  "trivial" if h.order == 1 else "proper"] += 1
+        assert min(kinds["full"], kinds["trivial"], kinds["proper"]) >= 20
 
     def test_sizes_are_unhashable(self):
         """`pair_sizes` is a list, so `LayeredSumset` states that it has no

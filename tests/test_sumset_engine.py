@@ -1,18 +1,16 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_int_sumset, naive_mod_sumset, random_residue_set
-from sumset_forge import sumset_engine
 from sumset_forge.group_core import (SCAN_WIDTH, Bitmap, CyclicGroup,
                                      ModulusMismatch, ResidueSet, Subgroup,
-                                     coset_of, fold, subgroups)
-from sumset_forge.sumset_engine import (IntegerSet, _quotient_sumset,
-                                        _shift_or, stabilizer, sumset,
-                                        sumset_int, sumset_int_naive,
+                                     coset_of, coset_step, fold, lattice,
+                                     subgroups)
+from sumset_forge.sumset_engine import (IntegerSet, _shift_or, stabilizer,
+                                        sumset, sumset_int, sumset_int_naive,
                                         sumset_naive)
 
 
@@ -111,51 +109,66 @@ def test_sumset_saturation_edge_cases(rng):
             assert sumset(a, c).bits == sumset_naive(a, c).bits, (d, density)
 
 
-def in_coset(rng, d, step, size, rep=None, reach=None):
-    """size members of the coset rep + step Z/dZ (rep at random if None),
-    drawn from its first `reach` elements (all of them if None)."""
+def in_coset(rng, d, step, size, rep=None):
+    """size members of the coset rep + step Z/dZ (rep at random if None)."""
     rep = rng.randrange(d) if rep is None else rep
-    picks = rng.sample(range(reach or d // step), size)
+    picks = rng.sample(range(d // step), size)
     return ResidueSet.of(CyclicGroup(d), ((rep + step * k) % d for k in picks))
 
 
-def test_quotient_sumset_fires_and_matches_naive(rng):
-    """Coset-confined operands the cost rule sends to Z/(d/g)Z: the same
-    step on both sides, nested steps (common g = the smaller step), a whole
-    coset, fills whose quotient sum is all of Z/(d/g)Z, a sparse quotient
-    sum, and representatives at d - 1, where every sum wraps."""
-    d, big = 65536, 131072
-    cases = [
-        (d, 512, 512, 120, 110, None, None),        # fills past half: full
-        (d, 512, 512, 128, 128, None, None),        # whole cosets
-        (d, 512, 512, 120, 115, d - 1, d - 1),      # wraps
-        (big, 1024, 512, 120, 200, None, None),     # nested steps, g = 512
-        (big, 1024, 1024, 110, 110, big - 1, 3),
-        (big, 512, 512, 200, 180, None, None),
-    ]
-    for _ in range(6):
-        cases.append((d, 512, 512, rng.randint(108, 128),
-                      rng.randint(108, 128), None, None))
-    # 280 of the first 300 elements of each coset: a sum of 599 of 1024
-    cases += [(d, 64, 64, 280, 280, None, None, 300),
-              (d, 64, 64, 280, 280, d - 1, d - 64, 300)]
-    sparse = 0
-    for n, step_a, step_b, na, nb, rep_a, rep_b, *reach in cases:
-        a = in_coset(rng, n, step_a, na, rep_a, *reach)
-        b = in_coset(rng, n, step_b, nb, rep_b, *reach)
-        got = _quotient_sumset(a, b)
-        assert got is not None, (n, step_a, step_b, na, nb)
-        want = sumset_naive(a, b)
-        assert got.bits == sumset(a, b).bits == sumset(b, a).bits == want.bits
-        sparse += len(want) < n // min(step_a, step_b)
-    assert sparse == 2      # the others fill their coset
+def whole_coset(s):
+    """Whether `sumset` returned s in closed form, which alone memoises the
+    confining step with the bits, and its facts against a fresh count."""
+    fired = "_step" in s.__dict__
+    if fired:
+        assert (len(s), s.confining_step) == (
+            s.bits.bit_count(), coset_step(s.bits, s.min(), s.modulus))
+    return fired
 
 
-def test_quotient_sumset_declines_unconfined_and_unprofitable(rng):
-    """None, and the plain result from sumset, for: random operands, a
-    confined pair plus one stray member that only the mask tests see
-    (g falls to 1, or to a g the rule refuses), operands too small for the
-    rule, and widths where it never pays."""
+def test_whole_coset_sum_matches_naive(rng):
+    """Operands in cosets of steps step_a and step_b | step_a, each step
+    exact, so A + B lies in a coset of step g = step_b and size q = d/g.
+    At |A| + |B| = q + 1 the sum is a whole coset in closed form when it
+    wraps past d; at q, or with no wrap, it goes through the shifts.  All
+    against the double loop, at d on both sides of 16385 (the least width
+    the old quotient sum took), with representatives at d - 1."""
+    fired = 0
+    for d, step_a, step_b in ((4096, 64, 64), (8192, 128, 64),
+                              (65536, 512, 512), (131072, 1024, 512)):
+        grp = CyclicGroup(d)
+        q = d // step_b
+        for extra in (0, 1):
+            for rep_a, rep_b in ((d - 1, d - 1), (d - 1, 3), (0, 0)):
+                na = rng.randint(2, min(d // step_a, q + extra - 2))
+                sizes = ((rep_a, step_a, na), (rep_b, step_b, q + extra - na))
+                # picks 0 and 1 make each step exact
+                a, b = (ResidueSet.of(grp, (
+                    (rep + step * k) % d
+                    for k in [0, 1] + rng.sample(range(2, d // step), n - 2)))
+                    for rep, step, n in sizes)
+                got = sumset(a, b)
+                assert got.bits == sumset(b, a).bits
+                assert got.bits == sumset_naive(a, b).bits, (d, extra)
+                wraps = a.bits.bit_length() + b.bits.bit_length() > d
+                assert whole_coset(got) == (extra == 1 and wraps), (d, extra)
+                fired += whole_coset(got)
+        # the first members of the subgroup: a whole subgroup that never
+        # wraps, so the shifts make it
+        a = ResidueSet.of(grp, range(0, step_b * (q // 2), step_b))
+        b = ResidueSet.of(grp, range(0, step_b * (q - q // 2 + 1), step_b))
+        got = sumset(a, b)
+        assert got.bits == lattice(d, step_b) and not whole_coset(got)
+        empty = ResidueSet(grp, 0)
+        assert sumset(a, empty).bits == sumset(empty, a).bits == 0
+    assert fired >= 8
+
+
+def test_whole_coset_sum_declines_unconfined(rng):
+    """The shifts, and the double loop's result, for: random operands, a
+    confined pair plus one stray member that only the mask tests see (g
+    falls to 1, or to a g whose coset is too large), and operands too
+    small to fill their coset."""
     d = 65536
     g = CyclicGroup(d)
     random_pair = [ResidueSet.of(g, rng.sample(range(d), 300))
@@ -165,48 +178,40 @@ def test_quotient_sumset_declines_unconfined_and_unprofitable(rng):
     strays = [ResidueSet(g, a.bits | 1 << (middle + off) % d)
               for off in (1, 256)]
     cases = [tuple(random_pair), (strays[0], b), (b, strays[1]),
-             (in_coset(rng, d, 512, 5), in_coset(rng, d, 512, 5)),
-             (in_coset(rng, 4096, 8, 300), in_coset(rng, 4096, 8, 300)),
-             (in_coset(rng, d, 512, 128), ResidueSet.of(g, [7]))]
+             (in_coset(rng, d, 512, 5, d - 1), in_coset(rng, d, 512, 5, 7))]
     for x, y in cases:
-        assert _quotient_sumset(x, y) is None
-        assert sumset(x, y).bits == sumset_naive(x, y).bits
+        got = sumset(x, y)
+        assert not whole_coset(got)
+        assert got.bits == sumset_naive(x, y).bits
+    wraps = a.bits.bit_length() + b.bits.bit_length() > d
+    assert whole_coset(sumset(a, b)) == wraps
 
 
-def forced_quotient():
-    """The cost rule with no price on the quotient's work, so every pair
-    of nonempty operands inside cosets of a proper subgroup takes it."""
-    return mock.patch.multiple(sumset_engine, QUOTIENT_PASSES=0,
-                               MEMBER_BITS=0)
-
-
-def test_quotient_sumset_exact_on_every_shape(rng):
-    """With the rule forced open, small d: a step per side (common g their
-    gcd with the offset between the cosets), singletons (g = d, Z/1Z),
-    whole cosets and random sets, each against the double loop."""
+def test_sumset_exact_on_every_coset_shape(rng):
+    """Small d: a step per side (common g their gcd with the offset between
+    the cosets), singletons (g = d, Z/1Z), whole cosets and random sets,
+    each against the double loop, and the whole-coset facts recounted."""
     fired = 0
-    with forced_quotient():
-        for _ in range(600):
-            d = rng.randint(1, 90)
-            divisors = CyclicGroup(d).divisors()
-            ops = []
-            for _side in range(2):
-                step = rng.choice(divisors)
-                size = rng.choice([1, d // step, rng.randint(1, d // step)])
-                ops.append(in_coset(rng, d, step, size))
-            if rng.random() < 0.1:
-                ops[1] = random_residue_set(rng, d)
-            a, b = ops
-            got = _quotient_sumset(a, b)
-            fired += got is not None
-            assert sumset(a, b).bits == sumset_naive(a, b).bits, (a, b)
-            assert got is None or got.bits == sumset_naive(a, b).bits
-    assert fired > 300
+    for _ in range(600):
+        d = rng.randint(1, 90)
+        divisors = CyclicGroup(d).divisors()
+        ops = []
+        for _side in range(2):
+            step = rng.choice(divisors)
+            size = rng.choice([1, d // step, rng.randint(1, d // step)])
+            ops.append(in_coset(rng, d, step, size))
+        if rng.random() < 0.1:
+            ops[1] = random_residue_set(rng, d)
+        a, b = ops
+        got = sumset(a, b)
+        assert got.bits == sumset_naive(a, b).bits, (a, b)
+        fired += whole_coset(got)
+    assert fired > 150
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 96), st.data())
-def test_quotient_sumset_properties(d, data):
+def test_coset_sum_properties(d, data):
     divisors = CyclicGroup(d).divisors()
     ops = []
     for _side in range(2):
@@ -216,9 +221,9 @@ def test_quotient_sumset_properties(d, data):
         ops.append(ResidueSet.of(CyclicGroup(d),
                                  ((rep + step * k) % d for k in picks)))
     a, b = ops
-    with forced_quotient():
-        got = sumset(a, b)
+    got = sumset(a, b)
     assert set(got) == naive_mod_sumset(set(a), set(b), d)
+    whole_coset(got)
 
 
 def test_sumset_int_examples():
