@@ -17,12 +17,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from math import ceil, gcd
+from math import ceil, gcd, log
 from typing import Callable, Iterable, Optional
 
 from . import layered as ls
 from .classical_checks import CheckOutcome
-from .group_core import Bitmap, CyclicGroup, ResidueSet, fold
+from .group_core import Bitmap, CyclicGroup, ResidueSet, fold, lattice
 from .hall_bounds import (BoundViolation, abc_parameters, is_unsaturated,
                           lemma2_certificate, prop5_bound)
 from .layered import (ConclusionFailed, LayeredSet, LayeredSetError,
@@ -97,10 +97,38 @@ class GenParams:
     epsilon: float = 0.0        # chance to push one element out of its coset
 
 
+def sample_coset(rng: random.Random, d: int, step: int, k: int) -> int:
+    """Bitmap of {j*step : j in rng.sample(range(d // step), k)}, from the
+    same `getrandbits` calls.  Where `random.sample` keeps a pool list (its
+    `setsize` test), its loop is inlined: draw j below n = h, h-1, ...,
+    h-k+1 by rejection on n.bit_length() bits, then move pool[n-1] into
+    slot j.  Afterwards pool[:h-k] holds the undrawn indices, so the sample
+    is the lattice of the step less those h-k members: no `randbelow` call
+    and no result list per draw.  Elsewhere `random.sample` itself draws."""
+    h = d // step
+    if not 0 <= k <= h:
+        raise ValueError(f"sample of {k} from a coset of {h}")
+    if h > 21 and (k <= 5 or h > 21 + 4 ** ceil(log(k * 3, 4))):
+        return Bitmap.bits_of(map(step.__mul__, rng.sample(range(h), k)), d)
+    getrandbits = rng.getrandbits
+    pool = list(range(h))
+    for n in range(h, h - k, -1):
+        width = n.bit_length()
+        j = getrandbits(width)
+        while j >= n:
+            j = getrandbits(width)
+        pool[j] = pool[n - 1]
+    del pool[h - k:]
+    return lattice(d, step) ^ Bitmap.bits_of(map(step.__mul__, pool), d)
+
+
 def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
     """One structured instance: pick d, a subgroup order h | d, an offset set
     with gcd 1, a slope x, fill each layer inside its prescribed coset, then
-    translate so 0 lands in the first layer."""
+    translate so 0 lands in the first layer.  The layer samples' draws are
+    fixed here (`sample_coset`), not by the running Python's
+    `random.sample`; the tests check that they equal its draws on every
+    Python the CI matrix runs (3.10 to 3.13)."""
     while True:
         d = rng.choice(p.d_values)
         divs = CyclicGroup(d).divisors()
@@ -117,12 +145,10 @@ def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
         lo = max(1, ceil(p.density * h))
         layers = []
         for a in offsets:
-            # sample draws by index, so indices j give the members a sample
-            # of the coset list [(a*x + j*step) % d for j < h] would give
-            ax = a * x
-            layers.append(Bitmap.bits_of(
-                ((ax + j * step) % d
-                 for j in rng.sample(range(h), rng.randint(lo, h))), d))
+            # the members a sample of the coset list [(a*x + j*step) % d for
+            # j < h] would give: the sampled multiples of step, rotated by a*x
+            k = rng.randint(lo, h)
+            layers.append(fold(sample_coset(rng, d, step, k) << a * x % d, d))
         if p.epsilon and rng.random() < p.epsilon:
             i = rng.randrange(s)
             layers[i] |= 1 << rng.randrange(d)

@@ -126,9 +126,16 @@ class LayeredSet:
         return flatten_sumset(self)
 
     @cached_property
+    def sizes(self) -> list[int]:
+        """|B_i| for each layer, counted once.  A list, not a tuple, for
+        the RSS reason in `LayeredSumset`'s docstring; readers must not
+        change it."""
+        return [len(b) for _, b in self.layers]
+
+    @cached_property
     def size(self) -> int:
         """|B~|, summed once."""
-        return sum(len(b) for _, b in self.layers)
+        return sum(self.sizes)
 
     @cached_property
     def ratio(self) -> Fraction:
@@ -313,7 +320,7 @@ def prop6_lower_bound(L: LayeredSet) -> int:
 def corollary1_check(L: LayeredSet) -> bool:
     """|B~+B~| - |B~| >= (s-2)|B_1| + |B_2| + ... + |B_R| with the layer
     sizes taken in descending order; R comes from the offsets as given."""
-    sizes = sorted((len(b) for _, b in L.layers), reverse=True)
+    sizes = sorted(L.sizes, reverse=True)
     rhs = (L.s - 2) * sizes[0] + sum(sizes[1:L.profile.r])
     return L.flat.total - L.size >= rhs
 
@@ -390,7 +397,7 @@ def find_structure(L: LayeredSet
         return ConclusionFailed(
             "max-offset-bound", f"max a_i = {L.max_offset()} >= 1.5*{L.s}")
 
-    sizes = [len(b) for _, b in L.layers]
+    sizes = L.sizes
     j = max(range(L.s), key=lambda i: (sizes[i], -i))
     if 3 * sizes[j] < 2 * h.order:
         return ConclusionFailed(
@@ -419,15 +426,15 @@ def verify_witness(L: LayeredSet, w: StructureWitness) -> bool:
     for a, b in L.layers:
         if b.bits & ~(multiples << (a * w.x + w.y) % step):
             return False
-    return 3 * len(L.layers[w.j][1]) >= 2 * h.order
+    return 3 * L.sizes[w.j] >= 2 * h.order
 
 
 def uvw_partition(L: LayeredSet, h: Subgroup) -> tuple[int, int, int]:
     """Counts (u, v, w) of layers split by size against |H|: U at >= 2/3,
     W below 1/3, V between."""
     u = w = 0
-    for _, b in L.layers:
-        n3 = 3 * len(b)
+    for n in L.sizes:
+        n3 = 3 * n
         if n3 >= 2 * h.order:
             u += 1
         elif n3 < h.order:
@@ -463,5 +470,5 @@ def check_ineq7(L: LayeredSet, h: Subgroup) -> str:
 def is_coset_saturated(L: LayeredSet, h: Subgroup) -> bool:
     """Every layer is a full coset of H (the known extremal shape for
     equality in the (max a_i)|H| comparison)."""
-    return all(len(b) == h.order and containing_coset(b, h) is not None
-               for _, b in L.layers)
+    return all(n == h.order and containing_coset(b, h) is not None
+               for n, (_, b) in zip(L.sizes, L.layers))

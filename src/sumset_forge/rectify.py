@@ -90,7 +90,9 @@ def solve_affine_bruteforce(assign: AffineAssignment) -> Optional[tuple[int, int
 def bezout(aset: IntegerSet) -> tuple[int, ...]:
     """Coefficients c with sum c_i a_i = 1 over an a-set holding 0 whose
     nonzero members have gcd 1 (the singleton {0} gets (0,)), by extended
-    Euclid folded over the members."""
+    Euclid folded over the members.  Each step scales the coefficients so
+    far by u0; once the gcd is 1, u0 is 1, so they are rescaled only while
+    it is not, and a step costs O(1) from there on rather than O(s)."""
     if 0 not in aset:
         raise ValueError("a-set must contain 0")
     g, coeffs = 0, []
@@ -102,7 +104,10 @@ def bezout(aset: IntegerSet) -> tuple[int, ...]:
             a, b = b, a - t * b
             u0, u1 = u1, u0 - t * u1
             v0, v1 = v1, v0 - t * v1
-        g, coeffs = a, [c * u0 for c in coeffs] + [v0]
+        if u0 != 1:
+            coeffs = [c * u0 for c in coeffs]
+        g = a
+        coeffs.append(v0)
     if g > 1:
         raise ValueError(f"gcd of nonzero a_i is {g}, expected 1")
     return tuple(coeffs)

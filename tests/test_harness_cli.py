@@ -12,7 +12,7 @@ import pytest
 import sumset_forge.layered as layered
 from sumset_forge.classical_checks import CheckOutcome
 from sumset_forge.cli import main
-from sumset_forge.group_core import CyclicGroup
+from sumset_forge.group_core import Bitmap, CyclicGroup
 from sumset_forge.hall_bounds import HallViolator
 from sumset_forge.harness import (MAX_WIDTH, CapExceeded, Finding, GenParams,
                                   REPORT_VERSION, THREADS_ENV, Tally,
@@ -20,7 +20,7 @@ from sumset_forge.harness import (MAX_WIDTH, CapExceeded, Finding, GenParams,
                                   canonical_instances, generate_instance,
                                   instance_from_doc, instance_to_json,
                                   load_instance, require_exhaustive_domain,
-                                  verify_instance, _rng_for)
+                                  sample_coset, verify_instance, _rng_for)
 from sumset_forge.layered import LayeredSet, LayeredSetError, offset_profile
 
 
@@ -96,18 +96,48 @@ class TestGenerator:
     def test_bitmap_layers_match_set_oracle(self):
         """The same instances, and the same draws after them, as the
         set-based generator: default, large-s, off-coset (density 0,
-        epsilon 0.3) and large-d parameters."""
+        epsilon 0.3), large-d and s = 100..200 parameters."""
         large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
                           max_a_slack=8)
+        hundreds = dataclasses.replace(large, s_min=100, s_max=200,
+                                       max_a_slack=3)
         for seed, (p, count) in enumerate((
                 (GenParams(), 2000), (large, 300),
                 (GenParams(density=0, epsilon=0.3), 2000),
-                (GenParams(d_values=(8192, 16384), epsilon=0.5), 10))):
+                (GenParams(d_values=(8192, 16384), epsilon=0.5), 10),
+                (hundreds, 30))):
             for i in range(count):
                 rng, want_rng = _rng_for(seed, i), _rng_for(seed, i)
                 assert (generate_instance(p, rng)
                         == generate_instance_sets(p, want_rng)), (p, i)
                 assert rng.random() == want_rng.random()
+
+    def test_sample_coset_matches_random_sample(self):
+        """`sample_coset` gives the multiples of the step that
+        `random.sample(range(h), k)` draws, and leaves the rng in the same
+        state, over a grid of (h, k): k <= 5 and k > 5, h = 1, and h on
+        both sides of the size where `random.sample` stops keeping a pool
+        list and tracks a set instead (21 for k <= 5, 85 for k = 6..21,
+        277 for k = 22..85).  The two branches draw different sequences,
+        so a wrong boundary shows as a different state."""
+        grid = [(1, 0), (1, 1)]
+        for ks, hs in (((1, 3, 5), (20, 21, 22, 40)),
+                       ((6, 21), (21, 84, 85, 86, 200)),
+                       ((22, 85), (85, 276, 277, 278, 400))):
+            grid += [(h, k) for k in ks for h in (k,) + hs if k <= h]
+        for h, k in grid:
+            for step in (1, 3):
+                for seed in range(20):
+                    rng, want_rng = _rng_for(seed, h), _rng_for(seed, h)
+                    want = Bitmap.bits_of(
+                        (j * step for j in want_rng.sample(range(h), k)),
+                        h * step)
+                    assert sample_coset(rng, h * step, step, k) == want, \
+                        (h, k, step, seed)
+                    assert rng.getstate() == want_rng.getstate()
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="sample of"):
+                sample_coset(_rng_for(0, 0), 9, 3, k)
 
     def test_deterministic_per_index(self):
         p = GenParams()

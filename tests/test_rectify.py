@@ -91,6 +91,35 @@ class TestSolveAffine:
             assert len(c) == len(members)
             assert sum(ci * m for ci, m in zip(c, members)) == (len(a) > 1)
 
+    def test_matches_full_rescale_fold(self, rng):
+        """The same coefficients as the fold that rescales every earlier
+        coefficient at every member, on a-sets of up to 200 members."""
+
+        def full_rescale(members):
+            g, coeffs = 0, []
+            for m in members:
+                a, b, u0, u1, v0, v1 = g, m, 1, 0, 0, 1
+                while b:
+                    t = a // b
+                    a, b = b, a - t * b
+                    u0, u1 = u1, u0 - t * u1
+                    v0, v1 = v1, v0 - t * v1
+                g, coeffs = a, [c * u0 for c in coeffs] + [v0]
+            return g, tuple(coeffs)
+
+        for _ in range(400):
+            n = rng.choice((1, 2, 3, 5, 8, 40, 120, 200))
+            scale = rng.choice((1, 1, 2, 6))
+            members = [0] + sorted(rng.sample(range(1, 3 * n + 3), n - 1))
+            members = [scale * m for m in members]
+            a = IntegerSet.from_members(members)
+            g, want = full_rescale(members)
+            if g > 1:
+                with pytest.raises(ValueError, match="gcd of nonzero"):
+                    bezout(a)
+            else:
+                assert bezout(a) == want
+
     def test_refuses_coefficients_of_another_aset(self):
         """Coefficients that do not give sum c_i a_i = 1 on this a-set are
         refused, never read as "no solution"."""
