@@ -7,7 +7,7 @@ operation entry.  Everything here is immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -67,9 +67,9 @@ kept_lattices = lru_cache(maxsize=LATTICE_CACHE_SIZE)(build_lattice)
 
 def lattice(n: int, step: int) -> int:
     """`build_lattice(n, step)`.  The last LATTICE_CACHE_SIZE results up to
-    LATTICE_CACHE_WIDTH bits are kept (`kept_lattices`), so the
-    whole-coset sums, `coset_step`, `containing_coset` and
-    `verify_witness` build each (d, step) once between them."""
+    LATTICE_CACHE_WIDTH bits are kept (`kept_lattices`), so `coset_of`,
+    `coset_step`, `sample_coset` and `verify_witness` build each (d, step)
+    once between them."""
     if n > LATTICE_CACHE_WIDTH:
         return build_lattice(n, step)
     return kept_lattices(n, step)
@@ -223,22 +223,23 @@ class Bitmap:
         return self.bits != 0
 
 
-# ResidueSets wider than this keep their size once counted.  A memo hit
-# costs about 170 ns and a first count about 120 ns more than a bare count,
-# which takes 120 ns at 64-256 bits, 250 at 2048, 380 at 4096 and 590 at
-# 8192 (2 vCPU Xeon, CPython 3.11.7): from 2048 bits the memo pays on a set
-# counted three times, from 4096 on one counted twice.  The campaigns' sets
-# (d <= 120) never reach it.
+# ResidueSets wider than this keep their `size` once counted.  A memo hit costs
+# about 40 ns, a first count 550-700 ns more than a bare count (CPython 3.11's
+# `cached_property` locks on a miss), which takes 90-160 ns up to 2048 bits,
+# 240-280 at 4096, 460 at 8192 and 3.1-3.4 us at 65536 (2 vCPU Xeon, CPython
+# 3.11.7): the memo pays on a set counted 4 times at 4096 bits, 3 at 8192, 2 at
+# 65536.  Campaign sets (d <= 120) never reach it.
 MEMO_WIDTH = 2048
 
 
 @dataclass(frozen=True)
 class ResidueSet(Bitmap):
     """A subset of Z/dZ, stored as a membership bitmap (python int).  Its
-    size and confining step are computed on first use and kept in the
-    instance __dict__, outside the compared fields, so equality, hashing
-    and repr see only the group and the bits.  A pickle carries the memo
-    too; it holds for the same bits."""
+    `size` and `confining_step` are `cached_property`s: computed on first
+    use and kept in the instance __dict__, outside the compared fields, so
+    equality, hashing and repr see only the group and the bits.  A pickle
+    carries the memo too; it holds for the same bits.  `coset_of` builds a
+    whole coset with both facts already in the memo."""
 
     group: CyclicGroup
     bits: int
@@ -248,46 +249,27 @@ class ResidueSet(Bitmap):
             raise ValueError("bitmap has bits outside [0, d)")
 
     def __len__(self) -> int:
-        """|S|, counted once and kept in the instance __dict__ above
-        MEMO_WIDTH; narrower bitmaps count faster than a lookup."""
+        """|S|: the memoised `size` above MEMO_WIDTH; narrower bitmaps
+        count faster than a lookup."""
         if self.group.modulus <= MEMO_WIDTH:
             return self.bits.bit_count()
-        memo = self.__dict__
-        n = memo.get("_size")
-        if n is None:
-            n = memo["_size"] = self.bits.bit_count()
-        return n
+        return self.size
 
-    @property
+    @cached_property
+    def size(self) -> int:
+        """|S|, counted once."""
+        return self.bits.bit_count()
+
+    @cached_property
     def confining_step(self) -> int:
         """gcd(d, m - min S over the members m): the step of the smallest
         subgroup with S inside one of its cosets (`coset_step`), decided
-        once and kept in the instance __dict__.  S must be nonempty."""
-        memo = self.__dict__
-        g = memo.get("_step")
-        if g is None:
-            g = memo["_step"] = coset_step(self.bits, self.min(),
-                                           self.group.modulus)
-        return g
+        once.  S must be nonempty."""
+        return coset_step(self.bits, self.min(), self.group.modulus)
 
     @classmethod
     def of(cls, group: CyclicGroup, members: Iterable[int]) -> "ResidueSet":
         return cls(group, cls.bits_of(members, group.modulus))
-
-    @classmethod
-    def known(cls, group: CyclicGroup, bits: int, size: int,
-              step: Optional[int] = None) -> "ResidueSet":
-        """A set whose builder already knows its size and, if given, its
-        confining step; both go straight into the memo."""
-        s = cls(group, bits)
-        s.__dict__["_size"] = size
-        if step is not None:
-            s.__dict__["_step"] = step
-        return s
-
-    @classmethod
-    def full(cls, group: CyclicGroup) -> "ResidueSet":
-        return cls(group, (1 << group.modulus) - 1)
 
     @property
     def modulus(self) -> int:
@@ -329,9 +311,6 @@ class Subgroup:
     def __contains__(self, r: int) -> bool:
         return r % self.group.modulus % self.step == 0
 
-    def element_set(self) -> ResidueSet:
-        return ResidueSet(self.group, lattice(self.group.modulus, self.step))
-
 
 def subgroups(g: CyclicGroup) -> list[Subgroup]:
     """All subgroups of Z/dZ, ascending by order (one per divisor of d)."""
@@ -339,11 +318,16 @@ def subgroups(g: CyclicGroup) -> list[Subgroup]:
 
 
 def coset_of(h: Subgroup, x: int) -> ResidueSet:
-    """The coset x + H as a residue set; cardinality |H|."""
+    """The coset x + H as a residue set, the only builder of one: the
+    multiples of the step shifted by x mod step, below 2^d, with its size
+    |H| and confining step (the step of H) put straight into its memo."""
     d = h.group.modulus
     if not 0 <= x < d:
         raise ValueError(f"representative {x} outside [0, {d})")
-    return ResidueSet(h.group, fold(lattice(d, h.step) << x, d))
+    step = h.step
+    s = ResidueSet(h.group, lattice(d, step) << x % step)
+    s.__dict__.update(size=h.order, confining_step=step)
+    return s
 
 
 def confining_subgroup(s: ResidueSet) -> Subgroup:
@@ -357,12 +341,9 @@ def confining_subgroup(s: ResidueSet) -> Subgroup:
 
 def containing_coset(s: ResidueSet, h: Subgroup) -> Optional[int]:
     """Least representative x with s contained in x + H, or None if s meets
-    two or more cosets of H.  With m0 = min s, s lies in m0 + H iff every
-    m - m0 is a multiple of the step of H: one mask test of s shifted down
-    by m0 against the lattice of those multiples, with no member pass.  The
-    test is t & lattice ^ t, the members off the lattice, as the complement
-    ~lattice would build a negative d-bit int."""
+    two or more cosets of H.  With m0 = min s, s lies in m0 + H iff H
+    contains the smallest subgroup confining s, that is iff the step of H
+    divides gcd(d, s - m0), the set's memoised `confining_step`: no mask
+    test of its own."""
     s._require_same_group(h)
-    m0, step = s.min(), h.step
-    t = s.bits >> m0
-    return None if t & lattice(s.modulus, step) ^ t else m0 % step
+    return None if s.confining_step % h.step else s.min() % h.step

@@ -125,10 +125,10 @@ def sample_coset(rng: random.Random, d: int, step: int, k: int) -> int:
 def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
     """One structured instance: pick d, a subgroup order h | d, an offset set
     with gcd 1, a slope x, fill each layer inside its prescribed coset, then
-    translate so 0 lands in the first layer.  The layer samples' draws are
-    fixed here (`sample_coset`), not by the running Python's
-    `random.sample`; the tests check that they equal its draws on every
-    Python the CI matrix runs (3.10 to 3.13)."""
+    translate so 0 lands in the first layer.  `sample_coset` fixes the
+    layer draws where `random.sample` keeps a pool (tested equal on Python
+    3.10 to 3.13); its set branch (h > 21 and k <= 5, or h past its
+    setsize) and all other draws come from the running Python's `random`."""
     while True:
         d = rng.choice(p.d_values)
         divs = CyclicGroup(d).divisors()

@@ -10,10 +10,10 @@ with `Bitmap.__iter__`, linear in the width.
 One sum needs no shifts: operands inside cosets of one subgroup, of step
 g = gcd(d, A - min A, B - min B), whose sizes add up past the coset size
 d/g.  Their sum is the whole coset of min A + min B, by pigeonhole, and
-comes back as a shifted `lattice`, its size and confining step already
-known.  g is found by mask tests (`ResidueSet.confining_step`), with no
-member pass, and only for a sum that wraps past d.  The naive double loops
-are kept as oracles for tests.
+comes back from `coset_of`, with its size and confining step in its memo.
+g is found by mask tests (`ResidueSet.confining_step`), with no member
+pass, and only for a sum that wraps past d.  The naive double loops are
+kept as oracles for tests.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import islice
 from math import gcd
 from typing import Iterable
 
-from .group_core import (Bitmap, ResidueSet, Subgroup, fold, lattice,
+from .group_core import (Bitmap, ResidueSet, Subgroup, coset_of, fold,
                          subgroups)
 
 
@@ -103,8 +103,8 @@ def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     g = gcd(d, A - a0, B - b0), A lies in a0 + H and B in b0 + H, H the
     subgroup of step g and order q = d/g.  When |A| + |B| > q, every c in
     a0 + b0 + H is a sum: c - B and A both lie in a0 + H, and their sizes
-    add up past q, so they meet.  So A + B is the multiples of g shifted
-    by (a0 + b0) mod g.  The bound is asked at the gcd with the spans
+    add up past q, so they meet.  So A + B is the coset a0 + b0 + H
+    (`coset_of`).  The bound is asked at the gcd with the spans
     (max - min) first, a multiple of g, so that g itself, from the
     operands' memoised confining steps, is found only when it can pass.
     A sum that does not wrap is never asked: a flatten sum never wraps, so
@@ -119,8 +119,7 @@ def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
         if n * g > d:
             g = gcd(g, a.confining_step, b.confining_step)
             if n * g > d:
-                coset = lattice(d, g) << (a0 + b0) % g
-                return ResidueSet.known(a.group, coset, d // g, g)
+                return coset_of(Subgroup(a.group, d // g), (a0 + b0) % g)
     return ResidueSet(a.group, fold(_shift_or(a, b, d), d))
 
 

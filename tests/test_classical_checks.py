@@ -27,7 +27,7 @@ class TestKneser:
         assert out.applicable and out.holds and out.witness.order == 3
         out = kneser_decomposition(rs(6, [0, 1, 2]), rs(6, [0, 1]))
         assert out.applicable and out.holds and out.witness.order == 1
-        full5 = ResidueSet.full(CyclicGroup(5))
+        full5 = coset_of(Subgroup(CyclicGroup(5), 5), 0)
         out = kneser_decomposition(full5, full5)
         assert out.applicable and out.holds and out.witness.order == 5
 
@@ -115,7 +115,7 @@ class TestProp1Prop2:
         assert out.applicable and out.holds
         h, rep = out.witness
         assert h.order == 6 and rep == 0
-        full6 = ResidueSet.full(CyclicGroup(6))
+        full6 = coset_of(Subgroup(CyclicGroup(6), 6), 0)
         assert not prop2_single_coset(full6, rs(6, [0, 3])).applicable
         assert not prop2_single_coset(rs(12, [0, 3, 6, 9]), rs(12, [0, 3])).applicable
 
@@ -220,7 +220,7 @@ def test_memo_warm_and_fresh_operands_give_the_same_outcomes(rng):
             a, b = ResidueSet.of(g, ma), ResidueSet.of(g, mb)
             a, b = (a, b) if len(a) >= len(b) else (b, a)
             outcomes(a, b)
-            assert steps in (None, "_step" in a.__dict__)
+            assert steps in (None, "confining_step" in a.__dict__)
             warm = outcomes(a, b)
             kept_lattices.cache_clear()
             fresh = outcomes(ResidueSet(g, a.bits), ResidueSet(g, b.bits))

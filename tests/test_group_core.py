@@ -54,7 +54,7 @@ def test_divisors_match_definition():
 def test_subgroups_closed_under_addition_small_moduli():
     for d in range(1, 65):
         for h in subgroups(CyclicGroup(d)):
-            elems = set(h.element_set())
+            elems = set(coset_of(h, 0))
             assert len(elems) == h.order
             assert all((x + y) % d in elems for x in elems for y in elems)
 
@@ -290,10 +290,17 @@ def test_residues_properties(members, step):
     assert residues(bits, step) == want
 
 
+def cold_and_warm(s):
+    """A fresh copy of s, with no memo, and s with `confining_step` warm."""
+    s.confining_step
+    return ResidueSet(s.group, s.bits), s
+
+
 def test_containing_coset_matches_member_gcd_oracle(rng):
     """Every subgroup of every Z/dZ, d <= 60, against sets inside one of its
     cosets, inside a coset of each other subgroup, and at random; then
-    coset-confined and unconfined sets at d = 55440 and 65536."""
+    coset-confined and unconfined sets at d = 55440 and 65536.  Each set is
+    asked memo-cold and memo-warm."""
     for d in range(1, 61):
         g = CyclicGroup(d)
         hs = subgroups(g)
@@ -305,7 +312,9 @@ def test_containing_coset_matches_member_gcd_oracle(rng):
                 g, rng.sample(coset, rng.randint(1, len(coset)))))
         for h in hs:
             for s in sets:
-                assert containing_coset(s, h) == member_gcd_coset_oracle(s, h)
+                want = member_gcd_coset_oracle(s, h)
+                for t in cold_and_warm(s):
+                    assert containing_coset(t, h) == want
     for d in (55440, 65536):
         g = CyclicGroup(d)
         hs = subgroups(g)
@@ -315,8 +324,9 @@ def test_containing_coset_matches_member_gcd_oracle(rng):
             outside = ResidueSet(g, inside.bits | 1 << (inside.min() + 1) % d)
             for h in rng.sample(hs, 12) + [k]:
                 for s in (inside, outside):
-                    assert (containing_coset(s, h)
-                            == member_gcd_coset_oracle(s, h))
+                    want = member_gcd_coset_oracle(s, h)
+                    for t in cold_and_warm(s):
+                        assert containing_coset(t, h) == want
             assert containing_coset(inside, k) is not None
             if k.order < d:
                 assert containing_coset(outside, k) is None
@@ -446,17 +456,19 @@ def memo_cases(rng):
 
 def test_memoised_facts_match_oracles_and_leave_the_set_alone(rng):
     """`len` and `confining_step` against the bit count and the member gcd,
-    twice (the second from the memo where there is one); a set with warm
-    memos is equal to a fresh copy, with the same hash and repr, and its
-    pickle (how worker processes get sets) loads to an equal set with the
-    same facts."""
+    twice (the second from the memo where there is one); `len` memoises
+    `size` only above MEMO_WIDTH.  A set with warm memos (or, from
+    `coset_of`, pre-filled ones) is equal to a fresh copy, with the same
+    hash and repr, and its pickle (how worker processes get sets) loads to
+    an equal set with the same facts."""
     seen = set()
     for s in memo_cases(rng):
         fresh = ResidueSet(s.group, s.bits)
-        for _ in range(2):
-            assert len(s) == s.bits.bit_count()
-            assert s.confining_step == member_gcd_step(s)
-        seen.add(("_size" in s.__dict__, s.modulus > MEMO_WIDTH))
+        for t in (s, fresh):
+            for _ in range(2):
+                assert len(t) == s.bits.bit_count()
+                assert t.confining_step == member_gcd_step(s)
+        seen.add(("size" in fresh.__dict__, s.modulus > MEMO_WIDTH))
         assert s == fresh and hash(s) == hash(fresh)
         assert repr(s) == repr(fresh)
         again = pickle.loads(pickle.dumps(s))
@@ -467,12 +479,25 @@ def test_memoised_facts_match_oracles_and_leave_the_set_alone(rng):
     assert seen == {(False, False), (True, True)}
 
 
-def test_known_facts_are_the_computed_ones(rng):
-    g = CyclicGroup(55440)
-    for order in (1, 2, 504, 55440):
+def test_coset_of_prefills_the_computed_facts(rng):
+    """`coset_of` memoises |H| and the step of H without counting; both
+    equal a fresh set's recount, with x below the step, above it and at
+    d - 1, and the bits equal the coset's members."""
+    d = 55440
+    g = CyclicGroup(d)
+    for order in (1, 2, 504, d):
         h = Subgroup(g, order)
-        coset = coset_of(h, rng.randrange(55440))
-        known = ResidueSet.known(g, coset.bits, order, h.step)
-        assert known == coset
-        assert (len(known), known.confining_step) == (
-            len(coset), coset.confining_step) == (order, h.step)
+        step = h.step
+        xs = {rng.randrange(step), rng.randrange(step, d) if step < d else 0,
+              d - 1}
+        for x in xs:
+            coset = coset_of(h, x)
+            memo = coset.__dict__
+            assert (memo["size"], memo["confining_step"]) == (order, step)
+            fresh = ResidueSet(g, coset.bits)
+            assert fresh == coset
+            want = (order, order, step)
+            assert (len(coset), coset.size, coset.confining_step) == want
+            assert (len(fresh), fresh.size, fresh.confining_step) == want
+            assert coset.bits == Bitmap.bits_of(
+                ((x + k * step) % d for k in range(order)), d)

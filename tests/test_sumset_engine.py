@@ -48,8 +48,8 @@ def test_sumset_examples():
     assert set(sumset(ResidueSet.of(g7, [0, 1, 3]), ResidueSet.of(g7, [0, 5]))) \
         == {0, 1, 3, 5, 6}
     g6 = CyclicGroup(6)
-    assert sumset(ResidueSet.full(g6), ResidueSet.of(g6, [3])).bits \
-        == ResidueSet.full(g6).bits
+    full6 = coset_of(Subgroup(g6, 6), 0)
+    assert sumset(full6, ResidueSet.of(g6, [3])).bits == full6.bits
 
 
 def test_sumset_modulus_mismatch():
@@ -94,7 +94,7 @@ def test_sumset_stops_once_saturated():
 def test_sumset_saturation_edge_cases(rng):
     for d in (1, 2, 7, SCAN_WIDTH - 1, SCAN_WIDTH + 1, 3000):
         g = CyclicGroup(d)
-        empty, full = ResidueSet(g, 0), ResidueSet.full(g)
+        empty, full = ResidueSet(g, 0), coset_of(Subgroup(g, d), 0)
         zero = ResidueSet.of(g, [0])
         assert sumset(empty, full).bits == sumset(full, empty).bits == 0
         assert sumset(empty, empty).bits == 0
@@ -117,12 +117,14 @@ def in_coset(rng, d, step, size, rep=None):
 
 
 def whole_coset(s):
-    """Whether `sumset` returned s in closed form, which alone memoises the
-    confining step with the bits, and its facts against a fresh count."""
-    fired = "_step" in s.__dict__
+    """Whether `sumset` returned s in closed form (`coset_of`), which alone
+    memoises the confining step with the bits, and its facts against a
+    fresh count."""
+    fired = "confining_step" in s.__dict__
     if fired:
-        assert (len(s), s.confining_step) == (
-            s.bits.bit_count(), coset_step(s.bits, s.min(), s.modulus))
+        n = s.bits.bit_count()
+        assert (len(s), s.size, s.confining_step) == (
+            n, n, coset_step(s.bits, s.min(), s.modulus))
     return fired
 
 
@@ -266,10 +268,10 @@ def test_stabilizer_is_maximal_fixing_subgroup():
         d = rng.randint(1, 64)
         a = random_residue_set(rng, d)
         h = stabilizer(a)
-        assert sumset(a, h.element_set()).bits == a.bits
+        assert sumset(a, coset_of(h, 0)).bits == a.bits
         for other in subgroups(a.group):
             if other.order > h.order:
-                assert sumset(a, other.element_set()).bits != a.bits
+                assert sumset(a, coset_of(other, 0)).bits != a.bits
 
 
 def test_stabilizer_matches_definition_exhaustive():
@@ -280,7 +282,7 @@ def test_stabilizer_matches_definition_exhaustive():
         for bits in range(1, 1 << d):
             a = ResidueSet(g, bits)
             fixing = [h for h in subgroups(g)
-                      if sumset(a, h.element_set()).bits == bits]
+                      if sumset(a, coset_of(h, 0)).bits == bits]
             assert stabilizer(a) == max(fixing, key=lambda h: h.order), a
 
 
