@@ -39,13 +39,12 @@ def fold(bits: int, d: int) -> int:
 
 
 # lattices kept by `lattice`; one coset pair needs one to three (n, step)
-# keys.  The benchmark's widest, n = 720720, is 88 KiB.  Lattices wider
-# than LATTICE_CACHE_WIDTH (the input cap on d) are built every time, so
-# the cache holds at most 32 x 2 MiB: `flatten_sumset` asks for lattices up
-# to 4 max a + 2 times wider than d, for its slot starts alone, as its
-# packed sums never wrap and so are never whole cosets.
+# keys.  The benchmark's widest, n = 720720, is 88 KiB.  Every key has
+# n = d, at most the input cap 2^24, so the cache holds at most 32 x 2 MiB:
+# `flatten_sumset`'s slot starts, up to 4 max a + 2 times wider than d, are
+# built uncached (`build_lattice`), as its packed sums never wrap and so are
+# never whole cosets.
 LATTICE_CACHE_SIZE = 32
-LATTICE_CACHE_WIDTH = 1 << 24
 
 
 def build_lattice(n: int, step: int) -> int:
@@ -62,17 +61,10 @@ def build_lattice(n: int, step: int) -> int:
     return m & ((1 << n) - 1)
 
 
-kept_lattices = lru_cache(maxsize=LATTICE_CACHE_SIZE)(build_lattice)
-
-
-def lattice(n: int, step: int) -> int:
-    """`build_lattice(n, step)`.  The last LATTICE_CACHE_SIZE results up to
-    LATTICE_CACHE_WIDTH bits are kept (`kept_lattices`), so `coset_of`,
-    `coset_step`, `sample_coset` and `verify_witness` build each (d, step)
-    once between them."""
-    if n > LATTICE_CACHE_WIDTH:
-        return build_lattice(n, step)
-    return kept_lattices(n, step)
+# `build_lattice(n, step)`, keeping the last LATTICE_CACHE_SIZE results, so
+# `coset_of`, `coset_step`, `sample_coset` and `verify_witness` build each
+# (d, step) once between them.
+lattice = lru_cache(maxsize=LATTICE_CACHE_SIZE)(build_lattice)
 
 
 def coset_step(bits: int, m0: int, d: int, g: int = 0) -> int:

@@ -198,6 +198,15 @@ def abc_parameters(aset: IntegerSet) -> IntervalProfile:
     a: largest integer with >= a elements of [0, 2a-1] missing from A' (0 if
     none); b: same for [s+R-2b-2, s+R-3]; c: number missing from the middle
     interval [2a, s+R-2b-3].  Requires max a_i = s+R-3.
+
+    All three are read off the gaps g_1 < ... < g_{R-2}, the members of
+    [0, top] missing from A', top = s+R-3.  [0, 2n-1] misses at least n
+    members iff g_n < 2n, so a is the largest n with g_n < 2n <= top + 1.
+    Counting from the top, with g'_n the n-th largest gap, the window
+    [top-2n+1, top] misses at least n members iff top - g'_n < 2n; it must
+    start at or above 2a, so b is the largest n with top - g'_n < 2n <=
+    top + 1 - 2a.  The three intervals partition [0, top], which is what
+    makes a+b+c = R-2 come out exact.
     """
     _require_normalized(aset)
     s = len(aset)
@@ -206,25 +215,12 @@ def abc_parameters(aset: IntegerSet) -> IntervalProfile:
     if not is_unsaturated(aset):
         raise ValueError(f"max a_i = {top} != s+R-3 = {s + r - 3}; "
                          "(a,b,c) is undefined on the saturated branch")
-
-    def missing(lo: int, hi: int) -> int:
-        return sum(1 for m in range(lo, hi + 1) if m not in aset)
-
-    # scan intervals stay inside [0, s+R-3]
-    a = 0
-    for cand in range((top + 1) // 2, 0, -1):
-        if missing(0, 2 * cand - 1) >= cand:
-            a = cand
-            break
-    # the b-window must stay disjoint from [0, 2a-1]; the three intervals
-    # partition [0, s+R-3], which is what makes a+b+c = R-2 come out exact
-    b = 0
-    for cand in range((top + 1) // 2, 0, -1):
-        lo = s + r - 2 * cand - 2
-        if lo >= 2 * a and missing(lo, s + r - 3) >= cand:
-            b = cand
-            break
-    c = missing(2 * a, s + r - 2 * b - 3)
+    gaps = [m for m in range(top) if m not in aset]
+    a = max((n for n, g in enumerate(gaps, 1) if g < 2 * n <= top + 1),
+            default=0)
+    b = max((n for n, g in enumerate(reversed(gaps), 1)
+             if top - g < 2 * n <= top + 1 - 2 * a), default=0)
+    c = sum(1 for g in gaps if 2 * a <= g <= top - 2 * b)
     return IntervalProfile(s=s, max_a=top, r=r, a=a, b=b, c=c)
 
 

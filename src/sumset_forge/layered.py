@@ -15,8 +15,8 @@ from math import gcd
 from typing import Optional, Union
 
 from .classical_checks import CheckOutcome
-from .group_core import (CyclicGroup, ResidueSet, Subgroup, containing_coset,
-                         coset_step, fold, gather, lattice)
+from .group_core import (CyclicGroup, ResidueSet, Subgroup, build_lattice,
+                         containing_coset, coset_step, fold, gather, lattice)
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
                           is_unsaturated, lemma2_copies, r_parameter,
                           translated_family)
@@ -231,10 +231,12 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     into bits d..2d-1 is masked off.  M is the lattice S of slot starts
     times 2^d - 1, taken as (S << d) - S in linear time: at d = 8192 and
     max a = 14 that takes 0.1 ms, a multiplication 0.7 ms and building M
-    by a division by 2^2d - 1 about 15 ms.  Y has 2 max a + 1 slots, so a
-    wide offset span would make it and the packs scale with max a instead
-    of s; there each slot is ORed into its row by a_i + a_j instead, and
-    every bitmap stays within s slots.  A matched pair's size is its one
+    by a division by 2^2d - 1 about 15 ms.  S is the one lattice wider
+    than d, so it is built each time (`build_lattice`) and kept out of
+    `lattice`'s cache.  Y has 2 max a + 1 slots, so a wide offset span
+    would make it and the packs scale with max a instead of s; there each
+    slot is ORed into its row by a_i + a_j instead, and every bitmap stays
+    within s slots.  A matched pair's size is its one
     slot, folded."""
     d, s, offsets = L.d, L.s, L.offsets()
     width = 2 * d
@@ -255,7 +257,7 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
         y = 0
         for a, row in zip(offsets, sums):
             y |= row << 2 * a * width
-        starts = lattice((2 * offsets[-1] + 1) * width, width)
+        starts = build_lattice((2 * offsets[-1] + 1) * width, width)
         total = ((y | y >> d) & ((starts << d) - starts)).bit_count()
     else:
         rows: dict[int, int] = {}

@@ -11,9 +11,10 @@ One sum needs no shifts: operands inside cosets of one subgroup, of step
 g = gcd(d, A - min A, B - min B), whose sizes add up past the coset size
 d/g.  Their sum is the whole coset of min A + min B, by pigeonhole, and
 comes back from `coset_of`, with its size and confining step in its memo.
-g is found by mask tests (`ResidueSet.confining_step`), with no member
-pass, and only for a sum that wraps past d.  The naive double loops are
-kept as oracles for tests.
+g is the gcd of the operands' confining steps, each found once by mask
+tests (`ResidueSet.confining_step`), with no member pass, and only for a
+sum that wraps past d.  The naive double loops are kept as oracles for
+tests.
 """
 
 from __future__ import annotations
@@ -100,26 +101,20 @@ def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 
     A sum that wraps (max A + max B >= d - 1, the test `_shift_or` makes)
     is first tested for a whole coset.  With a0 = min A, b0 = min B and
-    g = gcd(d, A - a0, B - b0), A lies in a0 + H and B in b0 + H, H the
-    subgroup of step g and order q = d/g.  When |A| + |B| > q, every c in
-    a0 + b0 + H is a sum: c - B and A both lie in a0 + H, and their sizes
-    add up past q, so they meet.  So A + B is the coset a0 + b0 + H
-    (`coset_of`).  The bound is asked at the gcd with the spans
-    (max - min) first, a multiple of g, so that g itself, from the
-    operands' memoised confining steps, is found only when it can pass.
-    A sum that does not wrap is never asked: a flatten sum never wraps, so
+    g = gcd(d, A - a0, B - b0), the gcd of the operands' memoised
+    confining steps, A lies in a0 + H and B in b0 + H, H the subgroup of
+    step g and order q = d/g.  When |A| + |B| > q, every c in a0 + b0 + H
+    is a sum: c - B and A both lie in a0 + H, and their sizes add up past
+    q, so they meet.  So A + B is the coset a0 + b0 + H (`coset_of`).  A
+    sum that does not wrap is never asked: a flatten sum never wraps, so
     the test costs the campaigns one comparison per sum."""
     a._require_same_group(b)
     d = a.modulus
     atop, btop = a.bits.bit_length(), b.bits.bit_length()
     if atop + btop > d:
-        a0, b0 = a.min(), b.min()
-        n = len(a) + len(b)
-        g = gcd(d, atop - 1 - a0, btop - 1 - b0)
-        if n * g > d:
-            g = gcd(g, a.confining_step, b.confining_step)
-            if n * g > d:
-                return coset_of(Subgroup(a.group, d // g), (a0 + b0) % g)
+        g = gcd(a.confining_step, b.confining_step)
+        if (len(a) + len(b)) * g > d:
+            return coset_of(Subgroup(a.group, d // g), (a.min() + b.min()) % g)
     return ResidueSet(a.group, fold(_shift_or(a, b, d), d))
 
 

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumset_forge import group_core, harness, layered
 from sumset_forge.group_core import (BUILD_WIDTH, LATTICE_CACHE_SIZE,
-                                     LATTICE_CACHE_WIDTH, MEMO_WIDTH,
-                                     SCAN_WIDTH, Bitmap, CyclicGroup,
-                                     ModulusMismatch, ResidueSet, Subgroup,
-                                     build_lattice, confining_subgroup,
-                                     coset_of, coset_step, containing_coset,
-                                     gather, kept_lattices, lattice, residues,
-                                     subgroups)
+                                     MEMO_WIDTH, SCAN_WIDTH, Bitmap,
+                                     CyclicGroup, ModulusMismatch, ResidueSet,
+                                     Subgroup, build_lattice,
+                                     confining_subgroup, coset_of, coset_step,
+                                     containing_coset, gather, lattice,
+                                     residues, subgroups)
+from sumset_forge.harness import (GenParams, Tally, _rng_for,
+                                  generate_instance, verify_instance)
+from sumset_forge.layered import DENSE_SPAN
 
 
 def low_bit_members(bits):
@@ -138,22 +141,37 @@ def test_lattice_is_the_multiples_of_step():
         assert lattice(n, step) == ((1 << n) - 1) // ((1 << step) - 1)
 
 
-def test_lattice_cache_is_bounded_and_matches_the_build():
-    """The cache keeps the last LATTICE_CACHE_SIZE keys, and none wider
-    than LATTICE_CACHE_WIDTH."""
-    kept_lattices.cache_clear()
+def test_lattice_cache_is_bounded_and_matches_the_build(monkeypatch):
+    """The cache keeps the last LATTICE_CACHE_SIZE keys.  Each key is at
+    most d wide: generating, flattening and verifying dense instances at
+    d = 8192 by the plain flatten (QUOTIENT_WIDTH above d) asks for no
+    lattice wider than d, as the flatten's slot starts are built
+    uncached."""
+    lattice.cache_clear()
     keys = [(n, step) for n in (1, 7, 64, 120, 4096, 55440)
             for step in (1, 2, 3, 5, 8, 12, 110, 4096) if step <= n]
     keys += [(720720, 4004), (524288, 1024)]
     assert len(keys) > LATTICE_CACHE_SIZE
     for n, step in keys + keys[::-1]:
         assert lattice(n, step) == build_lattice(n, step), (n, step)
-    info = kept_lattices.cache_info()
+    info = lattice.cache_info()
     assert info.maxsize == LATTICE_CACHE_SIZE
     assert info.currsize == LATTICE_CACHE_SIZE and info.hits > 0
-    for n in (LATTICE_CACHE_WIDTH, LATTICE_CACHE_WIDTH + 5):
-        assert lattice(n, 1 << 20) == build_lattice(n, 1 << 20)
-    assert kept_lattices.cache_info().misses == info.misses + 1
+
+    widths = []
+
+    def recording(n, step):
+        widths.append(n)
+        return build_lattice(n, step)
+
+    for module in (group_core, harness, layered):
+        monkeypatch.setattr(module, "lattice", recording)
+    monkeypatch.setattr(layered, "QUOTIENT_WIDTH", 8193)
+    for i in range(4):
+        L = generate_instance(GenParams(d_values=(8192,)), _rng_for(7, i))
+        assert L.max_offset() < DENSE_SPAN * L.s
+        verify_instance(L, Tally())
+    assert widths and set(widths) == {8192}
 
 
 def member_gcd_step(s):

@@ -3,10 +3,12 @@ from itertools import combinations
 import pytest
 
 from sumset_forge.hall_bounds import (BoundViolation, HallViolator,
-                                      SdrCertificate, abc_parameters,
-                                      find_sdr, lemma2_certificate,
+                                      IntervalProfile, SdrCertificate,
+                                      abc_parameters, find_sdr,
+                                      is_unsaturated, lemma2_certificate,
                                       lemma2_copies, prop5_bound, r_parameter,
                                       translated_family)
+from sumset_forge.harness import enumerate_offset_sets
 from sumset_forge.layered import _prop6_copies
 from sumset_forge.sumset_engine import IntegerSet, sumset_int
 
@@ -219,7 +221,37 @@ class TestLemma2:
         assert all(r in total for r in cert.representatives)
 
 
+def abc_parameters_by_interval_scan(aset):
+    """Oracle: (a, b, c) by their definitions, each candidate window
+    rescanned member by member, the largest candidate first."""
+    s, r, top = len(aset), r_parameter(aset), aset.max()
+
+    def missing(lo, hi):
+        return sum(1 for m in range(lo, hi + 1) if m not in aset)
+
+    a = next((n for n in range((top + 1) // 2, 0, -1)
+              if missing(0, 2 * n - 1) >= n), 0)
+    b = next((n for n in range((top + 1) // 2, 0, -1)
+              if top - 2 * n + 1 >= 2 * a
+              and missing(top - 2 * n + 1, top) >= n), 0)
+    c = missing(2 * a, top - 2 * b)
+    return IntervalProfile(s=s, max_a=top, r=r, a=a, b=b, c=c)
+
+
 class TestAbcParameters:
+    def test_matches_interval_scan_on_every_unsaturated_set(self):
+        """Every offset set with max a_i <= 2s - 3, the whole unsaturated
+        branch, for s = 4..10."""
+        count = 0
+        for s in range(4, 11):
+            for aset in enumerate_offset_sets(s, 2 * s - 3):
+                assert is_unsaturated(aset)
+                want = abc_parameters_by_interval_scan(aset)
+                assert abc_parameters(aset) == want, aset
+                assert want.a + want.b + want.c == want.r - 2
+                count += 1
+        assert count == 33094
+
     def test_examples(self):
         p = abc_parameters(iset([0, 1, 2, 3, 4, 7]))
         assert (p.a, p.b, p.c) == (0, 2, 0)

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,55 @@ def test_whole_coset_sum_declines_unconfined(rng):
         assert got.bits == sumset_naive(x, y).bits
     wraps = a.bits.bit_length() + b.bits.bit_length() > d
     assert whole_coset(sumset(a, b)) == wraps
+
+
+def two_stage_whole_coset(a, b):
+    """Oracle: the whole-coset test as two stages, (span g, g, verdict): the
+    bound at the gcd of d with the spans (max - min) first, and only if
+    that passes at g, its gcd with the confining steps (else None)."""
+    d, n = a.modulus, len(a) + len(b)
+    span_g = gcd(d, a.bits.bit_length() - 1 - a.min(),
+                 b.bits.bit_length() - 1 - b.min())
+    if n * span_g <= d:
+        return span_g, None, False
+    g = gcd(span_g, a.confining_step, b.confining_step)
+    return span_g, g, n * g > d
+
+
+def test_one_gcd_whole_coset_test_matches_two_stages(rng):
+    """At d = 55440 and 65536, on coset pairs filling past and short of
+    their coset, pairs with one stray member and random pairs: the gcd of
+    the two confining steps is the gcd with d and the spans too, so it
+    gives the two-stage verdict, and the two-stage g wherever the span
+    bound passes; `sumset` returns the whole coset iff the verdict holds
+    and the sum wraps."""
+    verdicts = Counter()
+    for d, steps in ((55440, (120, 240, 77)), (65536, (512, 256, 4096))):
+        grp = CyclicGroup(d)
+        pairs = []
+        for step_a in steps:
+            for step_b in steps:
+                q = d // gcd(step_a, step_b)
+                for fill in (0.3, 0.55, 0.8):
+                    na = min(d // step_a, max(1, round(fill * q)))
+                    nb = min(d // step_b, max(1, round(fill * q)))
+                    a = in_coset(rng, d, step_a, na)
+                    b = in_coset(rng, d, step_b, nb)
+                    stray = ResidueSet(grp, a.bits | 1 << rng.randrange(d))
+                    pairs += [(a, b), (stray, b)]
+        pairs += [(ResidueSet.of(grp, rng.sample(range(d), k)),
+                   ResidueSet.of(grp, rng.sample(range(d), m)))
+                  for k, m in ((5, 3), (300, 200), (d // 2, d // 3))]
+        for a, b in pairs:
+            g = gcd(a.confining_step, b.confining_step)
+            verdict = (len(a) + len(b)) * g > d
+            span_g, old_g, old_verdict = two_stage_whole_coset(a, b)
+            assert span_g % g == 0 and old_g in (None, g), (d, g, span_g)
+            assert verdict == old_verdict, (d, g, span_g)
+            wraps = a.bits.bit_length() + b.bits.bit_length() > d
+            assert whole_coset(sumset(a, b)) == (verdict and wraps)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 10
 
 
 def test_sumset_exact_on_every_coset_shape(rng):
