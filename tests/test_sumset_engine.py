@@ -1,12 +1,13 @@
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, log
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_int_sumset, naive_mod_sumset, random_residue_set
+from sumset_forge import sumset_engine as engine
 from sumset_forge.group_core import (SCAN_WIDTH, Bitmap, CyclicGroup,
                                      ModulusMismatch, ResidueSet, Subgroup,
                                      coset_of, coset_step, fold, lattice,
@@ -28,18 +29,23 @@ class CountingSet(Bitmap):
             yield m
 
 
-def saturation_cases(d, m):
-    """(name, A, B, members of B shifted) with A = [0, m), |B| = m, m | d
-    and m > 3d/m.  The first batch has n0 = d/m members: in "first" they are
-    0, m, ..., d-m, which tile Z/dZ at once; in "later" they are [0, n0),
-    and the second batch (2*n0 more) brings tiles ending at d."""
-    n0 = d // m
+def saturation_cases(d, m, n0, n1):
+    """(name, A, B, members of B shifted) with A = [0, m), |B| = m and m | d.
+    n0 is the first batch, 11 bitlen(d) d // (16 m) + 1, and n1 the second
+    one's estimate after [0, n0), whose sum [0, m + n0 - 1) leaves
+    d - m - n0 + 1 residues missing.  In "first" the first batch holds the
+    tiles 0, m, ..., d-m, which cover Z/dZ at once; in "later" it is
+    [0, n0), and the second batch holds the tiles from the top that cover
+    the rest."""
     fill = list(range(d - 1, d - m, -1))
     tiles = list(range(0, d, m))
-    first = tiles + fill[:m - n0]
+    assert len(tiles) <= n0 < m
+    first = tiles + fill[:m - len(tiles)]
     tiles = [d - k * m for k in range(1, -(-(d - m - n0 + 1) // m) + 1)]
+    assert len(tiles) <= n1 and n0 + n1 < m
     later = list(range(n0)) + tiles + fill[:m - n0 - len(tiles)]
-    return [("first", range(m), first, n0), ("later", range(m), later, 3 * n0)]
+    return [("first", range(m), first, n0),
+            ("later", range(m), later, n0 + n1)]
 
 
 def test_sumset_examples():
@@ -73,24 +79,110 @@ def test_sumset_matches_naive_oracle_randomized(rng):
         assert len(fast) <= min(d, len(a) * len(b))
 
 
+def pinned_cases():
+    """(d, name, A, B, members of B shifted).  In "folds", A = B = the evens
+    and d - 1, the sum in Z has d bits from about d/4 shifts on, so the
+    later checks fold, and it is full after the last even: at d = 68 the
+    checks after 19, 25, 31 and 34 of 35 shifts leave 15, 9, 3 and 0
+    residues missing; at d = 84 the one after 41 leaves 1, so the last
+    batch runs bare."""
+    for d, m, n0, n1 in ((64, 32, 10, 7), (1088, 136, 61, 56),
+                         (4096, 512, 72, 67)):
+        yield from ((d, *case) for case in saturation_cases(d, m, n0, n1))
+        yield d, "never", range(0, d, 2), range(0, d, 2), d // 2
+    for d, taken in ((68, 34), (84, 43)):
+        odd = [*range(0, d, 2), d - 1]
+        yield d, "folds", odd, odd, taken
+
+
 def test_sumset_stops_once_saturated():
-    """The shifts stop at the first batch boundary where the sum folds to all
-    of Z/dZ: at the first, at a later one, or (A = B = the even residues,
-    whose sum in Z has d bits but folds to half of Z/dZ) never.  The result
-    always equals the double-loop oracle."""
-    for d, m in ((64, 16), (1088, 64), (4096, 256)):
+    """The shifts stop at the first check where the sum folds to all of
+    Z/dZ: at the first, at a later one, or (A = B = the even residues, whose
+    sum in Z has d - 1 bits and folds to half of Z/dZ) never.  The batches
+    are pinned: (d, m) -> (n0, n1) as in `saturation_cases`; at d = 64 the
+    second is 11 * 5 * 64 // 512 + 1 = 7 for the 23 residues missing.  The
+    result always equals the double-loop oracle."""
+    for d, name, am, bm, taken in pinned_cases():
         g = CyclicGroup(d)
-        evens = range(0, d, 2)
-        for name, am, bm, taken in saturation_cases(d, m) + [
-                ("never", evens, evens, d // 2)]:
-            a, b = (CountingSet(Bitmap.bits_of(x, d)) for x in (am, bm))
-            assert len(a) == len(b)
-            out = fold(_shift_or(a, b, d), d)
-            naive = sumset_naive(ResidueSet.of(g, am), ResidueSet.of(g, bm))
-            assert out == naive.bits, (d, name)
-            assert (a.taken, b.taken) == (0, taken), (d, name)
-            assert (out == (1 << d) - 1) == (name != "never")
+        a, b = (CountingSet(Bitmap.bits_of(x, d)) for x in (am, bm))
+        assert len(a) == len(b)
+        out = fold(_shift_or(a, b, d), d)
+        naive = sumset_naive(ResidueSet.of(g, am), ResidueSet.of(g, bm))
+        assert out == naive.bits, (d, name)
+        assert (a.taken, b.taken) == (0, taken), (d, name)
+        assert (out == (1 << d) - 1) == (name != "never")
     assert 64 < SCAN_WIDTH < 1088
+
+
+def first_batch(d, na):
+    """`_shift_or`'s first batch, about ln(d) d/|A| shifts: no later batch's
+    coverage estimate is larger."""
+    return 11 * d.bit_length() * d // (16 * na) + 1
+
+
+def test_sumset_stops_soon_after_saturating(rng):
+    """On random pairs, a sum whose first k* shifts fold to all of Z/dZ
+    (found shift by shift) stops at most max(first batch, k*/8) shifts
+    after k*."""
+    for d in (8192, 65536):
+        full = (1 << d) - 1
+        for density in (0.05, 0.1):
+            n = round(density * d)
+            for _ in range(2):
+                a, b = (CountingSet(Bitmap.bits_of(rng.sample(range(d), n), d))
+                        for _ in range(2))
+                out = 0
+                for k, m in enumerate(b, 1):
+                    out |= a.bits << m
+                    if fold(out, d) == full:
+                        break
+                assert fold(out, d) == full, (d, density)
+                b.taken = 0
+                assert fold(_shift_or(a, b, d), d) == full
+                assert k <= b.taken <= k + max(first_batch(d, n), k // 8), (
+                    d, density, k, b.taken)
+
+
+def floor_checks(nb):
+    """Checks between batches of max(1, done // 8), the smallest any batch
+    is, over nb members: at most ln(nb) / ln(9/8)."""
+    done = checks = 0
+    while True:
+        done += max(1, done // 8)
+        if done >= nb:
+            return checks
+        checks += 1
+
+
+def test_sumset_checks_grow_logarithmically(monkeypatch):
+    """Every batch but the last is cut by `islice` and followed by a check;
+    a check folds only once the sum in Z has d bits.  A = B = the evens
+    never fill Z/dZ; A = B = the evens and d - 1 fill it only after the
+    last even, past half of B, with folds from about d/4 shifts on.  Both
+    are checked O(log |B|) times (`floor_checks`)."""
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(engine, name, wrapper)
+
+    counted("islice", engine.islice)
+    counted("fold", engine.fold)
+    assert floor_checks(8193) <= log(8193) / log(9 / 8)
+    d = 16384
+    for name, members, full in (
+            ("evens", range(0, d, 2), False),
+            ("evens and d - 1", [*range(0, d, 2), d - 1], True)):
+        a, b = (CountingSet(Bitmap.bits_of(members, d)) for _ in range(2))
+        calls.clear()
+        out = _shift_or(a, b, d)
+        folds, checks = calls["fold"], calls["islice"]
+        assert (fold(out, d) == (1 << d) - 1) == full, name
+        assert 0 < checks <= floor_checks(len(b)), (name, checks)
+        assert folds <= checks and (folds > 0) == full, (name, folds)
+        assert b.taken >= d // 2, name
 
 
 def test_sumset_saturation_edge_cases(rng):
