@@ -3,8 +3,8 @@ their driver, and the random and exhaustive campaigns with their reports.
 
 Reports are line-oriented text, byte-stable for a fixed (version, params,
 seed); wall-clock timings are kept out of the stable body and surfaced on the
-console instead.  Workers partition the instance stream by index, so the merge
-is independent of completion order.
+console instead.  Worker k of n checks keys k, k+n, ... of a campaign's key
+stream (`run_campaign`), so the merge is independent of completion order.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations, islice
 from math import ceil, gcd, log
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import layered as ls
 from .classical_checks import CheckOutcome
@@ -352,57 +353,65 @@ def _rng_for(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def _run_random_chunk(args) -> Tally:
-    p, seed, start, stop = args
-    tally = Tally()
-    for i in range(start, stop):
-        L = generate_instance(p, _rng_for(seed, i))
-        verify_instance(L, tally)
-    return tally
-
-
 def worker_count() -> int:
-    """Worker processes for a random campaign: SUMSET_FORGE_THREADS (unset or
-    empty means 1), at most the core count; reports do not depend on it."""
+    """Worker processes for a campaign of either mode: SUMSET_FORGE_THREADS
+    (unset or empty means 1), at most the core count; reports ignore it."""
     raw = os.environ.get(THREADS_ENV) or "1"
     if not raw.isdecimal() or int(raw) < 1:
         raise ValueError(f"{THREADS_ENV} needs an integer >= 1, got {raw!r}")
     return min(int(raw), os.cpu_count() or 1)
 
 
-def campaign_random(p: GenParams, count: int, seed: int,
-                    include_canonical: bool = True) -> CampaignReport:
-    """The canonical battery then `count` generated instances.  The offset
-    profile memo is emptied on entry and on return: it serves this campaign
-    only, so every call starts cold, as a fresh process would."""
+def _check_stride(keys: Callable, check: Callable, k: int, n: int) -> Tally:
+    """Worker k of n: `check(key, tally)` on keys k, k+n, ... of `keys()`."""
+    tally = Tally()
+    for key in islice(keys(), k, None, n):
+        check(key, tally)
+    return tally
+
+
+def run_campaign(mode: str, seed: Optional[int], params: dict, keys: Callable,
+                 check: Callable, lead: Iterable = ()) -> CampaignReport:
+    """Verify the `lead` (name, instance) pairs, then `check(key, tally)` on
+    each key of `keys()` in `worker_count()` processes, which all walk every
+    key.  Each campaign starts and ends with an empty offset profile memo."""
     t0 = time.perf_counter()
     threads = worker_count()
     ls.offset_profile.cache_clear()
     try:
         tally = Tally()
-        if include_canonical:
-            for _, L in canonical_instances():
-                verify_instance(L, tally)
-        if threads <= 1 or count < 2 * threads:
-            tally.merge(_run_random_chunk((p, seed, 0, count)))
+        for _, L in lead:
+            verify_instance(L, tally)
+        if threads <= 1:
+            tally.merge(_check_stride(keys, check, 0, 1))
         else:
-            bounds = [count * k // threads for k in range(threads + 1)]
-            jobs = [(p, seed, a, b) for a, b in zip(bounds, bounds[1:])]
             # a forked worker would inherit the memo; it starts empty
             with ProcessPoolExecutor(
                     max_workers=threads,
                     initializer=ls.offset_profile.cache_clear) as pool:
-                for part in pool.map(_run_random_chunk, jobs):
+                for part in pool.map(partial(_check_stride, keys, check,
+                                             n=threads), range(threads)):
                     tally.merge(part)
     finally:
         ls.offset_profile.cache_clear()
+    return CampaignReport(mode, seed, params, tally,
+                          {"total": time.perf_counter() - t0})
+
+
+def _check_drawn(p: GenParams, seed: int, index: int, tally: Tally) -> None:
+    verify_instance(generate_instance(p, _rng_for(seed, index)), tally)
+
+
+def campaign_random(p: GenParams, count: int, seed: int,
+                    include_canonical: bool = True) -> CampaignReport:
+    """The canonical battery then `count` generated instances."""
     params = {"count": count, "d": ",".join(map(str, p.d_values)),
               "s": f"{p.s_min}..{p.s_max}", "density": p.density,
               "epsilon": p.epsilon, "max_a_slack": p.max_a_slack,
               "canonical": int(include_canonical)}
-    report = CampaignReport("random", seed, params, tally)
-    report.timings["total"] = time.perf_counter() - t0
-    return report
+    return run_campaign("random", seed, params, partial(range, count),
+                        partial(_check_drawn, p, seed),
+                        canonical_instances() if include_canonical else ())
 
 
 class CapExceeded(ValueError):
@@ -433,12 +442,17 @@ def require_exhaustive_domain(s_values: tuple[int, ...], max_a: int,
         raise CapExceeded(f"estimated cardinality exceeds cap {cap}")
 
 
+def _offset_keys(s_values: tuple[int, ...], max_a: int) -> Iterator[tuple]:
+    """The nonzero members of each offset set below, size by size."""
+    return (rest for s in s_values
+            for rest in combinations(range(1, max_a + 1), s - 1)
+            if gcd(*rest) == 1)
+
+
 def enumerate_offset_sets(s: int, max_a: int) -> Iterable[IntegerSet]:
     """All A' with |A'| = s, 0 in A', gcd of nonzero elements 1, max <= max_a."""
-    from itertools import combinations
-    for rest in combinations(range(1, max_a + 1), s - 1):
-        if gcd(*rest) == 1:
-            yield IntegerSet.of(rest[-1] + 1, (0,) + rest)
+    return (IntegerSet.of(rest[-1] + 1, (0,) + rest)
+            for rest in _offset_keys((s,), max_a))
 
 
 def _check_lemma2(aset: IntegerSet, emit) -> list[str]:
@@ -465,18 +479,17 @@ def _check_prop5(aset: IntegerSet, emit) -> list[str]:
 OFFSET_CHECKS = (_check_lemma2, _check_prop5)
 
 
+def _check_offsets(rest: tuple[int, ...], tally: Tally) -> None:
+    aset = IntegerSet.of(rest[-1] + 1, (0,) + rest)
+    tally.run_checks(OFFSET_CHECKS, aset, partial(
+        json.dumps, list(aset), separators=(",", ":")))
+
+
 def campaign_exhaustive(s_values: tuple[int, ...], max_a: int, *,
                         cap: int = 2_000_000) -> CampaignReport:
     """Full enumeration of the projection space: the SDR certificate, the
     refined bound, and the missing-element profile, for every offset set."""
-    t0 = time.perf_counter()
     require_exhaustive_domain(s_values, max_a, cap)
-    tally = Tally()
-    for s in s_values:
-        for aset in enumerate_offset_sets(s, max_a):
-            tally.run_checks(OFFSET_CHECKS, aset, partial(
-                json.dumps, list(aset), separators=(",", ":")))
     params = {"s": ",".join(map(str, s_values)), "max_a": max_a}
-    report = CampaignReport("exhaustive", None, params, tally)
-    report.timings["total"] = time.perf_counter() - t0
-    return report
+    return run_campaign("exhaustive", None, params,
+                        partial(_offset_keys, s_values, max_a), _check_offsets)

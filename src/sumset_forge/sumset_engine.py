@@ -143,8 +143,8 @@ def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
 def sumset_naive(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """Double-loop oracle; bit-identical to sumset by construction of tests."""
     a._require_same_group(b)
-    d = a.modulus
-    return ResidueSet.of(a.group, {(x + y) % d for x in a for y in b})
+    d, bs = a.modulus, b.members()
+    return ResidueSet.of(a.group, {(x + y) % d for x in a for y in bs})
 
 
 def sumset_int(a: IntegerSet, b: IntegerSet) -> IntegerSet:
@@ -153,7 +153,8 @@ def sumset_int(a: IntegerSet, b: IntegerSet) -> IntegerSet:
 
 
 def sumset_int_naive(a: IntegerSet, b: IntegerSet) -> IntegerSet:
-    return IntegerSet.of(a.bound + b.bound, {x + y for x in a for y in b})
+    bs = b.members()
+    return IntegerSet.of(a.bound + b.bound, {x + y for x in a for y in bs})
 
 
 def stabilizer(a: ResidueSet) -> Subgroup:

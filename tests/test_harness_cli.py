@@ -17,11 +17,39 @@ from sumset_forge.hall_bounds import HallViolator
 from sumset_forge.harness import (MAX_WIDTH, CapExceeded, Finding, GenParams,
                                   REPORT_VERSION, THREADS_ENV, Tally,
                                   campaign_exhaustive, campaign_random,
-                                  canonical_instances, generate_instance,
-                                  instance_from_doc, instance_to_json,
-                                  load_instance, require_exhaustive_domain,
-                                  sample_coset, verify_instance, _rng_for)
+                                  canonical_instances, enumerate_offset_sets,
+                                  generate_instance, instance_from_doc,
+                                  instance_to_json, load_instance,
+                                  require_exhaustive_domain, sample_coset,
+                                  verify_instance, _rng_for)
 from sumset_forge.layered import LayeredSet, LayeredSetError, offset_profile
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Campaign pools that run each worker's stride in this process, on a
+    machine of four cores; yields the worker count each pool was given."""
+    import os
+    import sumset_forge.harness as harness
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer):
+            pools.append(max_workers)
+            initializer()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    yield pools
 
 
 def full_coset_doc():
@@ -223,9 +251,53 @@ class TestCampaign:
         p = GenParams()
         monkeypatch.setenv(THREADS_ENV, "1")
         serial = campaign_random(p, 40, seed=2).to_text()
+        exhaustive = campaign_exhaustive((6, 7), 12).to_text()
         monkeypatch.setenv(THREADS_ENV, "4")
         parallel = campaign_random(p, 40, seed=2).to_text()
         assert serial == parallel
+        assert campaign_exhaustive((6, 7), 12).to_text() == exhaustive
+
+    def test_fewer_keys_than_workers(self, monkeypatch, serial_pool):
+        """Workers left without a key add empty tallies: one instance or
+        one offset set over three workers gives the serial report."""
+        monkeypatch.setenv(THREADS_ENV, "")
+        serial = [campaign_random(GenParams(), 1, seed=5).to_text(),
+                  campaign_exhaustive((6,), 5).to_text()]
+        assert "count check=lemma2 holds=1\n" in serial[1]
+        monkeypatch.setenv(THREADS_ENV, "3")
+        assert [campaign_random(GenParams(), 1, seed=5).to_text(),
+                campaign_exhaustive((6,), 5).to_text()] == serial
+        assert serial_pool == [3, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_every_key_checked_once(self, workers, monkeypatch, serial_pool):
+        """Worker k of n checks keys k, k+n, ...: over the workers, each
+        instance index and each offset set is checked exactly once."""
+        import sumset_forge.harness as harness
+        indices, offset_sets = [], []
+        real_rng, real_lemma2 = harness._rng_for, harness.lemma2_certificate
+
+        def rng_for(seed, index):
+            indices.append(index)
+            return real_rng(seed, index)
+
+        def lemma2(aset):
+            offset_sets.append(tuple(aset))
+            return real_lemma2(aset)
+
+        monkeypatch.setattr(harness, "_rng_for", rng_for)
+        monkeypatch.setattr(harness, "lemma2_certificate", lemma2)
+        monkeypatch.setenv(THREADS_ENV, str(workers))
+        campaign_random(GenParams(), 23, seed=1)
+        campaign_exhaustive((6, 7), 9)
+        assert indices == [i for k in range(workers)
+                           for i in range(k, 23, workers)]
+        domain = [tuple(aset) for s in (6, 7)
+                  for aset in enumerate_offset_sets(s, 9)]
+        assert Counter(offset_sets) == Counter(domain)
+        assert offset_sets == [domain[i] for k in range(workers)
+                               for i in range(k, len(domain), workers)]
+        assert serial_pool == ([workers] * 2 if workers > 1 else [])
 
     def test_one_flatten_per_instance(self, monkeypatch):
         calls = []
@@ -434,35 +506,23 @@ class TestCampaign:
         assert counts["lemma2"]["holds"] == 1709
         assert len(calls) == 1709 + 588
 
-    def test_worker_count_clamped_to_cores(self, monkeypatch):
+    def test_worker_count_clamped_to_cores(self, monkeypatch, serial_pool):
         """A large SUMSET_FORGE_THREADS asks for no more workers than
-        cores, and the report does not depend on the worker count."""
+        cores, and the report does not depend on the worker count, in
+        either campaign mode."""
         import os
         import sumset_forge.harness as harness
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers, initializer):
-                pools.append(max_workers)
-                initializer()
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        pools = serial_pool
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setenv(THREADS_ENV, "")
         serial = campaign_random(GenParams(), 30, seed=2).to_text()
+        exhaustive = campaign_exhaustive((6, 7), 10).to_text()
         assert pools == []
         for raw, workers in (("999999", 3), ("2", 2), ("3", 3)):
             monkeypatch.setenv(THREADS_ENV, raw)
             assert campaign_random(GenParams(), 30, seed=2).to_text() == serial
+            assert pools.pop() == workers
+            assert campaign_exhaustive((6, 7), 10).to_text() == exhaustive
             assert pools.pop() == workers
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         monkeypatch.setenv(THREADS_ENV, "8")
