@@ -18,7 +18,10 @@ from .harness import (MAX_WIDTH, CapExceeded, GenParams, LayeredSetError,
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split(",") if tok)
+    tokens = raw.split(",")     # "12,,16" is refused, not run as "12,16"
+    if "" in tokens:
+        raise argparse.ArgumentTypeError(f"empty value in {raw!r}")
+    return tuple(map(int, tokens))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +87,7 @@ def cmd_campaign(args) -> int:
             ("--count", (args.count,), 0, inf),
             ("--max-a", (args.max_a,), 1, inf),
             ("--max-a-slack", (args.max_a_slack,), 0, MAX_WIDTH)):
-        if not values or min(values) < minimum or max(values) > maximum:
+        if min(values) < minimum or max(values) > maximum:
             print(f"error: {flag} needs integers in [{minimum}, {maximum}], "
                   f"got {','.join(map(str, values))!r}", file=sys.stderr)
             return 2

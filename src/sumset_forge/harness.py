@@ -482,7 +482,7 @@ OFFSET_CHECKS = (_check_lemma2, _check_prop5)
 def _check_offsets(rest: tuple[int, ...], tally: Tally) -> None:
     aset = IntegerSet.of(rest[-1] + 1, (0,) + rest)
     tally.run_checks(OFFSET_CHECKS, aset, partial(
-        json.dumps, list(aset), separators=(",", ":")))
+        json.dumps, (0,) + rest, separators=(",", ":")))
 
 
 def campaign_exhaustive(s_values: tuple[int, ...], max_a: int, *,

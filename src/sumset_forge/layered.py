@@ -127,9 +127,10 @@ class LayeredSet:
 
     @cached_property
     def sizes(self) -> list[int]:
-        """|B_i| for each layer, counted once.  A list, not a tuple, for
-        the RSS reason in `LayeredSumset`'s docstring; readers must not
-        change it."""
+        """|B_i| for each layer, counted once; readers must not change it.
+        Not a tuple: CPython keeps 2000 freed tuples per length below 20,
+        and with a tuple of 10-19 sizes per instance, 40 default campaigns
+        of 500 instances peaked 1.7 MB higher in RSS (CPython 3.11.7)."""
         return [len(b) for _, b in self.layers]
 
     @cached_property
@@ -157,27 +158,19 @@ class LayeredSet:
 
 @dataclass(frozen=True)
 class LayeredSumset:
-    """|B~ + B~| and |B_i + B_j| for each pair (i, j) of the prop6 matching,
-    in its order; no pairs when the matching is a Hall violator.  The sizes
-    are a list because CPython keeps up to 2000 freed tuples of each length
-    below 20: with a tuple of 10-19 sizes per instance, 40 default campaigns
-    of 500 instances peaked 1.7 MB higher in RSS (CPython 3.11.7).  So the
-    class is deliberately unhashable, and readers of the shared `L.flat`
-    must not change the list."""
+    """|B~ + B~|, and the prop6 bound: the sum of |B_i + B_j| over the pairs
+    (i, j) of the prop6 matching, 0 when the matching is a Hall violator."""
 
     total: int
-    pair_sizes: list[int]
-
-    __hash__ = None     # a frozen dataclass would otherwise hash the list
+    bound: int
 
 
 @dataclass(frozen=True)
 class OffsetProfile:
-    """The offset set A', its R, the prop6 matching (a pair (i, j) per SDR
-    representative a_i + a_j, or the Hall violator when there is none) and
-    the Bezout coefficients of the offsets, sum c_i a_i = 1."""
+    """The R of an offset set, its prop6 matching (a pair (i, j), i <= j,
+    per SDR representative a_i + a_j, or the Hall violator when there is
+    none) and the Bezout coefficients of the offsets, sum c_i a_i = 1."""
 
-    offset_set: IntegerSet
     r: int
     matching: Union[tuple[tuple[int, int], ...], HallViolator]
     bezout: tuple[int, ...]
@@ -210,8 +203,9 @@ class ConclusionFailed:
 def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     """Sizes of the exact sumset of the layered set: the row at first
     coordinate k is the union of B_i + B_j over offset pairs with
-    a_i + a_j = k, and |B~+B~| sums the rows.  Beside it, |B_i + B_j| for
-    each pair (i, j) of the prop6 matching, and for no other pair.
+    a_i + a_j = k, and |B~+B~| sums the rows.  Beside it, the prop6 bound,
+    the sum of |B_i + B_j| over the pairs of the prop6 matching alone (0
+    for a Hall violator, which `prop6_lower_bound` raises on first).
 
     One packed pass makes every B_i + B_j.  Layer j takes the 2d-bit slot
     p_j, and p is strictly increasing: p_j = a_j when the offsets are
@@ -236,8 +230,8 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     `lattice`'s cache.  Y has 2 max a + 1 slots, so a wide offset span
     would make it and the packs scale with max a instead of s; there each
     slot is ORed into its row by a_i + a_j instead, and every bitmap stays
-    within s slots.  A matched pair's size is its one
-    slot, folded."""
+    within s slots.  A matched pair (i, j), i <= j, adds its one slot
+    of sums[i], folded."""
     d, s, offsets = L.d, L.s, L.offsets()
     width = 2 * d
     dense = offsets[-1] < DENSE_SPAN * s
@@ -268,11 +262,10 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
                 out >>= width
         total = sum(fold(row, d).bit_count() for row in rows.values())
     matching = L.profile.matching
-    return LayeredSumset(
-        total,
-        [] if isinstance(matching, HallViolator) else [
-            fold(sums[i] >> (place[j] - place[i]) * width & slot,
-                 d).bit_count() for i, j in map(sorted, matching)])
+    bound = 0 if isinstance(matching, HallViolator) else sum(
+        fold(sums[i] >> (place[j] - place[i]) * width & slot, d).bit_count()
+        for i, j in matching)
+    return LayeredSumset(total, bound)
 
 
 def _prop6_copies(aset: IntegerSet, r: int) -> list[int]:
@@ -297,9 +290,9 @@ def offset_profile(offsets: tuple[int, ...]) -> OffsetProfile:
     if not isinstance(out, HallViolator):
         charge = [i for i, n in enumerate(copies) for _ in range(n)]
         index_of = {a: i for i, a in enumerate(offsets)}
-        out = tuple((i, index_of[rep - offsets[i]])
+        out = tuple(tuple(sorted((i, index_of[rep - offsets[i]])))
                     for i, rep in zip(charge, out.representatives))
-    return OffsetProfile(aset, r, out, bezout(aset))
+    return OffsetProfile(r, out, bezout(offsets))
 
 
 def prop6_lower_bound(L: LayeredSet) -> int:
@@ -311,8 +304,7 @@ def prop6_lower_bound(L: LayeredSet) -> int:
         raise BoundViolation(
             f"SDR absent for offsets {L.offsets()}: violator "
             f"{matching.indices}")
-    bound = sum(L.flat.pair_sizes)
-    total = L.flat.total
+    bound, total = L.flat.bound, L.flat.total
     if bound > total:
         raise BoundViolation(
             f"certified bound {bound} exceeds |B~+B~| = {total}")
@@ -359,7 +351,7 @@ def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
             break
         q = coset_step(b.bits, bi, d, q)
     h = Subgroup(L.group, d // q)
-    xy = solve_affine(AffineAssignment(p.offset_set, firsts, q), p.bezout)
+    xy = solve_affine(AffineAssignment(L.offsets(), firsts, q), p.bezout)
     return None if xy is None else (h, *xy)
 
 

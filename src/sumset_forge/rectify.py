@@ -8,16 +8,17 @@ group is cyclic); assignment values are residues mod q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .sumset_engine import IntegerSet, sumset_int
 
 
 @dataclass(frozen=True)
 class AffineAssignment:
-    """One residue mod q per member of the a-set."""
+    """One residue mod q per member of the a-set, read in ascending order
+    from a tuple (the offsets, in `coset_placement`) or an `IntegerSet`."""
 
-    aset: IntegerSet
+    aset: Union[tuple[int, ...], IntegerSet]
     values: tuple[int, ...]
     q: int
 
@@ -87,12 +88,13 @@ def solve_affine_bruteforce(assign: AffineAssignment) -> Optional[tuple[int, int
     return None
 
 
-def bezout(aset: IntegerSet) -> tuple[int, ...]:
-    """Coefficients c with sum c_i a_i = 1 over an a-set holding 0 whose
-    nonzero members have gcd 1 (the singleton {0} gets (0,)), by extended
-    Euclid folded over the members.  Each step scales the coefficients so
-    far by u0; once the gcd is 1, u0 is 1, so they are rescaled only while
-    it is not, and a step costs O(1) from there on rather than O(s)."""
+def bezout(aset: Union[tuple[int, ...], IntegerSet]) -> tuple[int, ...]:
+    """Coefficients c with sum c_i a_i = 1, in ascending member order, over
+    an a-set (a tuple or an `IntegerSet`) holding 0 whose nonzero members
+    have gcd 1 (the singleton {0} gets (0,)), by extended Euclid folded
+    over the members.  Each step scales the coefficients so far by u0;
+    once the gcd is 1, u0 is 1, so they are rescaled only while it is not,
+    and a step costs O(1) from there on rather than O(s)."""
     if 0 not in aset:
         raise ValueError("a-set must contain 0")
     g, coeffs = 0, []
@@ -117,9 +119,10 @@ def solve_affine(assign: AffineAssignment, coeffs: tuple[int, ...]
                  ) -> Optional[tuple[int, int]]:
     """(x, y) with x_i = a_i*x + y in Z/qZ for all i, or None, given the
     a-set's `bezout` coefficients (sum c_i a_i = 1; 0 for {0}).  a_1 = 0
-    forces y = x_1, and any solution has x = sum c_i (a_i x) =
-    sum c_i (x_i - y): that one candidate is verified and returned, so the
-    result equals the brute-force search's."""
+    forces y = x_1, and any solution has x = sum c_i (a_i x) = sum c_i
+    (x_i - y): that one candidate is verified and returned, so the result
+    equals the brute-force search's.  A tuple a-set is read in s steps; an
+    `IntegerSet` walks a bitmap as wide as its largest member."""
     aset = assign.aset
     if 0 not in aset or (sum(c * a for c, a in zip(coeffs, aset))
                          != int(len(aset) > 1)):

@@ -696,6 +696,23 @@ class TestCli:
         assert f"{flag} needs integers in" in captured.err
         assert captured.out == "" and ran == []
 
+    @pytest.mark.parametrize("flag, raw", [("--d", "12,,16"), ("--s", "6,,9"),
+                                           ("--d", "12,16,"), ("--s", "")])
+    def test_campaign_empty_token_exit(self, flag, raw, monkeypatch, capsys):
+        """An empty token is refused, not skipped: `--d 12,,16` must not
+        run as `--d 12,16`."""
+        import sumset_forge.cli as cli
+        ran = []
+        monkeypatch.setattr(cli, "campaign_random",
+                            lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--mode", "random", "--count", "1",
+                  f"{flag}={raw}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: empty value" in captured.err
+        assert captured.out == "" and ran == []
+
     @pytest.mark.parametrize("d, top", [(10 ** 12, 2), (12, 10 ** 12)],
                              ids=["d", "offset"])
     def test_verify_width_cap_exit(self, d, top, tmp_path, monkeypatch,

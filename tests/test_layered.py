@@ -2,7 +2,6 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd
 from operator import mul
 
@@ -47,12 +46,17 @@ def b6_singleton_variant():
     return LayeredSet.of(12, layers)
 
 
-def naive_layered_sumset(L):
-    """Every point sum, one per unordered pair: addition commutes."""
-    pts = [(a, m) for a, b in L.layers for m in b]
+def naive_layered_sumset_size(L):
+    """|B~+B~| on plain sets: every point sum of each pair i <= j goes into
+    the row at a_i + a_j, and the rows' sizes are summed."""
     d = L.d
-    return {(a1 + a2, (m1 + m2) % d)
-            for (a1, m1), (a2, m2) in combinations_with_replacement(pts, 2)}
+    layers = [(a, list(b)) for a, b in L.layers]
+    rows = {}
+    for i, (a1, b1) in enumerate(layers):
+        for a2, b2 in layers[i:]:
+            rows.setdefault(a1 + a2, set()).update(
+                {(x + y) % d for x in b1 for y in b2})
+    return sum(map(len, rows.values()))
 
 
 def random_instance(rng):
@@ -93,8 +97,9 @@ def sparse_instance(rng):
 
 def pairwise_flatten(L, kernel=sumset_naive):
     """The pairwise oracle `flatten_sumset` replaces: one `kernel` sumset per
-    offset pair i <= j, ORed into the row at a_i + a_j, and the size of each
-    pair of the prop6 matching (none when it is a Hall violator)."""
+    offset pair i <= j, ORed into the row at a_i + a_j, and the sizes of the
+    prop6 matching's pairs, each read as (i, j) with i <= j, summed (0 when
+    the matching is a Hall violator)."""
     pieces = {(i, j): kernel(L.layers[i][1], L.layers[j][1])
               for i in range(L.s) for j in range(i, L.s)}
     rows = {}
@@ -104,8 +109,8 @@ def pairwise_flatten(L, kernel=sumset_naive):
     matching = L.profile.matching
     return LayeredSumset(
         sum(row.bit_count() for row in rows.values()),
-        [] if isinstance(matching, HallViolator) else
-        [len(pieces[min(p), max(p)]) for p in matching])
+        0 if isinstance(matching, HallViolator) else
+        sum(len(pieces[p]) for p in matching))
 
 
 def spread_instance(rng):
@@ -151,6 +156,15 @@ def small_group_instance(rng):
     return LayeredSet.of(d, layers)
 
 
+def traced_peak(call, L):
+    """call(L) and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return call(L), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def scan_placement(L):
     """The ascending subgroup scan that `coset_placement` replaces: the first
     H confining every layer whose coset values admit an affine solution."""
@@ -173,7 +187,8 @@ def member_gcd_placement(L):
     x0 = sum(c * b for c, b in zip(p.bezout, firsts))
     q = gcd(L.d, *(m - bi for (_, b), bi in zip(L.layers, firsts) for m in b),
             *(bi - a * x0 for a, bi in zip(L.offsets(), firsts)))
-    xy = solve_affine(AffineAssignment(p.offset_set, firsts, q), p.bezout)
+    aset = IntegerSet.from_members(L.offsets())
+    xy = solve_affine(AffineAssignment(aset, firsts, q), p.bezout)
     return None if xy is None else (Subgroup(L.group, L.d // q), *xy)
 
 
@@ -205,16 +220,17 @@ class TestFlatten:
     def test_matches_naive_enumeration(self, rng):
         for _ in range(10_000):
             L = random_instance(rng)
-            assert flatten_sumset(L).total == len(naive_layered_sumset(L))
+            assert flatten_sumset(L).total == naive_layered_sumset_size(L)
 
     def test_pair_table_matches_naive(self, rng):
         for _ in range(2000):
             L = random_instance(rng)
             twin = LayeredSet(L.group, L.layers)
             assert L.flat is L.flat and L.flat == flatten_sumset(L)
-            assert L.flat.pair_sizes == [
+            assert all(i <= j for i, j in L.profile.matching)
+            assert L.flat.bound == sum(
                 len(sumset_naive(L.layers[i][1], L.layers[j][1]))
-                for i, j in L.profile.matching]
+                for i, j in L.profile.matching)
             # the cached sumset is not a field: equality and hashing ignore it
             assert L == twin and hash(L) == hash(twin)
 
@@ -266,7 +282,9 @@ class TestFlatten:
     def test_bitmaps_scale_with_layer_count(self, monkeypatch):
         """No pack, row or fold grows with the offset span: every `sumset`
         runs on at most DENSE_SPAN * s slots of 2d bits, and flattening
-        nine layers of Z/120Z spread up to 8 * 10**6 allocates little."""
+        nine layers of Z/120Z spread up to 8 * 10**6 allocates little.  So
+        does placing them in their cosets, which reads the offset tuple and
+        builds no bitmap as wide as the span."""
         moduli = []
 
         def recording(a, b):
@@ -283,18 +301,18 @@ class TestFlatten:
         for L in instances:
             L.profile
             moduli.clear()
-            tracemalloc.start()
-            flat = flatten_sumset(L)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+            flat, peak = traced_peak(flatten_sumset, L)
             assert len(moduli) == L.s
             assert max(moduli) <= DENSE_SPAN * L.s * 2 * L.d
             assert peak < 100_000
             assert flat == pairwise_flatten(L)
+            found, peak = traced_peak(coset_placement, L)
+            assert peak < 100_000
+            assert found == member_gcd_placement(L)
 
     def test_coset_quotient_flatten_matches_plain(self, monkeypatch):
         """With QUOTIENT_WIDTH at 0, every instance whose coset subgroup H
-        is proper flattens in Z/|H|Z, and its total and matched pair sizes
+        is proper flattens in Z/|H|Z, and its total and prop6 bound
         equal the plain flatten's: default, large-s and off-coset
         instances (epsilon, where H is often all of Z/dZ), and trivial H
         (layers a*x + y alone), which flattens in Z/1Z."""
@@ -326,17 +344,9 @@ class TestFlatten:
                   "trivial" if h.order == 1 else "proper"] += 1
         assert min(kinds["full"], kinds["trivial"], kinds["proper"]) >= 20
 
-    def test_sizes_are_unhashable(self):
-        """`pair_sizes` is a list, so `LayeredSumset` states that it has no
-        hash rather than fail inside a generated one."""
-        flat = flatten_sumset(full_coset_instance())
-        assert LayeredSumset.__hash__ is None
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(flat)
-
     def test_packed_rows_without_matching(self, rng, monkeypatch,
                                           empty_memo):
-        """With no SDR the total is unchanged and no pair size is kept."""
+        """With no SDR the total is unchanged and the bound is 0."""
         monkeypatch.setattr("sumset_forge.layered.find_sdr",
                             lambda family: HallViolator((0, 1), 1))
         instances = ([L for _, L in canonical_instances()]
@@ -344,7 +354,7 @@ class TestFlatten:
         for L in instances:
             flat = flatten_sumset(L)
             assert isinstance(L.profile.matching, HallViolator)
-            assert flat == pairwise_flatten(L) and flat.pair_sizes == []
+            assert flat == pairwise_flatten(L) and flat.bound == 0
 
 
 class TestProp6:
@@ -392,7 +402,6 @@ class TestProp6:
                            L.layers[index_of[rep - offsets[i]]][1]))
                 for i, rep in zip(charge, cert.representatives))
             assert prop6_lower_bound(L) == expected
-            assert L.profile.offset_set == aset
             assert L.profile.r == r_parameter(aset)
             assert sum(map(mul, L.profile.bezout, offsets)) == 1
         # repeated offset tuples were answered from the memo
@@ -496,18 +505,39 @@ class TestFindStructure:
 
     def test_placement_matches_member_gcd(self, rng):
         """The mask-test chain gives the member gcd's (H, x, y), also with
-        layers off their coset (epsilon) and at large s."""
+        layers off their coset (epsilon), at large s and with layers as
+        small as one member (density 0), where some ineq7 equalities are
+        not whole cosets.  Two closed forms hold there too: y = 0 and
+        x = sum c_i min B_i mod the step of H (0 is in B_1, c the offsets'
+        Bezout coefficients); and on an ineq7 equality, whole-coset
+        saturation is a verified witness whose layers all have |H|
+        members."""
         large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
                           max_a_slack=8, epsilon=0.2)
         instances = [L for _, L in canonical_instances()]
         for seed, (p, count) in enumerate(((GenParams(), 2000),
                                            (GenParams(epsilon=0.3), 1000),
-                                           (large, 150))):
+                                           (large, 150),
+                                           (GenParams(density=0.0,
+                                                      epsilon=0.3), 500))):
             instances += [generate_instance(p, _rng_for(50 + seed, i))
                           for i in range(count)]
         instances += [sparse_instance(rng) for _ in range(1000)]
+        saturated = Counter()
         for L in instances:
-            assert coset_placement(L) == member_gcd_placement(L), L
+            found = coset_placement(L)
+            assert found == member_gcd_placement(L), L
+            h, x, y = found
+            firsts = (b.min() for _, b in L.layers)
+            assert y == 0
+            assert x == sum(map(mul, L.profile.bezout, firsts)) % h.step
+            w = find_structure(L)
+            if isinstance(w, StructureWitness) and w.ineq7 == INEQ7_EQUALITY:
+                sat = is_coset_saturated(L, h)
+                saturated[sat] += 1
+                assert sat == (verify_witness(L, w) and all(
+                    n == h.order for n in L.sizes)), L
+        assert saturated[True] > 0 and saturated[False] > 0, saturated
 
     def test_witness_reverifies_randomized(self, rng):
         for _ in range(400):
