@@ -21,7 +21,14 @@ def _int_tuple(raw: str) -> tuple[int, ...]:
     tokens = raw.split(",")     # "12,,16" is refused, not run as "12,16"
     if "" in tokens:
         raise argparse.ArgumentTypeError(f"empty value in {raw!r}")
-    return tuple(map(int, tokens))
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {token!r} in {raw!r}") from None
+    return tuple(values)
 
 
 def build_parser() -> argparse.ArgumentParser:

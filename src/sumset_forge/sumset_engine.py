@@ -6,9 +6,13 @@ is folded mod d once, and the shifts stop soon after the ones done so far
 fold to all of Z/dZ (a saturated sum).  They are taken in batches sized by
 an integer estimate of the shifts the missing residues need, about
 ln(m) d/|A| for m missing, and at least an eighth of the shifts done, with
-a check after each batch: random sets of density 0.05 in Z/65536Z (3277
-members) saturate after 189-294 shifts and stop after 234-295.  The
-members are read with `Bitmap.__iter__`, linear in the width.
+a check after each batch.  Such a sum first shifts A | A << delta, delta
+the gap between B's two lowest members, by each start p of B's
+delta-chains, which adds A + p and A + p + delta in one shift: random sets
+of density 0.05 in Z/65536Z (3277 members) saturate after 96-150 shifts
+and stop after 120-153, where one shift per member of B saturates after
+189-294 and stops after 234-295.  The members are read with
+`Bitmap.__iter__`, linear in the width.
 
 One sum needs no shifts: operands inside cosets of one subgroup, of step
 g = gcd(d, A - min A, B - min B), whose sizes add up past the coset size
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .group_core import (Bitmap, ResidueSet, Subgroup, coset_of, fold,
                          subgroups)
@@ -68,53 +72,92 @@ class IntegerSet(Bitmap):
         return f"IntegerSet(bound={self.bound}, {{{', '.join(map(str, self))}}})"
 
 
+def members_of(bits: int) -> Iterator[int]:
+    """The members of a bare bitmap, ascending, read as `Bitmap.__iter__`
+    reads a set's."""
+    view = Bitmap()
+    view.bits = bits
+    return iter(view)
+
+
+def _chain_starts(bits: int) -> tuple[int, int]:
+    """(delta, P) for a bitmap B: delta the gap between its two lowest
+    members (0 when it has fewer than two), and P the members p with
+    p + delta in B and p - delta not in B, the starts of B's delta-chains.
+    P and P + delta are disjoint subsets of B: p + delta in P would put
+    p = (p + delta) - delta outside B."""
+    low = bits & -bits
+    rest = bits ^ low
+    if not rest:
+        return 0, 0
+    delta = (rest & -rest).bit_length() - low.bit_length()
+    pairs = bits & bits >> delta
+    return delta, pairs & ~(pairs << delta)
+
+
 def _shift_or(a: Bitmap, b: Bitmap, d: int = 0) -> int:
     """Bitmap of A + B in Z: A shifted by each member of the smaller operand,
     ORed together.
 
     Given d > 0, the caller folds the result mod d, and the shifts stop once
     the ones done so far fold to all of Z/dZ: the rest cannot add anything.
-    The members are taken in batches with that check between them, each
-    batch sized by the coverage it should bring.  After k shifts a residue
-    is still missing with probability about (1 - |A|/d)^k, so m missing
-    residues take about ln(m) d/|A| more shifts.  A batch is that estimate,
-    in integers, with ln m taken as 11/16 (about ln 2) times the bit length
-    of m: m = d before the first batch, after a check the residues still
-    missing.  While the sum in Z has fewer than d bits, d minus its bit
-    count is a lower bound on m that needs no fold; otherwise a check is one
-    fold and two bit counts, about three shift-ORs.  Each batch is also at
-    least an eighth of the shifts done so far, so batches grow at least
-    9/8-fold once that floor passes the estimate, and a sum that never fills
-    Z/dZ (A = B = the even residues) is checked at most ln|B| / ln(9/8),
-    about 8.5 ln|B|, times.  No estimate exceeds the first batch's, so a sum
-    first full after k shifts stops at most max(first batch, k/8) shifts
-    later.  When max A + max B < d - 1 the sum neither wraps nor reaches
-    d - 1, so it is never full and takes one unchecked pass, as it does for
+    Such a sum pairs shifts first.  With delta the gap between B's two
+    lowest members and P the starts of B's delta-chains (`_chain_starts`),
+    A + (P | P + delta) = (A | A + delta) + P: the wide operand
+    A' = A | A << delta is shifted by each p in P, each shift doing the
+    work of two, and then A by the members of B outside P | P + delta, so
+    a sum takes at most |B| - |P| shifts.  Every shift stays below
+    2^(2d-1), as the fold needs: p + delta is in B, so
+    max A' + p = max A + p + delta <= 2d - 2.
+    The members are taken in batches with a check between them, each batch
+    sized by the coverage it should bring.  After k shifts of an operand X
+    a residue is still missing with probability about (1 - |X|/d)^k, so m
+    missing residues take about ln(m) d/|X| more shifts.  A batch is that
+    estimate, in integers, with ln m taken as 11/16 (about ln 2) times the
+    bit length of m: m = d before the first batch, after a check the
+    residues still missing.  While the sum in Z has fewer than d bits, d
+    minus its bit count is a lower bound on m that needs no fold; otherwise
+    a check is one fold and two bit counts, about three shift-ORs.  Each
+    batch is also at least an eighth of the shifts done so far, so batches
+    grow at least 9/8-fold once that floor passes the estimate, and a sum
+    that never fills Z/dZ (A = B = the even residues) is checked at most
+    ln|B| / ln(9/8), about 8.5 ln|B|, times, and once more where A' gives
+    way to A, as the last batch of A' may be short.  No estimate exceeds
+    the first one with X = A, as |A'| >= |A|, so a sum first full after k
+    shifts stops at most max(that batch, k/8) shifts later.  When
+    max A + max B < d - 1 the sum neither wraps nor reaches d - 1, so it
+    is never full and takes one unchecked pass over B, as it does for
     d = 0."""
     abits, bbits = a.bits, b.bits
     na, nb = abits.bit_count(), bbits.bit_count()
     if na < nb:
         a, b, abits, bbits, na, nb = b, a, bbits, abits, nb, na
-    members, out = iter(b), 0
+    out = 0
     if not d or abits.bit_length() + bbits.bit_length() <= d:
-        for k in members:
+        for k in b:
             out |= abits << k
         return out
-    missing, left = d, nb
-    while True:
-        n = max(11 * missing.bit_length() * d // (16 * na) + 1,
-                (nb - left) // 8)
-        # islice costs a call per member, so the last batch runs bare
-        for k in members if n >= left else islice(members, n):
-            out |= abits << k
-        left -= n
-        if left <= 0:
-            return out
-        missing = d - out.bit_count()
-        if missing <= 0:
-            missing = d - fold(out, d).bit_count()
-            if not missing:
+    delta, starts = _chain_starts(bbits)
+    missing, done, todo = d, 0, nb - starts.bit_count()
+    for x, reads in ((abits | abits << delta, starts),
+                     (abits, bbits & ~(starts | starts << delta))):
+        nx, left, members = x.bit_count(), reads.bit_count(), members_of(reads)
+        while left:
+            n = min(left, max(11 * missing.bit_length() * d // (16 * nx) + 1,
+                              done // 8))
+            left -= n
+            done += n
+            # islice costs a call per member, so the last batch runs bare
+            for k in islice(members, n) if done < todo else members:
+                out |= x << k
+            if done == todo:
                 return out
+            missing = d - out.bit_count()
+            if missing <= 0:
+                missing = d - fold(out, d).bit_count()
+                if not missing:
+                    return out
+    raise AssertionError("unreachable: the last batch returns")
 
 
 def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:

@@ -713,6 +713,26 @@ class TestCli:
         assert f"argument {flag}: empty value" in captured.err
         assert captured.out == "" and ran == []
 
+    @pytest.mark.parametrize("flag, raw, bad", [("--d", "12,x", "x"),
+                                                ("--d", "1.5", "1.5"),
+                                                ("--s", "6,7,8e0", "8e0")])
+    def test_campaign_non_integer_token_exit(self, flag, raw, bad,
+                                             monkeypatch, capsys):
+        """A token `int` refuses exits 2 with a message naming it, not the
+        parser's helper."""
+        import sumset_forge.cli as cli
+        ran = []
+        monkeypatch.setattr(cli, "campaign_random",
+                            lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--mode", "random", "--count", "1",
+                  f"{flag}={raw}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: not an integer: {bad!r}" in captured.err
+        assert "_int_tuple" not in captured.err
+        assert captured.out == "" and ran == []
+
     @pytest.mark.parametrize("d, top", [(10 ** 12, 2), (12, 10 ** 12)],
                              ids=["d", "offset"])
     def test_verify_width_cap_exit(self, d, top, tmp_path, monkeypatch,

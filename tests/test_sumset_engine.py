@@ -12,9 +12,9 @@ from sumset_forge.group_core import (SCAN_WIDTH, Bitmap, CyclicGroup,
                                      ModulusMismatch, ResidueSet, Subgroup,
                                      coset_of, coset_step, fold, lattice,
                                      subgroups)
-from sumset_forge.sumset_engine import (IntegerSet, _shift_or, stabilizer,
-                                        sumset, sumset_int, sumset_int_naive,
-                                        sumset_naive)
+from sumset_forge.sumset_engine import (IntegerSet, _shift_or, members_of,
+                                        stabilizer, sumset, sumset_int,
+                                        sumset_int_naive, sumset_naive)
 
 
 class CountingSet(Bitmap):
@@ -29,23 +29,74 @@ class CountingSet(Bitmap):
             yield m
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Members the checked shift loop reads, one per shift, counted through
+    the engine's `members_of`."""
+    taken = Counter()
+    members_of = engine.members_of
+
+    def counted(bits):
+        for m in members_of(bits):
+            taken["shifts"] += 1
+            yield m
+
+    monkeypatch.setattr(engine, "members_of", counted)
+    return taken
+
+
+def chain_starts(members):
+    """(delta, P) from the definition: delta the gap between the two lowest
+    members of B (0 for fewer than two), P the members p with p + delta in
+    B and p - delta not, ascending."""
+    bs = set(members)
+    low = sorted(bs)[:2]
+    delta = low[1] - low[0] if len(low) == 2 else 0
+    return delta, sorted(p for p in bs if p + delta in bs
+                         and p - delta not in bs)
+
+
+def paired_order(abits, bbits):
+    """(operand, shift) in the checked loop's order: A | A << delta shifted
+    by each p in P, then A by each member of B outside P and P + delta,
+    each ascending."""
+    bs = set(members_of(bbits))
+    delta, starts = chain_starts(bs)
+    plain = sorted(bs - set(starts) - {p + delta for p in starts})
+    return ([(abits | abits << delta, p) for p in starts]
+            + [(abits, q) for q in plain])
+
+
+def pair_starts(lo, top, n, w):
+    """n starts from lo, evenly spaced and at least 3 apart, such that
+    [t, t + w) over the starts t covers [lo, top)."""
+    step = max(3, -(-(top - w - lo) // (n - 1)))
+    assert step <= w and lo + step * (n - 1) + w >= top
+    return [lo + step * i for i in range(n)]
+
+
 def saturation_cases(d, m, n0, n1):
-    """(name, A, B, members of B shifted) with A = [0, m), |B| = m and m | d.
-    n0 is the first batch, 11 bitlen(d) d // (16 m) + 1, and n1 the second
-    one's estimate after [0, n0), whose sum [0, m + n0 - 1) leaves
-    d - m - n0 + 1 residues missing.  In "first" the first batch holds the
-    tiles 0, m, ..., d-m, which cover Z/dZ at once; in "later" it is
-    [0, n0), and the second batch holds the tiles from the top that cover
-    the rest."""
-    fill = list(range(d - 1, d - m, -1))
-    tiles = list(range(0, d, m))
-    assert len(tiles) <= n0 < m
-    first = tiles + fill[:m - len(tiles)]
-    tiles = [d - k * m for k in range(1, -(-(d - m - n0 + 1) // m) + 1)]
-    assert len(tiles) <= n1 and n0 + n1 < m
-    later = list(range(n0)) + tiles + fill[:m - n0 - len(tiles)]
-    return [("first", range(m), first, n0),
-            ("later", range(m), later, n0 + n1)]
+    """(name, A, B, members of B shifted) with A = [0, m) and |B| = m.  B is
+    pairs {t, t + 1} at starts t at least 3 apart, then a run of the members
+    left: delta = 1, every start is in P (with the run's), and the loop
+    shifts A' = A | A << 1 = [0, m] by the starts.  n0 is the first batch,
+    11 bitlen(d) d // (16 (m + 1)) + 1, and n1 the second one's estimate
+    after the starts 0, 3, ..., 3 (n0 - 1), whose sum [0, 3 n0 + m - 2)
+    leaves d - 3 n0 - m + 2 residues missing.  In "first" the first batch
+    holds n0 starts that cover Z/dZ at once; in "later" it holds those
+    n0 starts, and the second batch n1 starts that cover the rest."""
+    w = m + 1
+    first = pair_starts(0, d, n0, w)
+    assert 3 * (n0 - 1) + w < d
+    later = list(range(0, 3 * n0, 3)) + pair_starts(3 * n0, d, n1, w)
+    cases = []
+    for name, starts, taken in (("first", first, n0),
+                                ("later", later, n0 + n1)):
+        run = range(starts[-1] + 3, starts[-1] + 3 + m - 2 * len(starts))
+        assert 0 < len(run) and run[-1] < d
+        cases.append((name, range(m),
+                      [*starts, *(t + 1 for t in starts), *run], taken))
+    return cases
 
 
 def test_sumset_examples():
@@ -80,50 +131,59 @@ def test_sumset_matches_naive_oracle_randomized(rng):
 
 
 def pinned_cases():
-    """(d, name, A, B, members of B shifted).  In "folds", A = B = the evens
-    and d - 1, the sum in Z has d bits from about d/4 shifts on, so the
-    later checks fold, and it is full after the last even: at d = 68 the
-    checks after 19, 25, 31 and 34 of 35 shifts leave 15, 9, 3 and 0
-    residues missing; at d = 84 the one after 41 leaves 1, so the last
-    batch runs bare."""
-    for d, m, n0, n1 in ((64, 32, 10, 7), (1088, 136, 61, 56),
-                         (4096, 512, 72, 67)):
+    """(d, name, A, B, members of B shifted).  In "never", A = B = the
+    evens: delta = 2 and P = {0}, so A | A << 2 is shifted by 0 and A by
+    the d/2 - 2 evens from 4 on.  In "folds", A = B = the evens and d - 1,
+    with the same P and d - 1 shifted by last: the sum in Z has d bits from
+    about d/4 shifts on, so the later checks fold, and it is full after the
+    last even: at d = 68 the folding checks after 18, 24, 30 and 33 of 34
+    shifts leave 15, 9, 3 and 0 residues missing; at d = 84 the one after
+    40 of 42 leaves 1, so the last batch runs bare."""
+    for d, m, n0, n1 in ((64, 32, 10, 5), (1088, 272, 31, 28),
+                         (4096, 512, 72, 66)):
         yield from ((d, *case) for case in saturation_cases(d, m, n0, n1))
-        yield d, "never", range(0, d, 2), range(0, d, 2), d // 2
-    for d, taken in ((68, 34), (84, 43)):
+        yield d, "never", range(0, d, 2), range(0, d, 2), d // 2 - 1
+    for d, taken in ((68, 33), (84, 42)):
         odd = [*range(0, d, 2), d - 1]
         yield d, "folds", odd, odd, taken
 
 
-def test_sumset_stops_once_saturated():
+def test_sumset_stops_once_saturated(reads):
     """The shifts stop at the first check where the sum folds to all of
     Z/dZ: at the first, at a later one, or (A = B = the even residues, whose
-    sum in Z has d - 1 bits and folds to half of Z/dZ) never.  The batches
-    are pinned: (d, m) -> (n0, n1) as in `saturation_cases`; at d = 64 the
-    second is 11 * 5 * 64 // 512 + 1 = 7 for the 23 residues missing.  The
-    result always equals the double-loop oracle."""
+    sum in Z has d - 1 bits and folds to half of Z/dZ) never.  Neither
+    operand is iterated: the loop reads B's members through `members_of`.
+    The batches are pinned: (d, m) -> (n0, n1) as in `saturation_cases`,
+    with |A'| = m + 1: at d = 64, n0 = 11 * 7 * 64 // 528 + 1 = 10, and
+    the second is 11 * 3 * 64 // 528 + 1 = 5 for the 4 residues missing;
+    at d = 1088, 131648 // 4368 + 1 = 31 and, for 725 missing,
+    119680 // 4368 + 1 = 28; at d = 4096, 585728 // 8208 + 1 = 72 and,
+    for 3370 missing, 540672 // 8208 + 1 = 66.  The result always equals
+    the double-loop oracle."""
     for d, name, am, bm, taken in pinned_cases():
         g = CyclicGroup(d)
         a, b = (CountingSet(Bitmap.bits_of(x, d)) for x in (am, bm))
         assert len(a) == len(b)
+        reads.clear()
         out = fold(_shift_or(a, b, d), d)
         naive = sumset_naive(ResidueSet.of(g, am), ResidueSet.of(g, bm))
         assert out == naive.bits, (d, name)
-        assert (a.taken, b.taken) == (0, taken), (d, name)
+        assert (a.taken, b.taken, reads["shifts"]) == (0, 0, taken), (d, name)
         assert (out == (1 << d) - 1) == (name != "never")
     assert 64 < SCAN_WIDTH < 1088
 
 
 def first_batch(d, na):
-    """`_shift_or`'s first batch, about ln(d) d/|A| shifts: no later batch's
-    coverage estimate is larger."""
+    """`_shift_or`'s first batch of plain shifts, about ln(d) d/|A| of
+    them: no batch's coverage estimate is larger, the wide operand's
+    included, as |A | A << delta| >= |A|."""
     return 11 * d.bit_length() * d // (16 * na) + 1
 
 
-def test_sumset_stops_soon_after_saturating(rng):
-    """On random pairs, a sum whose first k* shifts fold to all of Z/dZ
-    (found shift by shift) stops at most max(first batch, k*/8) shifts
-    after k*."""
+def test_sumset_stops_soon_after_saturating(rng, reads):
+    """On random pairs, a sum whose first k* shifts in the paired order
+    (`paired_order`) fold to all of Z/dZ, found shift by shift, stops at
+    most max(first batch, k*/8) shifts after k*."""
     for d in (8192, 65536):
         full = (1 << d) - 1
         for density in (0.05, 0.1):
@@ -132,15 +192,16 @@ def test_sumset_stops_soon_after_saturating(rng):
                 a, b = (CountingSet(Bitmap.bits_of(rng.sample(range(d), n), d))
                         for _ in range(2))
                 out = 0
-                for k, m in enumerate(b, 1):
-                    out |= a.bits << m
+                for k, (x, m) in enumerate(paired_order(a.bits, b.bits), 1):
+                    out |= x << m
                     if fold(out, d) == full:
                         break
                 assert fold(out, d) == full, (d, density)
-                b.taken = 0
+                reads.clear()
                 assert fold(_shift_or(a, b, d), d) == full
-                assert k <= b.taken <= k + max(first_batch(d, n), k // 8), (
-                    d, density, k, b.taken)
+                shifts = reads["shifts"]
+                assert k <= shifts <= k + max(first_batch(d, n), k // 8), (
+                    d, density, k, shifts)
 
 
 def floor_checks(nb):
@@ -154,12 +215,14 @@ def floor_checks(nb):
         checks += 1
 
 
-def test_sumset_checks_grow_logarithmically(monkeypatch):
+def test_sumset_checks_grow_logarithmically(monkeypatch, reads):
     """Every batch but the last is cut by `islice` and followed by a check;
     a check folds only once the sum in Z has d bits.  A = B = the evens
     never fill Z/dZ; A = B = the evens and d - 1 fill it only after the
-    last even, past half of B, with folds from about d/4 shifts on.  Both
-    are checked O(log |B|) times (`floor_checks`)."""
+    last even, with folds from about d/4 shifts on.  In both delta = 2 and
+    P = {0}, so each takes at least the d/2 - 1 shifts up to the last even
+    (A | A << 2 by 0, then A by the evens from 4 on), and is checked
+    O(log |B|) times (`floor_checks`)."""
     calls = Counter()
 
     def counted(name, f):
@@ -177,12 +240,53 @@ def test_sumset_checks_grow_logarithmically(monkeypatch):
             ("evens and d - 1", [*range(0, d, 2), d - 1], True)):
         a, b = (CountingSet(Bitmap.bits_of(members, d)) for _ in range(2))
         calls.clear()
+        reads.clear()
         out = _shift_or(a, b, d)
         folds, checks = calls["fold"], calls["islice"]
         assert (fold(out, d) == (1 << d) - 1) == full, name
         assert 0 < checks <= floor_checks(len(b)), (name, checks)
         assert folds <= checks and (folds > 0) == full, (name, folds)
-        assert b.taken >= d // 2, name
+        assert reads["shifts"] >= d // 2 - 1, name
+
+
+def test_paired_shifts_match_naive(rng):
+    """The checked loop against the double loop, at d on both sides of
+    SCAN_WIDTH, on sums that wrap past d: B an arithmetic progression (P
+    holds only its start), B's two lowest members d - 2 apart, B of one
+    member or of two, |A| < |B| (the operands swap), random pairs, and
+    sums inside the even residues, which never fill Z/dZ; only the
+    progression and the random pair fill it, so stop early.  For each
+    operand, P and P + delta are disjoint subsets of it, and (delta, P)
+    follows the definition (`chain_starts`)."""
+    for d in (SCAN_WIDTH - 2, SCAN_WIDTH + 2):
+        g = CyclicGroup(d)
+        wide = [d - 1, *rng.sample(range(d - 1), d // 3)]
+        step = rng.randint(3, 9)
+        evens = range(0, d, 2)
+        cases = [
+            ("progression", wide, range(step, d, step)),
+            ("far apart", wide, [0, d - 2, d - 1]),
+            ("one member", wide, [d - 1]),
+            ("two members", wide, [1, d - 1]),
+            ("swapped", [d - 1, 3], wide),
+            ("random", wide, rng.sample(range(d), d // 4)),
+            ("never", evens, [d - 2, *rng.sample(evens, d // 8)]),
+        ]
+        for name, am, bm in cases:
+            a, b = ResidueSet.of(g, am), ResidueSet.of(g, bm)
+            assert a.bits.bit_length() + b.bits.bit_length() > d, name
+            naive = sumset_naive(a, b).bits
+            assert fold(_shift_or(a, b, d), d) == naive, (d, name)
+            assert sumset(a, b).bits == sumset(b, a).bits == naive, (d, name)
+            full = name in ("progression", "random")
+            assert (naive == (1 << d) - 1) == full, (d, name)
+            for x in (a, b):
+                delta, starts = engine._chain_starts(x.bits)
+                paired = starts << delta
+                assert starts & paired == 0, (d, name)
+                assert (starts | paired) & ~x.bits == 0, (d, name)
+                assert (delta, list(members_of(starts))) == chain_starts(x)
+        assert len(chain_starts(range(step, d, step))[1]) == 1
 
 
 def test_sumset_saturation_edge_cases(rng):
