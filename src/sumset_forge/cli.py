@@ -17,18 +17,32 @@ from .harness import (MAX_WIDTH, CapExceeded, GenParams, LayeredSetError,
                       worker_count, Tally, REPORT_VERSION)
 
 
+def _strict(kind, noun: str):
+    """An argparse type: `kind` (int or float) of a plain ASCII numeral.
+    `kind` alone also reads "1_2", " 12" and "١٢" (Arabic-Indic digits) as
+    12; input is refused, never coerced."""
+    def parse(token: str):
+        if token.isascii() and "_" not in token and token == token.strip():
+            try:
+                return kind(token)
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(f"not {noun}: {token!r}")
+    return parse
+
+
+_int = _strict(int, "an integer")
+_float = _strict(float, "a number")
+
+
 def _int_tuple(raw: str) -> tuple[int, ...]:
     tokens = raw.split(",")     # "12,,16" is refused, not run as "12,16"
     if "" in tokens:
         raise argparse.ArgumentTypeError(f"empty value in {raw!r}")
-    values = []
-    for token in tokens:
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not an integer: {token!r} in {raw!r}") from None
-    return tuple(values)
+    try:
+        return tuple(map(_int, tokens))
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} in {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,17 +63,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--s", type=_int_tuple,
                         default=tuple(range(gen.s_min, gen.s_max + 1)),
                         help="comma-separated layer counts / sizes")
-    p_camp.add_argument("--max-a", type=int, default=12,
+    p_camp.add_argument("--max-a", type=_int, default=12,
                         help="offset ceiling (exhaustive mode)")
-    p_camp.add_argument("--count", type=int, default=10_000,
+    p_camp.add_argument("--count", type=_int, default=10_000,
                         help="instances to generate (random mode)")
-    p_camp.add_argument("--seed", type=int, default=1)
-    p_camp.add_argument("--density", type=float, default=gen.density)
-    p_camp.add_argument("--epsilon", type=float, default=gen.epsilon)
-    p_camp.add_argument("--max-a-slack", type=int, default=gen.max_a_slack)
+    p_camp.add_argument("--seed", type=_int, default=1)
+    p_camp.add_argument("--density", type=_float, default=gen.density)
+    p_camp.add_argument("--epsilon", type=_float, default=gen.epsilon)
+    p_camp.add_argument("--max-a-slack", type=_int, default=gen.max_a_slack)
     p_camp.add_argument("--no-canonical", action="store_true",
                         help="skip the canonical instance battery")
-    p_camp.add_argument("--cap", type=int,
+    p_camp.add_argument("--cap", type=_int,
                         default=campaign_exhaustive.__kwdefaults__["cap"])
     p_camp.add_argument("--out", help="write the report here (default stdout)")
 

@@ -304,9 +304,10 @@ class Subgroup:
         return r % self.group.modulus % self.step == 0
 
 
-def subgroups(g: CyclicGroup) -> list[Subgroup]:
-    """All subgroups of Z/dZ, ascending by order (one per divisor of d)."""
-    return [Subgroup(g, h) for h in g.divisors()]
+def subgroups(g: CyclicGroup, m: int = 0) -> list[Subgroup]:
+    """The subgroups of Z/dZ whose order divides m, ascending by order: one
+    per divisor of gcd(d, m).  m = 0 gives all of them, as gcd(d, 0) = d."""
+    return [Subgroup(g, h) for h in CyclicGroup(gcd(g.modulus, m)).divisors()]
 
 
 def coset_of(h: Subgroup, x: int) -> ResidueSet:

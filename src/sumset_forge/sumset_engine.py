@@ -203,15 +203,15 @@ def sumset_int_naive(a: IntegerSet, b: IntegerSet) -> IntegerSet:
 def stabilizer(a: ResidueSet) -> Subgroup:
     """The largest subgroup H with H + A = A.
 
-    Tries each divisor subgroup descending by order; H fixes A iff the bitmap
-    is invariant under rotation by its generator d/|H|.  A fixed A is a union
-    of cosets of H, so only orders dividing |A| need the rotation.
+    A fixed A is a union of cosets of H, so |H| divides |A| as well as d:
+    the candidates are the subgroups whose order divides gcd(|A|, d),
+    tried descending by order.  H fixes A iff the bitmap is invariant
+    under rotation by its generator d/|H|.
     """
     if not a:
         raise ValueError("stabilizer of the empty set is undefined")
-    n = len(a)
-    for h in reversed(subgroups(a.group)):
-        if n % h.order == 0 and a.shift(h.step).bits == a.bits:
+    for h in reversed(subgroups(a.group, len(a))):
+        if a.shift(h.step).bits == a.bits:
             return h
     raise AssertionError("unreachable: the trivial subgroup always fixes A")
 

@@ -45,6 +45,22 @@ def test_subgroup_orders_are_divisors():
     assert [h.order for h in subgroups(CyclicGroup(7))] == [1, 7]
 
 
+def test_subgroups_of_order_dividing_m():
+    """subgroups(g, m) keeps the subgroups whose order divides m, ascending:
+    the divisors of gcd(d, m); m = 0 keeps every subgroup."""
+    g = CyclicGroup(720720)
+    assert ([h.order for h in subgroups(g, 180)]
+            == [1, 2, 3, 4, 5, 6, 9, 10, 12, 15, 18, 20, 30, 36, 45, 60, 90,
+                180])
+    assert subgroups(g, 0) == subgroups(g)
+    assert [h.order for h in subgroups(g, 17)] == [1]
+    for d in range(1, 61):
+        g = CyclicGroup(d)
+        for m in range(0, 2 * d + 1):
+            assert subgroups(g, m) == [h for h in subgroups(g)
+                                       if m % h.order == 0], (d, m)
+
+
 def test_divisors_match_definition():
     # ascending order matters: generate_instance draws from this list
     for d in list(range(1, 2001)) + [720720, 1_000_003]:

@@ -733,6 +733,48 @@ class TestCli:
         assert "_int_tuple" not in captured.err
         assert captured.out == "" and ran == []
 
+    INT_FLAGS = ("--d", "--s", "--max-a", "--count", "--seed",
+                 "--max-a-slack", "--cap")
+    FLOAT_FLAGS = ("--density", "--epsilon")
+
+    @pytest.mark.parametrize("flag, raw, noun", [
+        *((flag, raw, "an integer") for flag in INT_FLAGS
+          for raw in ("1_2", " 12", "12 ", "\u0661\u0662")),
+        *((flag, raw, "a number") for flag in FLOAT_FLAGS
+          for raw in ("0.7_5", " 0.75", "0.75 ", "\u0660.\u0667\u0665"))])
+    def test_campaign_coercible_numeral_exit(self, flag, raw, noun,
+                                             monkeypatch, capsys):
+        """A numeral that Python's int or float would coerce (an underscore,
+        surrounding whitespace, Arabic-Indic digits) is refused with exit 2
+        on every numeric flag; each one used to run as 12 or 0.75."""
+        import sumset_forge.cli as cli
+        ran = []
+        monkeypatch.setattr(cli, "campaign_random",
+                            lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--mode", "random", "--count", "1",
+                  f"{flag}={raw}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: not {noun}: {raw!r}" in captured.err
+        assert captured.out == "" and ran == []
+
+    @pytest.mark.parametrize("flag, raw, line", [
+        ("--d", "12", "param d 12"), ("--s", "12", "param s 12..12"),
+        ("--max-a", "12", None), ("--count", "12", "param count 12"),
+        ("--seed", "12", "seed 12"), ("--seed", "-3", "seed -3"),
+        ("--max-a-slack", "12", "param max_a_slack 12"), ("--cap", "12", None),
+        ("--density", "0.75", "param density 0.75"),
+        ("--epsilon", "0.75", "param epsilon 0.75")])
+    def test_campaign_canonical_numeral_runs(self, flag, raw, line, capsys):
+        """The plain spellings still run, and the report reads the value."""
+        code = main(["campaign", "--mode", "random", "--count", "1",
+                     "--no-canonical", f"{flag}={raw}"])
+        assert code in (0, 1)
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == REPORT_VERSION
+        assert line is None or line in out
+
     @pytest.mark.parametrize("d, top", [(10 ** 12, 2), (12, 10 ** 12)],
                              ids=["d", "offset"])
     def test_verify_width_cap_exit(self, d, top, tmp_path, monkeypatch,

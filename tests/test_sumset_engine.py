@@ -533,6 +533,43 @@ def test_stabilizer_matches_definition_exhaustive():
             assert stabilizer(a) == max(fixing, key=lambda h: h.order), a
 
 
+def full_scan_stabilizer(a):
+    """Oracle: the stabilizer by its first scan, every subgroup of Z/dZ
+    descending by order, rotating A only by those whose order divides
+    |A|."""
+    n = len(a)
+    for h in reversed(subgroups(a.group)):
+        if n % h.order == 0 and a.shift(h.step).bits == a.bits:
+            return h
+
+
+@pytest.mark.parametrize("d", [5040, 55440])
+def test_stabilizer_matches_full_scan(d):
+    """Testing only the subgroups whose order divides gcd(|A|, d) finds the
+    subgroup the full descending scan finds: on random sets, unions of
+    cosets, whole cosets and sets of a size coprime to d, whose stabilizer
+    is trivial."""
+    rng = random.Random(d)
+    g = CyclicGroup(d)
+    hs = subgroups(g)
+    sets = [ResidueSet.of(g, rng.sample(range(d), max(1, d * k // 1000)))
+            for k in (1, 50, 500) for _ in range(4)]
+    for _ in range(30):
+        h = rng.choice(hs)
+        # distinct residues mod the step: disjoint cosets, so + is |
+        reps = rng.sample(range(h.step), rng.randint(1, min(h.step, 6)))
+        sets.append(ResidueSet(g, sum(coset_of(h, r).bits for r in reps)))
+        sets.append(coset_of(h, rng.randrange(d)))
+    coprime = [n for n in range(1, 400) if gcd(n, d) == 1]
+    for n in rng.sample(coprime, 10):
+        a = ResidueSet.of(g, rng.sample(range(d), n))
+        assert stabilizer(a).order == 1
+        sets.append(a)
+    for a in sets:
+        assert stabilizer(a) == full_scan_stabilizer(a), len(a)
+    assert len({stabilizer(a).order for a in sets}) > 10
+
+
 def test_stabilizer_of_coset_is_subgroup():
     g = CyclicGroup(24)
     for order in (1, 2, 3, 4, 6, 8, 12, 24):
