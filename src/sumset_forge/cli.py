@@ -17,32 +17,43 @@ from .harness import (MAX_WIDTH, CapExceeded, GenParams, LayeredSetError,
                       worker_count, Tally, REPORT_VERSION)
 
 
-def _strict(kind, noun: str):
-    """An argparse type: `kind` (int or float) of a plain ASCII numeral.
-    `kind` alone also reads "1_2", " 12" and "١٢" (Arabic-Indic digits) as
-    12; input is refused, never coerced."""
+def _strict(kind, lo=-inf, hi=inf):
+    """An argparse type: a `kind` (int or float) in [lo, hi], spelled as the
+    report prints it, `str(value)`, or a whole float as an integer ("0").
+    `kind` alone reads "012", "+12", " 12", "1_2" and "١٢" as 12 and ".75" as
+    0.75; such a token exits 2 here, never coerced or failing later in the
+    campaign, whose exit 1 reads as "violations found"."""
+    noun = "an integer" if kind is int else "a number"
+
     def parse(token: str):
-        if token.isascii() and "_" not in token and token == token.strip():
-            try:
-                return kind(token)
-            except ValueError:
-                pass
-        raise argparse.ArgumentTypeError(f"not {noun}: {token!r}")
+        try:
+            value = kind(token)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {token!r}") from None
+        if not lo <= value <= hi:           # also false for nan
+            raise argparse.ArgumentTypeError(
+                f"needs {noun} in [{lo}, {hi}], got {token!r}")
+        if token != str(value) and not (kind is float and value.is_integer()
+                                        and token == str(int(value))):
+            raise argparse.ArgumentTypeError(
+                f"not {noun}: {token!r} (write {value})")
+        return value
     return parse
 
 
-_int = _strict(int, "an integer")
-_float = _strict(float, "a number")
+def _int_tuple(lo, hi):
+    """An argparse type: comma-separated integers, each in [lo, hi]."""
+    item = _strict(int, lo, hi)
 
-
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    tokens = raw.split(",")     # "12,,16" is refused, not run as "12,16"
-    if "" in tokens:
-        raise argparse.ArgumentTypeError(f"empty value in {raw!r}")
-    try:
-        return tuple(map(_int, tokens))
-    except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentTypeError(f"{exc} in {raw!r}") from None
+    def parse(raw: str) -> tuple[int, ...]:
+        tokens = raw.split(",")     # "12,,16" is refused, not run as "12,16"
+        if "" in tokens:
+            raise argparse.ArgumentTypeError(f"empty value in {raw!r}")
+        try:
+            return tuple(map(item, tokens))
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"{exc} in {raw!r}") from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,22 +69,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp = sub.add_parser("campaign", help="run a verification campaign")
     p_camp.add_argument("--mode", choices=("exhaustive", "random"),
                         required=True)
-    p_camp.add_argument("--d", type=_int_tuple, default=gen.d_values,
+    p_camp.add_argument("--d", type=_int_tuple(1, MAX_WIDTH),
+                        default=gen.d_values,
                         help="comma-separated moduli (random mode)")
-    p_camp.add_argument("--s", type=_int_tuple,
+    p_camp.add_argument("--s", type=_int_tuple(2, MAX_WIDTH),
                         default=tuple(range(gen.s_min, gen.s_max + 1)),
                         help="comma-separated layer counts / sizes")
-    p_camp.add_argument("--max-a", type=_int, default=12,
+    p_camp.add_argument("--max-a", type=_strict(int, 1), default=12,
                         help="offset ceiling (exhaustive mode)")
-    p_camp.add_argument("--count", type=_int, default=10_000,
+    p_camp.add_argument("--count", type=_strict(int, 0), default=10_000,
                         help="instances to generate (random mode)")
-    p_camp.add_argument("--seed", type=_int, default=1)
-    p_camp.add_argument("--density", type=_float, default=gen.density)
-    p_camp.add_argument("--epsilon", type=_float, default=gen.epsilon)
-    p_camp.add_argument("--max-a-slack", type=_int, default=gen.max_a_slack)
+    p_camp.add_argument("--seed", type=_strict(int), default=1)
+    p_camp.add_argument("--density", type=_strict(float, 0, 1),
+                        default=gen.density)
+    p_camp.add_argument("--epsilon", type=_strict(float, 0, 1),
+                        default=gen.epsilon)
+    p_camp.add_argument("--max-a-slack", type=_strict(int, 0, MAX_WIDTH),
+                        default=gen.max_a_slack)
     p_camp.add_argument("--no-canonical", action="store_true",
                         help="skip the canonical instance battery")
-    p_camp.add_argument("--cap", type=_int,
+    p_camp.add_argument("--cap", type=_strict(int),
                         default=campaign_exhaustive.__kwdefaults__["cap"])
     p_camp.add_argument("--out", help="write the report here (default stdout)")
 
@@ -101,23 +116,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    # a bad value must exit 2 here: failing later in the campaign exits 1,
-    # which reads as "violations found"
-    for flag, values, minimum, maximum in (
-            ("--d", args.d, 1, MAX_WIDTH), ("--s", args.s, 2, MAX_WIDTH),
-            ("--count", (args.count,), 0, inf),
-            ("--max-a", (args.max_a,), 1, inf),
-            ("--max-a-slack", (args.max_a_slack,), 0, MAX_WIDTH)):
-        if min(values) < minimum or max(values) > maximum:
-            print(f"error: {flag} needs integers in [{minimum}, {maximum}], "
-                  f"got {','.join(map(str, values))!r}", file=sys.stderr)
-            return 2
-    for flag, value in (("--density", args.density),
-                        ("--epsilon", args.epsilon)):
-        if not 0 <= value <= 1:         # also false for nan
-            print(f"error: {flag} needs a number in [0, 1], got {value!r}",
-                  file=sys.stderr)
-            return 2
     try:
         worker_count()
         if args.mode == "exhaustive":

@@ -355,11 +355,13 @@ def _rng_for(seed: int, index: int) -> random.Random:
 
 def worker_count() -> int:
     """Worker processes for a campaign of either mode: SUMSET_FORGE_THREADS
-    (unset or empty means 1), at most the core count; reports ignore it."""
+    (unset or empty means 1), at most the core count; reports ignore it.
+    "02", "٢" and "２" are refused, not read as 2: one spelling per count."""
     raw = os.environ.get(THREADS_ENV) or "1"
-    if not raw.isdecimal() or int(raw) < 1:
+    n = int(raw) if raw.isdecimal() else 0
+    if n < 1 or raw != str(n):
         raise ValueError(f"{THREADS_ENV} needs an integer >= 1, got {raw!r}")
-    return min(int(raw), os.cpu_count() or 1)
+    return min(n, os.cpu_count() or 1)
 
 
 def _check_stride(keys: Callable, check: Callable, k: int, n: int) -> Tally:

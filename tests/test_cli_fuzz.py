@@ -3,12 +3,13 @@ end in exit 0 (clean), 1 (violations) or 2 (refused), never in a traceback,
 which would exit 1 and read as "violations found"."""
 
 import json
+from math import inf
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sumset_forge.cli import main
-from sumset_forge.harness import THREADS_ENV
+from sumset_forge.harness import MAX_WIDTH, THREADS_ENV
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -105,3 +106,64 @@ def test_campaign_bounded_flags(flags, no_canonical, monkeypatch, capsys):
         argv.append("--no-canonical")
     assert _exit_code(argv) in (0, 1, 2)
     capsys.readouterr()
+
+
+ARABIC_INDIC, FULLWIDTH = (
+    str.maketrans("0123456789", "".join(chr(zero + k) for k in range(10)))
+    for zero in (0x660, 0xFF10))
+
+
+@st.composite
+def spellings(draw, values):
+    """(value, token): a value drawn from `values` and one of the many
+    spellings that Python's int() or float() reads as it, or nearly so."""
+    value = draw(values)
+    text = str(value)
+    sign, body = ("-", text[1:]) if text[0] == "-" else ("", text)
+    tokens = [text, f"{sign}0{body}", f"{sign}00{body}", f"+{text}",
+              f"{text}e0", f" {text}", f"{text} ", f"\t{text}",
+              f"{sign}{body[:1]}_{body[1:]}", text.translate(ARABIC_INDIC),
+              text.translate(FULLWIDTH), f"{text}0", f"{text}.0"]
+    if isinstance(value, float):
+        tokens += [f"{value:.{draw(st.integers(0, 20))}f}", f"{value:e}",
+                   f"{value:.17g}", text.removeprefix("0")]
+        if value.is_integer():
+            tokens.append(str(int(value)))
+    return value, draw(st.sampled_from(tokens))
+
+
+# flag: (report line prefix, drawn values, domain); --count stays small so
+# that every campaign the parser lets through is quick
+SPELLED_FLAGS = {
+    "--d": ("param d ", st.integers(-3, 2 * MAX_WIDTH), (1, MAX_WIDTH)),
+    "--count": ("param count ", st.integers(-2, 3), (0, inf)),
+    "--seed": ("seed ", st.integers(), (-inf, inf)),
+    "--max-a-slack": ("param max_a_slack ", st.integers(-3, 2 * MAX_WIDTH),
+                      (0, MAX_WIDTH)),
+    "--density": ("param density ", st.floats() | st.floats(0, 1), (0, 1)),
+    "--epsilon": ("param epsilon ", st.floats() | st.floats(0, 1), (0, 1)),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_campaign_flag_one_spelling(data, monkeypatch, capsys):
+    """A numeric flag runs only as the report prints it: the report's line
+    reads the token unchanged (a whole float written as an integer gains
+    ".0"), or the campaign exits 2.  The value's own spelling, in its
+    domain, runs."""
+    flag = data.draw(st.sampled_from(sorted(SPELLED_FLAGS)))
+    prefix, values, (lo, hi) = SPELLED_FLAGS[flag]
+    value, token = data.draw(spellings(values))
+    monkeypatch.setenv(THREADS_ENV, "1")
+    code = _exit_code(["campaign", "--mode", "random", "--no-canonical",
+                       "--count=0", f"{flag}={token}"])
+    out = capsys.readouterr().out.splitlines()
+    if code == 2:
+        assert token != str(value) or not lo <= value <= hi
+        return
+    line, = (l for l in out if l.startswith(prefix))
+    printed = line[len(prefix):]
+    assert printed == token or (isinstance(value, float)
+                                and printed == token + ".0")

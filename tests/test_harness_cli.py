@@ -528,8 +528,8 @@ class TestCampaign:
         monkeypatch.setenv(THREADS_ENV, "8")
         assert harness.worker_count() == 1
 
-    @pytest.mark.parametrize("raw",
-                             ["abc", "0", "-3", "2.5", "1e3", " 2", "+2"])
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", "1e3", " 2", "+2",
+                                     "\u0662", "\uff12", "02"])
     def test_worker_count_rejects(self, raw, monkeypatch):
         monkeypatch.setenv(THREADS_ENV, raw)
         with pytest.raises(ValueError, match=THREADS_ENV):
@@ -662,6 +662,25 @@ class TestCli:
         path.write_text("hello\n")
         assert main(["report", str(path)]) == 2
 
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The campaigns `main` starts, in either mode; none if it refuses
+        its flags."""
+        import sumset_forge.harness as harness
+        ran = []
+        monkeypatch.setattr(harness, "run_campaign",
+                            lambda *args, **kwargs: ran.append(args))
+        return ran
+
+    # each numeric flag's domain as the parser's refusal names it
+    DOMAINS = {"--d": f"an integer in [1, {MAX_WIDTH}]",
+               "--s": f"an integer in [2, {MAX_WIDTH}]",
+               "--max-a": "an integer in [1, inf]",
+               "--count": "an integer in [0, inf]",
+               "--max-a-slack": f"an integer in [0, {MAX_WIDTH}]",
+               "--density": "a number in [0, 1]",
+               "--epsilon": "a number in [0, 1]"}
+
     @pytest.mark.parametrize("args", [
         ["--mode", "random", "--d", "0"],
         ["--mode", "random", "--d", "12,-3"],
@@ -679,32 +698,34 @@ class TestCli:
         ["--mode", "exhaustive", "--s", "6", "--max-a", "-3"],
         ["--mode", "exhaustive", "--s", "6", "--max-a", "0"],
     ])
-    def test_campaign_bad_arguments_exit(self, args, capsys):
-        assert main(["campaign"] + args) == 2
+    def test_campaign_bad_arguments_exit(self, args, ran, capsys):
+        """An out-of-range value exits 2 from the parser, naming its flag
+        and the flag's domain, before any campaign starts."""
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign"] + args)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "error:" in captured.err and captured.out == ""
+        flag = args[-2]
+        assert f"argument {flag}: needs {self.DOMAINS[flag]}, got " \
+               in captured.err
+        assert captured.out == "" and ran == []
 
     @pytest.mark.parametrize("flag", ["--d", "--s", "--max-a-slack"])
-    def test_campaign_width_cap_exit(self, flag, monkeypatch, capsys):
-        import sumset_forge.cli as cli
-        ran = []
-        monkeypatch.setattr(cli, "campaign_random",
-                            lambda *args, **kwargs: ran.append(args))
-        assert main(["campaign", "--mode", "random", "--count", "1",
-                     flag, str(10 ** 12)]) == 2
+    def test_campaign_width_cap_exit(self, flag, ran, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--mode", "random", "--count", "1",
+                  flag, str(10 ** 12)])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert f"{flag} needs integers in" in captured.err
+        assert f"argument {flag}: needs {self.DOMAINS[flag]}, got " \
+               f"'{10 ** 12}'" in captured.err
         assert captured.out == "" and ran == []
 
     @pytest.mark.parametrize("flag, raw", [("--d", "12,,16"), ("--s", "6,,9"),
                                            ("--d", "12,16,"), ("--s", "")])
-    def test_campaign_empty_token_exit(self, flag, raw, monkeypatch, capsys):
+    def test_campaign_empty_token_exit(self, flag, raw, ran, capsys):
         """An empty token is refused, not skipped: `--d 12,,16` must not
         run as `--d 12,16`."""
-        import sumset_forge.cli as cli
-        ran = []
-        monkeypatch.setattr(cli, "campaign_random",
-                            lambda *args, **kwargs: ran.append(args))
         with pytest.raises(SystemExit) as exc:
             main(["campaign", "--mode", "random", "--count", "1",
                   f"{flag}={raw}"])
@@ -716,14 +737,10 @@ class TestCli:
     @pytest.mark.parametrize("flag, raw, bad", [("--d", "12,x", "x"),
                                                 ("--d", "1.5", "1.5"),
                                                 ("--s", "6,7,8e0", "8e0")])
-    def test_campaign_non_integer_token_exit(self, flag, raw, bad,
-                                             monkeypatch, capsys):
+    def test_campaign_non_integer_token_exit(self, flag, raw, bad, ran,
+                                             capsys):
         """A token `int` refuses exits 2 with a message naming it, not the
         parser's helper."""
-        import sumset_forge.cli as cli
-        ran = []
-        monkeypatch.setattr(cli, "campaign_random",
-                            lambda *args, **kwargs: ran.append(args))
         with pytest.raises(SystemExit) as exc:
             main(["campaign", "--mode", "random", "--count", "1",
                   f"{flag}={raw}"])
@@ -739,24 +756,26 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, raw, noun", [
         *((flag, raw, "an integer") for flag in INT_FLAGS
-          for raw in ("1_2", " 12", "12 ", "\u0661\u0662")),
+          for raw in ("1_2", " 12", "12 ", "\u0661\u0662", "012", "+12")),
+        ("--seed", "007", "an integer"), ("--count", "01", "an integer"),
         *((flag, raw, "a number") for flag in FLOAT_FLAGS
-          for raw in ("0.7_5", " 0.75", "0.75 ", "\u0660.\u0667\u0665"))])
-    def test_campaign_coercible_numeral_exit(self, flag, raw, noun,
-                                             monkeypatch, capsys):
+          for raw in ("0.7_5", " 0.75", "0.75 ", "\u0660.\u0667\u0665",
+                      ".75", "7.5e-1", "0.750", "0.00001"))])
+    def test_campaign_coercible_numeral_exit(self, flag, raw, noun, ran,
+                                             capsys):
         """A numeral that Python's int or float would coerce (an underscore,
-        surrounding whitespace, Arabic-Indic digits) is refused with exit 2
-        on every numeric flag; each one used to run as 12 or 0.75."""
-        import sumset_forge.cli as cli
-        ran = []
-        monkeypatch.setattr(cli, "campaign_random",
-                            lambda *args, **kwargs: ran.append(args))
+        surrounding whitespace, Arabic-Indic digits, a leading zero or sign,
+        another spelling of the float) is refused with exit 2 on every
+        numeric flag, and the message names the spelling the report
+        prints."""
         with pytest.raises(SystemExit) as exc:
             main(["campaign", "--mode", "random", "--count", "1",
                   f"{flag}={raw}"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert f"argument {flag}: not {noun}: {raw!r}" in captured.err
+        value = int(raw) if noun == "an integer" else float(raw)
+        assert f"argument {flag}: not {noun}: {raw!r} (write {value})" \
+               in captured.err
         assert captured.out == "" and ran == []
 
     @pytest.mark.parametrize("flag, raw, line", [
@@ -765,9 +784,13 @@ class TestCli:
         ("--seed", "12", "seed 12"), ("--seed", "-3", "seed -3"),
         ("--max-a-slack", "12", "param max_a_slack 12"), ("--cap", "12", None),
         ("--density", "0.75", "param density 0.75"),
-        ("--epsilon", "0.75", "param epsilon 0.75")])
+        ("--epsilon", "0.75", "param epsilon 0.75"),
+        ("--density", "0", "param density 0.0"),
+        ("--density", "1e-05", "param density 1e-05"),
+        ("--epsilon", "1", "param epsilon 1.0")])
     def test_campaign_canonical_numeral_runs(self, flag, raw, line, capsys):
-        """The plain spellings still run, and the report reads the value."""
+        """The plain spellings still run, and the report reads the value; a
+        whole float may be written as an integer."""
         code = main(["campaign", "--mode", "random", "--count", "1",
                      "--no-canonical", f"{flag}={raw}"])
         assert code in (0, 1)
@@ -788,7 +811,8 @@ class TestCli:
         assert main(["verify", str(path)]) == 2
         assert "exceeds the cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5",
+                                     "\u0662", "\uff12", "02"])
     def test_campaign_bad_threads_exit(self, raw, monkeypatch, capsys):
         monkeypatch.setenv(THREADS_ENV, raw)
         assert main(["campaign", "--mode", "random", "--count", "5"]) == 2
@@ -803,11 +827,7 @@ class TestCli:
 
     @pytest.mark.parametrize("where", ["missing/r.txt", "."])
     def test_campaign_bad_out_refused_before_work(self, where, tmp_path,
-                                                  monkeypatch, capsys):
-        import sumset_forge.cli as cli
-        ran = []
-        monkeypatch.setattr(cli, "campaign_random",
-                            lambda *args, **kwargs: ran.append(args))
+                                                  ran, capsys):
         out = tmp_path / where
         assert main(["campaign", "--mode", "random", "--count", "5",
                      "--out", str(out)]) == 2
