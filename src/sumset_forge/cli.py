@@ -22,13 +22,20 @@ def _strict(kind, lo=-inf, hi=inf):
     report prints it, `str(value)`, or a whole float as an integer ("0").
     `kind` alone reads "012", "+12", " 12", "1_2" and "١٢" as 12 and ".75" as
     0.75; such a token exits 2 here, never coerced or failing later in the
-    campaign, whose exit 1 reads as "violations found"."""
+    campaign, whose exit 1 reads as "violations found".  An integer with
+    more digits than the interpreter's `int` reads is refused as such."""
     noun = "an integer" if kind is int else "a number"
 
     def parse(token: str):
         try:
             value = kind(token)
         except ValueError:
+            digits = token.removeprefix("-")
+            if kind is int and digits.isdecimal():  # only the digit limit
+                raise argparse.ArgumentTypeError(
+                    f"an integer of {len(digits)} digits, more than this "
+                    f"interpreter's int_max_str_digits, "
+                    f"{sys.get_int_max_str_digits()}") from None
             raise argparse.ArgumentTypeError(f"not {noun}: {token!r}") from None
         if not lo <= value <= hi:           # also false for nan
             raise argparse.ArgumentTypeError(

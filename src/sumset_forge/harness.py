@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -356,9 +357,16 @@ def _rng_for(seed: int, index: int) -> random.Random:
 def worker_count() -> int:
     """Worker processes for a campaign of either mode: SUMSET_FORGE_THREADS
     (unset or empty means 1), at most the core count; reports ignore it.
-    "02", "٢" and "２" are refused, not read as 2: one spelling per count."""
+    "02", "٢" and "２" are refused, not read as 2: one spelling per count,
+    and so is a count with more digits than `int` reads."""
     raw = os.environ.get(THREADS_ENV) or "1"
-    n = int(raw) if raw.isdecimal() else 0
+    try:
+        n = int(raw) if raw.isdecimal() else 0
+    except ValueError:          # only the digit limit refuses a decimal
+        raise ValueError(
+            f"{THREADS_ENV} has {len(raw)} digits, more than this "
+            f"interpreter's int_max_str_digits, "
+            f"{sys.get_int_max_str_digits()}") from None
     if n < 1 or raw != str(n):
         raise ValueError(f"{THREADS_ENV} needs an integer >= 1, got {raw!r}")
     return min(n, os.cpu_count() or 1)

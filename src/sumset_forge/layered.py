@@ -36,7 +36,8 @@ TAU_DEFAULT = Fraction(5, 2)        # every s >= 6
 PROFILE_MEMO_SIZE = 1024
 
 # `flatten_sumset` places layers at their offsets while max a < DENSE_SPAN * s
-# and by index otherwise, so none of its bitmaps scales with a wide span
+# and by index otherwise, so none of its bitmaps scales with a wide span; its
+# pigeonhole image, placed by offset too, is tried below the same bound
 DENSE_SPAN = 2
 
 # `LayeredSet.flat` adds the layers in Z/|H|Z, H their smallest coset
@@ -119,7 +120,10 @@ class LayeredSet:
         cache lives in the instance __dict__, outside the compared fields.
         From d = QUOTIENT_WIDTH on, when the layers' coset subgroup H is
         proper, it is the flatten of `coset_quotient`, the same sizes with
-        shifts |H| bits wide instead of d."""
+        shifts |H| bits wide instead of d.  Either flatten counts dense
+        layers that each fill more than half of a coset of one subgroup
+        from their image mod that subgroup, one sum of s points
+        (`flatten_sumset`)."""
         found = self.placement if self.d >= QUOTIENT_WIDTH else None
         if found is not None and found[0].order < self.d:
             return flatten_sumset(coset_quotient(self, *found))
@@ -207,15 +211,33 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     the sum of |B_i + B_j| over the pairs of the prop6 matching alone (0
     for a Hall violator, which `prop6_lower_bound` raises on first).
 
-    One packed pass makes every B_i + B_j.  Layer j takes the 2d-bit slot
-    p_j, and p is strictly increasing: p_j = a_j when the offsets are
-    dense (max a < DENSE_SPAN * s), p_j = j otherwise.  The pack for i
-    holds every B_j, j >= i, at bit (p_j - p_i)*2d, and sums[i] is one
-    `sumset` of B_i with that pack in Z/WZ, W = (p_{s-1} - p_i + 1)*2d.
-    No carry: B_i + B_j in Z lies in [0, 2d-2], so shifting the pack by a
-    member of B_i keeps each B_j inside its own slot, and the top slot ends
-    below W, where the fold mod W changes nothing.  Unique slots: p is
-    injective, so slot p_j - p_i of sums[i] holds B_i + B_j alone.
+    Dense offsets whose layers fill more than half of their cosets take
+    the image of B~ mod H instead, H the smallest subgroup with every B_i
+    inside one of its cosets: its step g = gcd(d, m - min B_i over every
+    member m of every layer), one chain of mask tests (`coset_step`).  With
+    c_i = min B_i mod g, B_i lies in c_i + H.  If 2 min|B_i| > |H| = d/g,
+    then |B_i| + |B_j| > |H| for every pair, and by the pigeonhole of
+    `sumset`'s whole-coset test B_i + B_j is the coset c_i + c_j + H.  The
+    row at k is then the union of the cosets (c_i + c_j) mod g + H over the
+    pairs with a_i + a_j = k, |H| members for each distinct residue.  Those
+    residues come from one `sumset` of the image pack, bit a_i*2g + c_i for
+    each layer, with itself in Z/((2 max a + 1)*2g)Z: c_i + c_j < 2g, so
+    slot a_i + a_j holds c_i + c_j in Z and nothing wraps, and the dense
+    path's masked fold, taken mod g, leaves the residues of every row.
+    So |B~+B~| is |H| times its bit count, and each matched pair adds |H|
+    to the prop6 bound.  The cosets need not follow a_i*x + y, so a row
+    may be several cosets and the placement's H is not used.  g only
+    falls as the chain goes on, so it stops once 2 min|B_i| <= d/g.
+
+    Otherwise one packed pass makes every B_i + B_j.  Layer j takes the
+    2d-bit slot p_j, and p is strictly increasing: p_j = a_j when the
+    offsets are dense (max a < DENSE_SPAN * s), p_j = j otherwise.  The
+    pack for i holds every B_j, j >= i, at bit (p_j - p_i)*2d, and sums[i]
+    is one `sumset` of B_i with that pack in Z/WZ, W = (p_{s-1} - p_i +
+    1)*2d.  No carry: B_i + B_j in Z lies in [0, 2d-2], so shifting the
+    pack by a member of B_i keeps each B_j inside its own slot, and the top
+    slot ends below W, where the fold mod W changes nothing.  Unique slots:
+    p is injective, so slot p_j - p_i of sums[i] holds B_i + B_j alone.
 
     Dense offsets: ORing sums[i] into Y at bit 2*a_i*2d moves B_i + B_j to
     slot a_i + a_j, so slot k of Y is the row at first coordinate k, still
@@ -233,8 +255,24 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     within s slots.  A matched pair (i, j), i <= j, adds its one slot
     of sums[i], folded."""
     d, s, offsets = L.d, L.s, L.offsets()
-    width = 2 * d
     dense = offsets[-1] < DENSE_SPAN * s
+    matching = L.profile.matching
+    if dense:
+        firsts, low, g = [], min(L.sizes), 0
+        for _, b in L.layers:
+            firsts.append(b.min())
+            g = coset_step(b.bits, firsts[-1], d, g)
+            if 2 * low * g <= d:
+                break
+        else:
+            order = d // g
+            group = CyclicGroup((2 * offsets[-1] + 1) * 2 * g)
+            image = ResidueSet(group, sum(1 << 2 * a * g + m0 % g
+                                          for a, m0 in zip(offsets, firsts)))
+            rows = _folded_count(sumset(image, image).bits, offsets[-1], g)
+            return LayeredSumset(order * rows, 0 if isinstance(
+                matching, HallViolator) else order * len(matching))
+    width = 2 * d
     place = offsets if dense else range(s)
     sums = [0] * s
     pack = 0
@@ -251,8 +289,7 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
         y = 0
         for a, row in zip(offsets, sums):
             y |= row << 2 * a * width
-        starts = build_lattice((2 * offsets[-1] + 1) * width, width)
-        total = ((y | y >> d) & ((starts << d) - starts)).bit_count()
+        total = _folded_count(y, offsets[-1], d)
     else:
         rows: dict[int, int] = {}
         for i, out in enumerate(sums):
@@ -261,11 +298,17 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
                 rows[k] = rows.get(k, 0) | out & slot
                 out >>= width
         total = sum(fold(row, d).bit_count() for row in rows.values())
-    matching = L.profile.matching
     bound = 0 if isinstance(matching, HallViolator) else sum(
         fold(sums[i] >> (place[j] - place[i]) * width & slot, d).bit_count()
         for i, j in matching)
     return LayeredSumset(total, bound)
+
+
+def _folded_count(y: int, top: int, m: int) -> int:
+    """The members of 2 top + 1 slots of 2m bits in y, each slot taken
+    mod m: the masked fold of `flatten_sumset`'s dense rows."""
+    starts = build_lattice((2 * top + 1) * 2 * m, 2 * m)
+    return ((y | y >> m) & ((starts << m) - starts)).bit_count()
 
 
 def _prop6_copies(aset: IntegerSet, r: int) -> list[int]:

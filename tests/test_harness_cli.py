@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import sys
 import time
 from collections import Counter
 from itertools import combinations
@@ -11,7 +12,7 @@ import pytest
 
 import sumset_forge.layered as layered
 from sumset_forge.classical_checks import CheckOutcome
-from sumset_forge.cli import main
+from sumset_forge.cli import build_parser, main
 from sumset_forge.group_core import Bitmap, CyclicGroup
 from sumset_forge.hall_bounds import HallViolator
 from sumset_forge.harness import (MAX_WIDTH, CapExceeded, Finding, GenParams,
@@ -778,6 +779,25 @@ class TestCli:
                in captured.err
         assert captured.out == "" and ran == []
 
+    @pytest.mark.parametrize("flag", ["--seed", "--count", "--cap"])
+    def test_campaign_digit_limit_exit(self, flag, ran, capsys):
+        """An integer with more digits than the interpreter's `int` reads
+        exits 2 with a message naming that limit, not "not an integer";
+        one at the limit is read."""
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--mode", "random", "--count", "1",
+                  f"{flag}={'9' * (limit + 1)}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: an integer of {limit + 1} digits, more " \
+               f"than this interpreter's int_max_str_digits, {limit}" \
+               in captured.err
+        assert captured.out == "" and ran == []
+        args = build_parser().parse_args(
+            ["campaign", "--mode", "random", f"{flag}={'9' * limit}"])
+        assert getattr(args, flag[2:]) == int("9" * limit)
+
     @pytest.mark.parametrize("flag, raw, line", [
         ("--d", "12", "param d 12"), ("--s", "12", "param s 12..12"),
         ("--max-a", "12", None), ("--count", "12", "param count 12"),
@@ -818,6 +838,17 @@ class TestCli:
         assert main(["campaign", "--mode", "random", "--count", "5"]) == 2
         captured = capsys.readouterr()
         assert THREADS_ENV in captured.err and captured.out == ""
+
+    def test_campaign_threads_past_digit_limit_exit(self, ran, monkeypatch,
+                                                    capsys):
+        """A worker count with more digits than `int` reads is refused
+        with the variable's name before any worker starts."""
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setenv(THREADS_ENV, "9" * (limit + 1))
+        assert main(["campaign", "--mode", "random", "--count", "5"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {THREADS_ENV} has {limit + 1} digits" in captured.err
+        assert captured.out == "" and ran == []
 
     def test_bench_verb_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,8 @@ from math import gcd
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumset_forge.group_core import (CyclicGroup, ResidueSet, Subgroup,
                                      containing_coset, subgroups)
@@ -14,7 +16,7 @@ from sumset_forge.hall_bounds import (HallViolator, find_sdr, lemma2_copies,
 from sumset_forge.harness import (GenParams, _rng_for, canonical_instances,
                                   enumerate_offset_sets, generate_instance)
 from sumset_forge.layered import (DENSE_SPAN, INEQ7_EQUALITY, INEQ7_STRICT,
-                                  ConclusionFailed, LayeredSet,
+                                  QUOTIENT_WIDTH, ConclusionFailed, LayeredSet,
                                   LayeredSetError, LayeredSumset,
                                   NotApplicable,
                                   StructureWitness, _prop6_copies,
@@ -127,6 +129,47 @@ def spread_instance(rng):
               for a in [0] + rest]
     layers[0] = (0, {0, *layers[0][1]})
     return LayeredSet.of(d, layers)
+
+
+def coset_layers_instance(rng, step, order, low, s):
+    """Dense offsets (max a < DENSE_SPAN * s) with layer i inside c_i + H in
+    Z/(step * order)Z, H of that step and order.  The c_i are drawn at
+    random (c_1 = 0), so the cosets follow no a*x + y in general.  One layer
+    after the first has `low` members and the rest low..order; the first
+    holds 0 and, with room for two members, step as well, so H is the
+    smallest subgroup with every layer inside one of its cosets."""
+    d = step * order
+    while True:
+        rest = sorted(rng.sample(range(1, DENSE_SPAN * s), s - 1))
+        if gcd(*rest) == 1:
+            break
+    sizes = [rng.randint(low, order) for _ in range(s)]
+    sizes[0] = n = min(order, max(low, 2))
+    sizes[rng.randrange(1, s)] = low
+    layers = [(0, [k * step for k in [0, 1][:n]
+                   + rng.sample(range(2, order), max(0, n - 2))])]
+    for a, n in zip(rest, sizes[1:]):
+        c = rng.randrange(step)
+        layers.append((a, [c + k * step for k in rng.sample(range(order), n)]))
+    return LayeredSet.of(d, layers)
+
+
+def confining_order(L):
+    """|H| for the smallest H with every layer inside one coset of H, from
+    a gcd over every member."""
+    return L.d // gcd(L.d, *(m - b.min() for _, b in L.layers for m in b))
+
+
+def recorded_moduli(monkeypatch):
+    """The modulus of each `sumset` the flatten makes from here on."""
+    moduli = []
+
+    def recording(a, b):
+        moduli.append(a.group.modulus)
+        return sumset(a, b)
+
+    monkeypatch.setattr("sumset_forge.layered.sumset", recording)
+    return moduli
 
 
 def verify_witness_elementwise(L, w):
@@ -285,13 +328,7 @@ class TestFlatten:
         nine layers of Z/120Z spread up to 8 * 10**6 allocates little.  So
         does placing them in their cosets, which reads the offset tuple and
         builds no bitmap as wide as the span."""
-        moduli = []
-
-        def recording(a, b):
-            moduli.append(a.group.modulus)
-            return sumset(a, b)
-
-        monkeypatch.setattr("sumset_forge.layered.sumset", recording)
+        moduli = recorded_moduli(monkeypatch)
         spread = (0, 1, 1094067, 1996193, 3103410, 4565327, 4971434,
                   5066050, 7683503)
         instances = [LayeredSet.of(120, [(0, range(0, 120, 2)), (1, [1]),
@@ -309,6 +346,113 @@ class TestFlatten:
             found, peak = traced_peak(coset_placement, L)
             assert peak < 100_000
             assert found == member_gcd_placement(L)
+
+    def test_pigeonhole_full_flatten_makes_one_sum(self, monkeypatch):
+        """A dense flatten whose layers all fill more than half of their
+        cosets of H, the smallest subgroup confining each of them, adds the
+        image pack to itself once, in Z/WZ with W <= (2 max a + 1) * 2g, g
+        the step of H.  One singleton among full cosets (b6) is not full,
+        and takes the s packed sums."""
+        moduli = recorded_moduli(monkeypatch)
+        instances = ([full_coset_instance(), singleton_instance()]
+                     + [generate_instance(GenParams(), _rng_for(37, i))
+                        for i in range(50)])
+        for L in instances:
+            L.profile
+            moduli.clear()
+            g = L.d // confining_order(L)
+            assert 2 * min(L.sizes) * g > L.d
+            assert flatten_sumset(L) == pairwise_flatten(L)
+            assert len(moduli) == 1
+            assert moduli[0] <= (2 * L.max_offset() + 1) * 2 * g
+        L = b6_singleton_variant()
+        L.profile
+        moduli.clear()
+        assert flatten_sumset(L) == pairwise_flatten(L)
+        assert len(moduli) == L.s
+
+    def test_pigeonhole_rows_match_pairwise_oracle(self, rng, monkeypatch):
+        """Layers in cosets of one H, on both sides of 2 min|B_i| = |H|:
+        the image branch runs exactly when 2 min|B_i| > |H| and agrees with
+        the oracle either way, at |H| = 1, at |H| = d and in between.  The
+        cosets are drawn apart from any a*x + y, so rows are unions of
+        several cosets of H, and |H| * |A' + A'| is not the total."""
+        moduli = recorded_moduli(monkeypatch)
+        sides, unions = Counter(), 0
+        for step in (1, 2, 3, 5):
+            for order in range(1, 14):
+                for low in {max(1, order // 2), (order + 1) // 2,
+                            order // 2 + 1}:
+                    for _ in range(4):
+                        L = coset_layers_instance(rng, step, order, low,
+                                                  rng.randint(2, 8))
+                        assert confining_order(L) == order
+                        assert min(L.sizes) == low
+                        L.profile
+                        moduli.clear()
+                        flat = flatten_sumset(L)
+                        assert flat == pairwise_flatten(L)
+                        full = 2 * low > order
+                        assert len(moduli) == (1 if full else L.s)
+                        sides[full, 2 * low - order] += 1
+                        offsets = L.offsets()
+                        sums = {a + b for a in offsets for b in offsets}
+                        unions += full and flat.total != order * len(sums)
+        assert set(sides) == {(False, 0), (False, -1), (True, 1), (True, 2)}
+        assert unions > 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(2, 8),
+           st.integers(0, 1), st.randoms(use_true_random=False))
+    def test_pigeonhole_rows_properties(self, step, order, s, up, r):
+        """2 min|B_i| at |H| - 1, |H| (below the pigeonhole) and at
+        |H| + 1, |H| + 2 (above), by the parity of |H|."""
+        low = max(1, order // 2 + up)
+        L = coset_layers_instance(r, step, order, low, s)
+        assert flatten_sumset(L) == pairwise_flatten(L)
+
+    def test_pigeonhole_rows_on_generated_instances(self, monkeypatch):
+        """Campaign instances: default and large-s ones are all
+        pigeonhole-full, large-s ones at density 0 mostly are not."""
+        moduli = recorded_moduli(monkeypatch)
+        large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
+                          max_a_slack=8)
+        instances = ([generate_instance(GenParams(), _rng_for(38, i))
+                      for i in range(200)]
+                     + [generate_instance(large, _rng_for(39, i))
+                        for i in range(30)]
+                     + [generate_instance(replace(large, density=0.0),
+                                          _rng_for(40, i))
+                        for i in range(60)])
+        sides = Counter()
+        for L in instances:
+            L.profile
+            moduli.clear()
+            assert flatten_sumset(L) == pairwise_flatten(L, sumset)
+            sides[len(moduli) == 1] += 1
+        assert sides[True] >= 230 and sides[False] >= 30
+
+    def test_pigeonhole_rows_across_quotient_width(self, rng, monkeypatch):
+        """d on both sides of QUOTIENT_WIDTH: generated instances, whose
+        proper H sends the flatten at and above it through the quotient,
+        where the image branch runs in Z/|H|Z, and coset-drawn ones, whose
+        cosets follow no a*x + y, so the plain flatten runs."""
+        moduli = recorded_moduli(monkeypatch)
+        near = GenParams(d_values=(QUOTIENT_WIDTH - 8, QUOTIENT_WIDTH + 16))
+        instances = ([generate_instance(near, _rng_for(41, i))
+                      for i in range(12)]
+                     + [coset_layers_instance(rng, 8, order, order // 2 + 1,
+                                              rng.randint(2, 9))
+                        for order in (63, 66) for _ in range(2)])
+        kinds = Counter()
+        for L in instances:
+            L.profile
+            moduli.clear()
+            assert L.flat == pairwise_flatten(L, sumset)
+            h = L.placement[0].order if L.placement else L.d
+            kinds[L.d >= QUOTIENT_WIDTH, h < L.d, len(moduli) == 1] += 1
+        assert kinds[True, True, True] and kinds[False, True, True]
+        assert kinds[True, False, True] or kinds[False, False, True]
 
     def test_coset_quotient_flatten_matches_plain(self, monkeypatch):
         """With QUOTIENT_WIDTH at 0, every instance whose coset subgroup H
@@ -346,11 +490,15 @@ class TestFlatten:
 
     def test_packed_rows_without_matching(self, rng, monkeypatch,
                                           empty_memo):
-        """With no SDR the total is unchanged and the bound is 0."""
+        """With no SDR the total is unchanged and the bound is 0, from the
+        packed pass and from the pigeonhole image alike (no dense offset
+        set with s <= 8 lacks a prop6 SDR, so the violator is forced)."""
         monkeypatch.setattr("sumset_forge.layered.find_sdr",
                             lambda family: HallViolator((0, 1), 1))
         instances = ([L for _, L in canonical_instances()]
-                     + [small_group_instance(rng) for _ in range(200)])
+                     + [small_group_instance(rng) for _ in range(200)]
+                     + [coset_layers_instance(rng, 4, order, order // 2 + 1,
+                                              6) for order in (1, 3, 4, 9)])
         for L in instances:
             flat = flatten_sumset(L)
             assert isinstance(L.profile.matching, HallViolator)
