@@ -68,6 +68,13 @@ def instance_from_doc(doc) -> LayeredSet:
         raise LayeredSetError(f"malformed instance document: {exc}") from exc
     if max([d] + [a for a, _ in layers]) > MAX_WIDTH:
         raise LayeredSetError(f"d or an offset exceeds the cap {MAX_WIDTH}")
+    for a, members in layers:
+        seen = set()
+        for m in members:
+            if m in seen:
+                raise LayeredSetError(
+                    f"layer at offset {a} lists member {m} twice")
+            seen.add(m)
     try:
         return LayeredSet.of(d, layers)
     except ValueError as exc:

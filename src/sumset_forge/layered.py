@@ -40,7 +40,7 @@ PROFILE_MEMO_SIZE = 1024
 # pigeonhole image, placed by offset too, is tried below the same bound
 DENSE_SPAN = 2
 
-# `LayeredSet.flat` adds the layers in Z/|H|Z, H their smallest coset
+# `flatten_sumset` adds the layers in Z/|H|Z, H their smallest coset
 # subgroup, from this d on.  Below it, placing the layers and reading them
 # out costs more than the d - |H| bits it saves per shift.  Checking the
 # 300 instances of `campaign --count 300 --seed 1 --d w` on fresh copies,
@@ -115,18 +115,24 @@ class LayeredSet:
         return coset_placement(self)
 
     @cached_property
+    def confinement(self) -> tuple[int, tuple[int, ...]]:
+        """(g, firsts): min B_i for each layer, and g = gcd(d, m - min B_i
+        over every member m of every layer), the step of the smallest H
+        with each B_i inside one of its cosets, (min B_i mod g) + H.  One
+        chain of mask tests (`coset_step`, no member pass), stopped at g =
+        1, read by the flatten's image and by `coset_placement`."""
+        firsts = tuple(b.min() for _, b in self.layers)
+        g = self.d
+        for (_, b), m0 in zip(self.layers, firsts):
+            if g > 1:
+                g = coset_step(b.bits, m0, self.d, g)
+        return g, firsts
+
+    @cached_property
     def flat(self) -> "LayeredSumset":
-        """B~ + B~, computed on first use and shared by every check.  The
-        cache lives in the instance __dict__, outside the compared fields.
-        From d = QUOTIENT_WIDTH on, when the layers' coset subgroup H is
-        proper, it is the flatten of `coset_quotient`, the same sizes with
-        shifts |H| bits wide instead of d.  Either flatten counts dense
-        layers that each fill more than half of a coset of one subgroup
-        from their image mod that subgroup, one sum of s points
-        (`flatten_sumset`)."""
-        found = self.placement if self.d >= QUOTIENT_WIDTH else None
-        if found is not None and found[0].order < self.d:
-            return flatten_sumset(coset_quotient(self, *found))
+        """B~ + B~ (`flatten_sumset`), computed on first use and shared by
+        every check.  The cache lives in the instance __dict__, outside the
+        compared fields."""
         return flatten_sumset(self)
 
     @cached_property
@@ -211,33 +217,34 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     the sum of |B_i + B_j| over the pairs of the prop6 matching alone (0
     for a Hall violator, which `prop6_lower_bound` raises on first).
 
-    Dense offsets whose layers fill more than half of their cosets take
-    the image of B~ mod H instead, H the smallest subgroup with every B_i
-    inside one of its cosets: its step g = gcd(d, m - min B_i over every
-    member m of every layer), one chain of mask tests (`coset_step`).  With
-    c_i = min B_i mod g, B_i lies in c_i + H.  If 2 min|B_i| > |H| = d/g,
-    then |B_i| + |B_j| > |H| for every pair, and by the pigeonhole of
-    `sumset`'s whole-coset test B_i + B_j is the coset c_i + c_j + H.  The
-    row at k is then the union of the cosets (c_i + c_j) mod g + H over the
-    pairs with a_i + a_j = k, |H| members for each distinct residue.  Those
-    residues come from one `sumset` of the image pack, bit a_i*2g + c_i for
-    each layer, with itself in Z/((2 max a + 1)*2g)Z: c_i + c_j < 2g, so
-    slot a_i + a_j holds c_i + c_j in Z and nothing wraps, and the dense
-    path's masked fold, taken mod g, leaves the residues of every row.
-    So |B~+B~| is |H| times its bit count, and each matched pair adds |H|
-    to the prop6 bound.  The cosets need not follow a_i*x + y, so a row
-    may be several cosets and the placement's H is not used.  g only
-    falls as the chain goes on, so it stops once 2 min|B_i| <= d/g.
+    Dense offsets whose layers fill more than half of their cosets take the
+    image of B~ mod H instead, H the smallest subgroup with every B_i inside
+    one of its cosets, of step g, and c_i = min B_i mod g
+    (`LayeredSet.confinement`, read only if 2 min|B_i| > max|B_i|, as |H| >=
+    max|B_i|).  If 2 min|B_i| > |H| = d/g, then |B_i| + |B_j| > |H| for
+    every pair, and by the pigeonhole of `sumset`'s whole-coset test B_i +
+    B_j is the coset c_i + c_j + H.  The row at k is then the union of the
+    cosets (c_i + c_j) mod g + H over the pairs with a_i + a_j = k, |H|
+    members for each distinct residue.  Those residues come from one
+    `sumset` of the image pack, bit a_i*2g + c_i for each layer, with itself
+    in Z/((2 max a + 1)*2g)Z: c_i + c_j < 2g, so slot a_i + a_j holds c_i +
+    c_j in Z and nothing wraps, and the dense path's masked fold, taken mod
+    g, leaves the residues of every row.  So |B~+B~| is |H| times its bit
+    count, and each matched pair adds |H| to the prop6 bound.  The cosets
+    need not follow a_i*x + y, so a row may be several cosets and the
+    placement's H is not used.
 
-    Otherwise one packed pass makes every B_i + B_j.  Layer j takes the
-    2d-bit slot p_j, and p is strictly increasing: p_j = a_j when the
-    offsets are dense (max a < DENSE_SPAN * s), p_j = j otherwise.  The
-    pack for i holds every B_j, j >= i, at bit (p_j - p_i)*2d, and sums[i]
-    is one `sumset` of B_i with that pack in Z/WZ, W = (p_{s-1} - p_i +
-    1)*2d.  No carry: B_i + B_j in Z lies in [0, 2d-2], so shifting the
-    pack by a member of B_i keeps each B_j inside its own slot, and the top
-    slot ends below W, where the fold mod W changes nothing.  Unique slots:
-    p is injective, so slot p_j - p_i of sums[i] holds B_i + B_j alone.
+    Otherwise one packed pass makes every B_i + B_j, from d = QUOTIENT_WIDTH
+    on in `coset_quotient` when the placement's H is proper: the same sizes
+    (and image test) from shifts |H| bits wide instead of d.  Layer j takes
+    the 2d-bit slot p_j, and p is strictly increasing: p_j = a_j when the
+    offsets are dense (max a < DENSE_SPAN * s), p_j = j otherwise.  The pack
+    for i holds every B_j, j >= i, at bit (p_j - p_i)*2d, and sums[i] is one
+    `sumset` of B_i with that pack in Z/WZ, W = (p_{s-1} - p_i + 1)*2d.  No
+    carry: B_i + B_j in Z lies in [0, 2d-2], so shifting the pack by a
+    member of B_i keeps each B_j inside its own slot, and the top slot ends
+    below W, where the fold mod W changes nothing.  Unique slots: p is
+    injective, so slot p_j - p_i of sums[i] holds B_i + B_j alone.
 
     Dense offsets: ORing sums[i] into Y at bit 2*a_i*2d moves B_i + B_j to
     slot a_i + a_j, so slot k of Y is the row at first coordinate k, still
@@ -257,14 +264,9 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     d, s, offsets = L.d, L.s, L.offsets()
     dense = offsets[-1] < DENSE_SPAN * s
     matching = L.profile.matching
-    if dense:
-        firsts, low, g = [], min(L.sizes), 0
-        for _, b in L.layers:
-            firsts.append(b.min())
-            g = coset_step(b.bits, firsts[-1], d, g)
-            if 2 * low * g <= d:
-                break
-        else:
+    if dense and 2 * min(L.sizes) > max(L.sizes):
+        g, firsts = L.confinement
+        if 2 * min(L.sizes) * g > d:
             order = d // g
             group = CyclicGroup((2 * offsets[-1] + 1) * 2 * g)
             image = ResidueSet(group, sum(1 << 2 * a * g + m0 % g
@@ -272,6 +274,9 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
             rows = _folded_count(sumset(image, image).bits, offsets[-1], g)
             return LayeredSumset(order * rows, 0 if isinstance(
                 matching, HallViolator) else order * len(matching))
+    if d >= QUOTIENT_WIDTH and L.placement and L.placement[0].order < d:
+        L = coset_quotient(L, *L.placement)
+        d = L.d
     width = 2 * d
     place = offsets if dense else range(s)
     sums = [0] * s
@@ -379,21 +384,16 @@ def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
     the offsets' Bezout coefficients c and x0 = sum c_i b_i, the s terms
     b_i - a_i*x0 say the same, modulo the step of H: b_i = a_i*x0 for all i
     gives a_j*b_i - a_i*b_j = a_j*a_i*x0 - a_i*a_j*x0 = 0, and conversely
-    a_j*x0 = sum c_i*a_j*b_i = sum c_i*a_i*b_j = b_j.  So the step of H is
-    one gcd of d, each m - b_i and each b_i - a_i*x0.  B_i then lies in
-    b_i + H, and AffineAssignment reduces b_i mod the step.  The b_i terms
-    come first; each layer's m - b_i then lower q by mask tests
-    (`coset_step`), with no member pass, until q = 1."""
+    a_j*x0 = sum c_i*a_j*b_i = sum c_i*a_i*b_j = b_j.  The m - b_i terms
+    are the confining chain's: with g = gcd(d, every m - b_i) read from
+    `LayeredSet.confinement`, the step of H is q = gcd(g, every b_i -
+    a_i*x0), and gcd is associative, so no member is read again.  B_i
+    then lies in b_i + H, and AffineAssignment reduces b_i mod q."""
     p = L.profile
-    d = L.d
-    firsts = tuple(b.min() for _, b in L.layers)
+    g, firsts = L.confinement
     x0 = sum(c * b for c, b in zip(p.bezout, firsts))
-    q = gcd(d, *(bi - a * x0 for a, bi in zip(L.offsets(), firsts)))
-    for (_, b), bi in zip(L.layers, firsts):
-        if q == 1:
-            break
-        q = coset_step(b.bits, bi, d, q)
-    h = Subgroup(L.group, d // q)
+    q = gcd(g, *(bi - a * x0 for a, bi in zip(L.offsets(), firsts)))
+    h = Subgroup(L.group, L.d // q)
     xy = solve_affine(AffineAssignment(L.offsets(), firsts, q), p.bezout)
     return None if xy is None else (h, *xy)
 

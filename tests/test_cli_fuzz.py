@@ -31,13 +31,16 @@ def instance_docs(draw):
     rest = draw(st.lists(st.integers(1, 10), min_size=2, max_size=7,
                          unique=True))
     # B_i inside a_i*x + H for the subgroup H of the drawn step, so that
-    # small doublings, and with them the structure checks, are reached
+    # small doublings, and with them the structure checks, are reached;
+    # members are distinct, as a repeated one is refused
     coset = range(d // step)
     layers = [{"a": a, "set": [(a * x + j * step) % d for j in draw(
                   st.just(coset) | st.lists(st.sampled_from(coset),
-                                            min_size=1, max_size=6))]}
+                                            min_size=1, max_size=6,
+                                            unique=True))]}
               for a in [0] + sorted(rest)]
-    layers[0]["set"].append(0)
+    if 0 not in layers[0]["set"]:
+        layers[0]["set"].append(0)
     doc = {"d": d, "layers": layers}
     if draw(st.integers(0, 3)) == 0:
         field = draw(st.sampled_from(["d", "layers", "a", "set"]))

@@ -607,6 +607,20 @@ class TestCli:
         assert main(["verify", str(path)]) == 2
         assert "invalid instance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layers, where", [
+        ([[0, 0, 4], [1, 5, 9]], "offset 0 lists member 0 twice"),
+        ([[0, 4, 8], [1, 9, 5, 9]], "offset 1 lists member 9 twice")],
+        ids=["first-layer", "later-layer"])
+    def test_verify_repeated_member_exit(self, layers, where, tmp_path,
+                                         capsys):
+        """A layer that lists a member twice is refused, not read as the
+        set of its members."""
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps({"d": 12, "layers": [
+            {"a": a, "set": members} for a, members in enumerate(layers)]}))
+        assert main(["verify", str(path)]) == 2
+        assert where in capsys.readouterr().err
+
     def test_verify_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/inst.json"]) == 2
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumset_forge.group_core import (CyclicGroup, ResidueSet, Subgroup,
-                                     containing_coset, subgroups)
+                                     containing_coset, coset_step, subgroups)
 from sumset_forge.hall_bounds import (HallViolator, find_sdr, lemma2_copies,
                                       r_parameter, translated_family)
-from sumset_forge.harness import (GenParams, _rng_for, canonical_instances,
-                                  enumerate_offset_sets, generate_instance)
+from sumset_forge.harness import (GenParams, Tally, _rng_for,
+                                  canonical_instances, enumerate_offset_sets,
+                                  generate_instance, verify_instance)
 from sumset_forge.layered import (DENSE_SPAN, INEQ7_EQUALITY, INEQ7_STRICT,
                                   QUOTIENT_WIDTH, ConclusionFailed, LayeredSet,
                                   LayeredSetError, LayeredSumset,
@@ -170,6 +172,14 @@ def recorded_moduli(monkeypatch):
 
     monkeypatch.setattr("sumset_forge.layered.sumset", recording)
     return moduli
+
+
+def recorded_steps(monkeypatch):
+    """The arguments of each `coset_step` call in `layered` from here on."""
+    calls = []
+    monkeypatch.setattr("sumset_forge.layered.coset_step",
+                        lambda *args: calls.append(args) or coset_step(*args))
+    return calls
 
 
 def verify_witness_elementwise(L, w):
@@ -434,9 +444,9 @@ class TestFlatten:
 
     def test_pigeonhole_rows_across_quotient_width(self, rng, monkeypatch):
         """d on both sides of QUOTIENT_WIDTH: generated instances, whose
-        proper H sends the flatten at and above it through the quotient,
-        where the image branch runs in Z/|H|Z, and coset-drawn ones, whose
-        cosets follow no a*x + y, so the plain flatten runs."""
+        layers fill their cosets of a proper H, so the image branch runs
+        on the instance itself, with no quotient, and coset-drawn ones,
+        whose cosets follow no a*x + y, so the plain flatten runs."""
         moduli = recorded_moduli(monkeypatch)
         near = GenParams(d_values=(QUOTIENT_WIDTH - 8, QUOTIENT_WIDTH + 16))
         instances = ([generate_instance(near, _rng_for(41, i))
@@ -456,11 +466,12 @@ class TestFlatten:
 
     def test_coset_quotient_flatten_matches_plain(self, monkeypatch):
         """With QUOTIENT_WIDTH at 0, every instance whose coset subgroup H
-        is proper flattens in Z/|H|Z, and its total and prop6 bound
-        equal the plain flatten's: default, large-s and off-coset
+        is proper and whose layers are not pigeonhole-full flattens in
+        Z/|H|Z, and the total and prop6 bound of that flatten and of
+        `flatten_sumset` of the quotient equal the plain flatten's, taken
+        at the real QUOTIENT_WIDTH: default, large-s and off-coset
         instances (epsilon, where H is often all of Z/dZ), and trivial H
         (layers a*x + y alone), which flattens in Z/1Z."""
-        monkeypatch.setattr("sumset_forge.layered.QUOTIENT_WIDTH", 0)
         large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
                           max_a_slack=8)
         off = GenParams(density=0.0, epsilon=0.3)
@@ -471,12 +482,13 @@ class TestFlatten:
                         for i in range(40)]
                      + [generate_instance(off, _rng_for(36, i))
                         for i in range(300)])
+        plains = [flatten_sumset(L) for L in instances]
+        monkeypatch.setattr("sumset_forge.layered.QUOTIENT_WIDTH", 0)
         kinds = Counter()
-        for L in instances:
+        for L, plain in zip(instances, plains):
             found = L.placement
             assert found is L.placement and found == coset_placement(L)
             h, x, y = found
-            plain = flatten_sumset(L)
             assert L.flat == plain
             if h.order < L.d:
                 q = coset_quotient(L, h, x, y)
@@ -486,7 +498,10 @@ class TestFlatten:
                 assert flatten_sumset(q) == plain
             kinds["full" if h.order == L.d else
                   "trivial" if h.order == 1 else "proper"] += 1
-        assert min(kinds["full"], kinds["trivial"], kinds["proper"]) >= 20
+            kinds["quotient"] += (h.order < L.d and 2 * min(L.sizes)
+                                  * L.confinement[0] <= L.d)
+        assert min(kinds["full"], kinds["trivial"], kinds["proper"],
+                   kinds["quotient"]) >= 20, kinds
 
     def test_packed_rows_without_matching(self, rng, monkeypatch,
                                           empty_memo):
@@ -739,6 +754,109 @@ class TestFindStructure:
                     smaller += 1
                     assert not verify_witness(L, replace(w, subgroup=h))
         assert proper >= 300 and smaller >= 1000
+
+
+class TestConfinement:
+    @staticmethod
+    def instances(rng):
+        """Default, large-s, density 0, off-coset and one-member-layer
+        instances, below and above QUOTIENT_WIDTH."""
+        large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
+                          max_a_slack=8)
+        near = (QUOTIENT_WIDTH - 8, QUOTIENT_WIDTH + 16)
+        params = ((GenParams(), 400), (large, 30),
+                  (GenParams(density=0.0), 300),
+                  (GenParams(epsilon=0.3), 300),
+                  (GenParams(d_values=near), 20),
+                  (GenParams(d_values=near, density=0.0), 20),
+                  (GenParams(d_values=near, epsilon=0.3), 20),
+                  (GenParams(d_values=(8192, 16384), epsilon=0.3), 10))
+        out = [L for _, L in canonical_instances()]
+        out += [singleton_instance(), b6_singleton_variant()]
+        for seed, (p, count) in enumerate(params):
+            out += [generate_instance(p, _rng_for(60 + seed, i))
+                    for i in range(count)]
+        return out + [sparse_instance(rng) for _ in range(300)]
+
+    def test_matches_member_gcd(self, rng, monkeypatch):
+        """g is the step of the smallest confining H, from the gcd over
+        every member, and firsts the least members; the chain stops at g
+        = 1, which many instances reach before their last layer."""
+        calls = recorded_steps(monkeypatch)
+        early = Counter()
+        for L in self.instances(rng):
+            calls.clear()
+            g, firsts = L.confinement
+            assert L.d // g == confining_order(L), L
+            assert firsts == tuple(b.min() for _, b in L.layers)
+            early[g == 1 and len(calls) < L.s] += 1
+        assert early[True] >= 100 and early[False] >= 100, early
+
+    def test_one_chain_per_instance(self, rng, monkeypatch):
+        """The flatten, the placement and the structure finder make at most
+        s `coset_step` calls between them: one chain, on both sides of
+        QUOTIENT_WIDTH, through the pigeonhole image, the packed pass and
+        the quotient's packed pass."""
+        calls = recorded_steps(monkeypatch)
+        kinds = Counter()
+        for L in self.instances(rng):
+            calls.clear()
+            L.flat
+            L.placement
+            find_structure(L)
+            assert len(calls) <= L.s, L
+            g, _ = L.confinement
+            kinds[L.d >= QUOTIENT_WIDTH, L.placement[0].order < L.d,
+                  2 * min(L.sizes) * g > L.d] += 1
+        assert min(kinds[True, True, True], kinds[True, True, False],
+                   kinds[True, False, False], kinds[False, True, True],
+                   kinds[False, False, False]) > 0, kinds
+
+
+def _unplaced(lines):
+    """`check` lines without the witness's ` x=.. y=..`."""
+    return [re.sub(r" x=\d+ y=\d+", "", line) for line in lines]
+
+
+class TestPrimitiveReduction:
+    def test_quotient_keeps_every_verdict(self):
+        """Q = coset_quotient(L, *L.placement) lives in Z/|H|Z and is
+        primitive, its own placement's H is all of Z/|H|Z, and it gives the
+        same `check` lines as L up to (x, y): the canonical battery, each
+        to the Q expected, and generated instances on both sides of
+        QUOTIENT_WIDTH."""
+        battery = dict(canonical_instances())
+        expected = {
+            "full-coset-d12": LayeredSet.of(3, [(a, range(3))
+                                                for a in range(6)]),
+            "all-full-group-d12": battery["all-full-group-d12"],
+            "trivial-subgroup-d7": LayeredSet.of(1, [(a, [0])
+                                                     for a in range(6)])}
+        for name, L in battery.items():
+            assert coset_quotient(L, *L.placement) == expected[name]
+        near = (QUOTIENT_WIDTH - 8, QUOTIENT_WIDTH + 16)
+        params = ((GenParams(), 1000),
+                  (GenParams(density=0.0, epsilon=0.3), 700),
+                  (GenParams(density=0.3), 700),
+                  (GenParams(d_values=near), 120),
+                  (GenParams(d_values=(8192, 16384), epsilon=0.3), 20))
+        instances = list(battery.values())
+        for seed, (p, count) in enumerate(params):
+            instances += [generate_instance(p, _rng_for(70 + seed, i))
+                          for i in range(count)]
+        kinds = Counter()
+        for L in instances:
+            h, x, y = L.placement
+            q = coset_quotient(L, h, x, y)
+            assert q.d == h.order and q.placement[0].order == q.d, L
+            assert _unplaced(verify_instance(L, Tally())) == _unplaced(
+                verify_instance(q, Tally())), L
+            kinds[L.d >= QUOTIENT_WIDTH, h.order == L.d,
+                  h.order == 1] += 1
+        assert len(instances) >= 2500
+        assert min(kinds[False, False, False], kinds[False, True, False],
+                   kinds[False, False, True], kinds[True, False, False],
+                   kinds[True, True, False]) > 0, kinds
 
 
 class TestUvwAndLemma5:
