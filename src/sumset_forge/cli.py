@@ -20,15 +20,18 @@ from .harness import (MAX_WIDTH, CapExceeded, GenParams, LayeredSetError,
 def _strict(kind, lo=-inf, hi=inf):
     """An argparse type: a `kind` (int or float) in [lo, hi], spelled as the
     report prints it, `str(value)`, or a whole float as an integer ("0").
-    `kind` alone reads "012", "+12", " 12", "1_2" and "١٢" as 12 and ".75" as
-    0.75; such a token exits 2 here, never coerced or failing later in the
-    campaign, whose exit 1 reads as "violations found".  An integer with
-    more digits than the interpreter's `int` reads is refused as such."""
+    `kind` alone reads "012", "+12", " 12", "1_2" and "١٢" as 12, ".75" as
+    0.75 and "-0.0" as a zero that prints "-0.0", so that `--density 0`
+    and `--density -0.0` would give two reports; such a token exits 2
+    here, never coerced or failing later in the campaign, whose exit 1
+    reads as "violations found".  An integer with more digits than the
+    interpreter's `int` reads is refused as such."""
     noun = "an integer" if kind is int else "a number"
 
     def parse(token: str):
         try:
-            value = kind(token)
+            # -0.0 + 0 is 0.0: a negative zero is one more spelling of 0.0
+            value = kind(token) + 0
         except ValueError:
             digits = token.removeprefix("-")
             if kind is int and digits.isdecimal():  # only the digit limit

@@ -7,13 +7,33 @@ operation entry.  Everything here is immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional
 
 
 class ModulusMismatch(ValueError):
     """Two residue sets with different moduli were combined."""
+
+
+class memo:
+    """An attribute computed on first read, `func(obj)`, and stored in the
+    instance __dict__ under its own name, where later reads find it before
+    this non-data descriptor: `functools.cached_property` as of CPython
+    3.12.  Up to 3.11 that one takes a class-wide lock on every miss."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True, order=True)
@@ -215,21 +235,23 @@ class Bitmap:
         return self.bits != 0
 
 
-# ResidueSets wider than this keep their `size` once counted.  A memo hit costs
-# about 40 ns, a first count 550-700 ns more than a bare count (CPython 3.11's
-# `cached_property` locks on a miss), which takes 90-160 ns up to 2048 bits,
-# 240-280 at 4096, 460 at 8192 and 3.1-3.4 us at 65536 (2 vCPU Xeon, CPython
-# 3.11.7): the memo pays on a set counted 4 times at 4096 bits, 3 at 8192, 2 at
-# 65536.  Campaign sets (d <= 120) never reach it.
+# ResidueSets wider than this keep their `size` once counted.  Per read of a
+# set in a loop, a memo hit costs about 30 ns, a bare count 170 ns at 2048
+# bits, 300 at 4096, 540 at 8192 and 4.1 us at 65536, and a first count
+# 200-280 ns more than a bare one (2 vCPU Xeon, CPython 3.11.7; 3.11's
+# `cached_property`, which locks on a miss, cost 610-850 ns more): the memo
+# pays on a set counted 3 times at 2048 bits and twice from 4096.  The gate
+# was set from the locking figures and is kept.  Campaign sets (d <= 120)
+# never reach it.
 MEMO_WIDTH = 2048
 
 
 @dataclass(frozen=True)
 class ResidueSet(Bitmap):
     """A subset of Z/dZ, stored as a membership bitmap (python int).  Its
-    `size` and `confining_step` are `cached_property`s: computed on first
-    use and kept in the instance __dict__, outside the compared fields, so
-    equality, hashing and repr see only the group and the bits.  A pickle
+    `size` and `confining_step` are `memo`s: computed on first use and kept
+    in the instance __dict__, outside the compared fields, so equality,
+    hashing and repr see only the group and the bits.  A pickle
     carries the memo too; it holds for the same bits.  `coset_of` builds a
     whole coset with both facts already in the memo."""
 
@@ -247,12 +269,12 @@ class ResidueSet(Bitmap):
             return self.bits.bit_count()
         return self.size
 
-    @cached_property
+    @memo
     def size(self) -> int:
         """|S|, counted once."""
         return self.bits.bit_count()
 
-    @cached_property
+    @memo
     def confining_step(self) -> int:
         """gcd(d, m - min S over the members m): the step of the smallest
         subgroup with S inside one of its cosets (`coset_step`), decided

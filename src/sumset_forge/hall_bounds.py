@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence, Union
 
-from .sumset_engine import IntegerSet, sumset_int
+from .sumset_engine import IntegerSet, members_of, sumset_int
 
 
 class BoundViolation(AssertionError):
@@ -71,9 +71,11 @@ def find_sdr(family: Sequence[IntegerSet]
              ) -> Union[SdrCertificate, HallViolator]:
     """A system of distinct representatives for the family, or a Hall violator.
 
-    First a greedy seed: each index in turn takes the lowest member of
-    family[i] not yet taken, if any.  Then one augmenting-path search per
-    index the seed left unmatched, in index order.  A search from index i
+    First a greedy seed, on the bare bitmaps: each index in turn takes the
+    lowest member of family[i] not yet taken, if any.  Most families are
+    matched there.  Otherwise the owner of each taken element is read back
+    from the seed, and one augmenting-path search runs per index the seed
+    left unmatched, in index order.  A search from index i
     tries the members of family[i] ascending, skipping elements this search
     has already seen, and follows the owner of each matched one.  Every
     member below the cursor is already seen, so the next candidate is the
@@ -87,19 +89,21 @@ def find_sdr(family: Sequence[IntegerSet]
     those owners is one index more than there are seen elements.
     """
     bits = [g.bits for g in family]
-    width = max((b.bit_length() for b in bits), default=0)
+    assigned = []                        # family index -> ground element
+    taken = 0
+    for b in bits:
+        free = b & ~taken
+        low = free & -free
+        taken |= low
+        assigned.append(low.bit_length() - 1)   # -1 when nothing is free
+    if -1 not in assigned:
+        return SdrCertificate(tuple(family), tuple(assigned))
+    width = max(b.bit_length() for b in bits)
     everything = (1 << width) - 1
     owner = [-1] * width                 # ground element -> family index
-    assigned = [-1] * len(family)        # family index -> ground element
-    taken = 0
-    for i, b in enumerate(bits):
-        free = b & ~taken
-        if free:
-            low = free & -free
-            taken |= low
-            e = low.bit_length() - 1
+    for i, e in enumerate(assigned):
+        if e >= 0:
             owner[e] = i
-            assigned[i] = e
     for root in range(len(family)):
         if assigned[root] >= 0:
             continue
@@ -171,10 +175,11 @@ def lemma2_copies(s: int, r: int) -> list[int]:
 def translated_family(aset: IntegerSet, copies: Sequence[int]
                       ) -> list[IntegerSet]:
     """copies[i] copies of a_i + A' for each member a_i, in member order."""
-    bound = 2 * aset.max() + 1
+    bits = aset.bits
+    bound = 2 * bits.bit_length() - 1
     family: list[IntegerSet] = []
     for a, n in zip(aset, copies):
-        family += [IntegerSet(bound, aset.bits << a)] * n
+        family += [IntegerSet(bound, bits << a)] * n
     return family
 
 
@@ -215,7 +220,7 @@ def abc_parameters(aset: IntegerSet) -> IntervalProfile:
     if not is_unsaturated(aset):
         raise ValueError(f"max a_i = {top} != s+R-3 = {s + r - 3}; "
                          "(a,b,c) is undefined on the saturated branch")
-    gaps = [m for m in range(top) if m not in aset]
+    gaps = list(members_of(aset.bits ^ (2 << top) - 1))
     a = max((n for n, g in enumerate(gaps, 1) if g < 2 * n <= top + 1),
             default=0)
     b = max((n for n, g in enumerate(reversed(gaps), 1)

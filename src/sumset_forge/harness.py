@@ -29,7 +29,7 @@ from .hall_bounds import (BoundViolation, abc_parameters, is_unsaturated,
                           lemma2_certificate, prop5_bound)
 from .layered import (ConclusionFailed, LayeredSet, LayeredSetError,
                       NotApplicable)
-from .sumset_engine import IntegerSet
+from .sumset_engine import IntegerSet, members_of
 
 REPORT_VERSION = "sumset-forge-report v1"
 THREADS_ENV = "SUMSET_FORGE_THREADS"
@@ -43,9 +43,11 @@ MAX_WIDTH = 1 << 24
 
 
 def instance_to_json(L: LayeredSet) -> str:
-    doc = {"d": L.d,
-           "layers": [{"a": a, "set": list(b)} for a, b in L.layers]}
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    """The instance document, formatted directly: for integer members these
+    are the bytes of `json.dumps` with sorted keys and no spaces."""
+    layers = ",".join(f'{{"a":{a},"set":[{",".join(map(str, b))}]}}'
+                      for a, b in L.layers)
+    return f'{{"d":{L.d},"layers":[{layers}]}}'
 
 
 def _strict_int(value, what: str) -> int:
@@ -105,6 +107,13 @@ class GenParams:
     density: float = 0.75       # minimum per-layer fill ratio of its coset
     epsilon: float = 0.0        # chance to push one element out of its coset
 
+    def __post_init__(self):
+        # `generate_instance` draws below the size of each range, and never
+        # returns from an empty one, where `random`'s draws raised
+        if (not self.d_values or self.s_min > self.s_max
+                or self.max_a_slack < -3 or self.density > 1):
+            raise ValueError(f"{self} leaves a draw range empty")
+
 
 def sample_coset(rng: random.Random, d: int, step: int, k: int) -> int:
     """Bitmap of {j*step : j in rng.sample(range(d // step), k)}, from the
@@ -137,33 +146,46 @@ def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
     translate so 0 lands in the first layer.  `sample_coset` fixes the
     layer draws where `random.sample` keeps a pool (tested equal on Python
     3.10 to 3.13); its set branch (h > 21 and k <= 5, or h past its
-    setsize) and all other draws come from the running Python's `random`."""
+    setsize) and the other `sample` and `random` draws come from the
+    running Python's `random`.  Every `choice`, `randint` and `randrange`
+    is `below`, their common `_randbelow` inlined into one frame: the same
+    `getrandbits` calls, so the same draws."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        width = n.bit_length()
+        r = getrandbits(width)
+        while r >= n:
+            r = getrandbits(width)
+        return r
+
     while True:
-        d = rng.choice(p.d_values)
-        divs = CyclicGroup(d).divisors()
-        h = rng.choice(divs)
-        s = rng.randint(p.s_min, p.s_max)
+        d = p.d_values[below(len(p.d_values))]
+        group = CyclicGroup(d)
+        divs = group.divisors()
+        h = divs[below(len(divs))]
+        s = p.s_min + below(p.s_max - p.s_min + 1)
         # slack 0 is drawn four times as often as each positive slack
-        top = s - 1 + max(0, rng.choice(range(-3, p.max_a_slack + 1)))
+        top = s - 1 + max(0, below(p.max_a_slack + 4) - 3)
         offsets = sorted(rng.sample(range(1, top), s - 2)) if s > 2 else []
         offsets = [0] + offsets + [top]
         if gcd(*offsets) != 1:
             continue
         step = d // h
-        x = rng.randrange(d)
+        x = below(d)
         lo = max(1, ceil(p.density * h))
         layers = []
         for a in offsets:
             # the members a sample of the coset list [(a*x + j*step) % d for
             # j < h] would give: the sampled multiples of step, rotated by a*x
-            k = rng.randint(lo, h)
+            k = lo + below(h - lo + 1)
             layers.append(fold(sample_coset(rng, d, step, k) << a * x % d, d))
         if p.epsilon and rng.random() < p.epsilon:
-            i = rng.randrange(s)
-            layers[i] |= 1 << rng.randrange(d)
-        group = CyclicGroup(d)
-        # members() ascends, as sorted() of the member set did
-        b0 = rng.choice(ResidueSet(group, layers[0]).members())
+            i = below(s)
+            layers[i] |= 1 << below(d)
+        # the k-th member of B_1, ascending, as `choice` of its sorted list
+        first = layers[0]
+        b0 = next(islice(members_of(first), below(first.bit_count()), None))
         return LayeredSet(group, tuple(
             (a, ResidueSet(group, fold(bits << d - b0, d)))
             for a, bits in zip(offsets, layers)))
@@ -207,8 +229,8 @@ class Tally:
     findings: list[Finding] = field(default_factory=list)
 
     def bump(self, check: str, key: str, n: int = 1) -> None:
-        self.counts.setdefault(check, {})[key] = \
-            self.counts.setdefault(check, {}).get(key, 0) + n
+        counts = self.counts.setdefault(check, {})
+        counts[key] = counts.get(key, 0) + n
 
     def merge(self, other: "Tally") -> None:
         for check, m in other.counts.items():

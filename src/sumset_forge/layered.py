@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import islice
 from math import gcd
 from typing import Optional, Union
 
 from .classical_checks import CheckOutcome
 from .group_core import (CyclicGroup, ResidueSet, Subgroup, build_lattice,
-                         containing_coset, coset_step, fold, gather, lattice)
+                         containing_coset, coset_step, fold, gather, lattice,
+                         memo)
 from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
                           is_unsaturated, lemma2_copies, r_parameter,
                           translated_family)
@@ -70,7 +72,8 @@ class LayeredSet:
     def __post_init__(self):
         if len(self.layers) < 2:
             raise LayeredSetError("layer count must be at least 2")
-        offsets = [a for a, _ in self.layers]
+        # `offsets()`, built once; kept in the __dict__ like the memos
+        offsets = self.__dict__["_offsets"] = tuple(a for a, _ in self.layers)
         if offsets[0] != 0:
             raise LayeredSetError(f"first layer offset must be 0, got {offsets[0]}")
         for prev, cur in zip(offsets, offsets[1:]):
@@ -79,10 +82,11 @@ class LayeredSet:
         g = gcd(*offsets)
         if g != 1:
             raise LayeredSetError(f"gcd of nonzero offsets is {g}, expected 1")
+        group = self.group
         for a, b in self.layers:
-            if b.group != self.group:
+            if b.group is not group and b.group != group:
                 raise LayeredSetError(f"layer at offset {a} has wrong modulus")
-            if not b:
+            if not b.bits:
                 raise LayeredSetError(f"empty layer at offset {a}")
         if 0 not in self.layers[0][1]:
             raise LayeredSetError("0 must belong to the first layer")
@@ -103,18 +107,18 @@ class LayeredSet:
         return len(self.layers)
 
     def offsets(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.layers)
+        return self._offsets
 
     def max_offset(self) -> int:
         return self.layers[-1][0]
 
-    @cached_property
+    @memo
     def placement(self) -> Optional[tuple[Subgroup, int, int]]:
         """`coset_placement`, found once and shared by `find_structure` and
         the flatten."""
         return coset_placement(self)
 
-    @cached_property
+    @memo
     def confinement(self) -> tuple[int, tuple[int, ...]]:
         """(g, firsts): min B_i for each layer, and g = gcd(d, m - min B_i
         over every member m of every layer), the step of the smallest H
@@ -128,14 +132,14 @@ class LayeredSet:
                 g = coset_step(b.bits, m0, self.d, g)
         return g, firsts
 
-    @cached_property
+    @memo
     def flat(self) -> "LayeredSumset":
         """B~ + B~ (`flatten_sumset`), computed on first use and shared by
         every check.  The cache lives in the instance __dict__, outside the
         compared fields."""
         return flatten_sumset(self)
 
-    @cached_property
+    @memo
     def sizes(self) -> list[int]:
         """|B_i| for each layer, counted once; readers must not change it.
         Not a tuple: CPython keeps 2000 freed tuples per length below 20,
@@ -143,23 +147,23 @@ class LayeredSet:
         of 500 instances peaked 1.7 MB higher in RSS (CPython 3.11.7)."""
         return [len(b) for _, b in self.layers]
 
-    @cached_property
+    @memo
     def size(self) -> int:
         """|B~|, summed once."""
         return sum(self.sizes)
 
-    @cached_property
+    @memo
     def ratio(self) -> Fraction:
         """The doubling |B~ + B~| / |B~|, built once."""
         return Fraction(self.flat.total, self.size)
 
-    @cached_property
+    @memo
     def applicable(self) -> bool:
         """The small-doubling hypothesis ratio < tau(s), decided once."""
         t = tau(self.s)
         return t is not None and self.ratio < t
 
-    @cached_property
+    @memo
     def profile(self) -> "OffsetProfile":
         """The artefacts that depend on the offsets alone, shared with every
         other instance on the same offsets."""
@@ -329,17 +333,24 @@ def _prop6_copies(aset: IntegerSet, r: int) -> list[int]:
 
 @lru_cache(maxsize=PROFILE_MEMO_SIZE)
 def offset_profile(offsets: tuple[int, ...]) -> OffsetProfile:
-    """R, the prop6 matching and the Bezout coefficients of an offset tuple,
-    computed once per tuple while it stays in the memo."""
-    aset = IntegerSet.from_members(offsets)
+    """R, the prop6 matching and the Bezout coefficients of an ascending
+    offset tuple, computed once per tuple while it stays in the memo.  The
+    family holds copies[i] copies of a_i + A' in offset order, and the
+    representative rep of a copy of a_i + A' is the pair (i, j) with
+    a_j = rep - a_i."""
+    aset = IntegerSet(offsets[-1] + 1, sum(1 << a for a in offsets))
     r = r_parameter(aset)
     copies = _prop6_copies(aset, r)
     out = find_sdr(translated_family(aset, copies))
     if not isinstance(out, HallViolator):
-        charge = [i for i, n in enumerate(copies) for _ in range(n)]
         index_of = {a: i for i, a in enumerate(offsets)}
-        out = tuple(tuple(sorted((i, index_of[rep - offsets[i]])))
-                    for i, rep in zip(charge, out.representatives))
+        reps = iter(out.representatives)
+        pairs = []
+        for i, (a, n) in enumerate(zip(offsets, copies)):
+            for rep in islice(reps, n):
+                j = index_of[rep - a]
+                pairs.append((i, j) if i <= j else (j, i))
+        out = tuple(pairs)
     return OffsetProfile(r, out, bezout(offsets))
 
 

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sumset_forge.cli import main
-from sumset_forge.harness import MAX_WIDTH, THREADS_ENV
+from sumset_forge.harness import (MAX_WIDTH, THREADS_ENV, LayeredSetError,
+                                  instance_from_doc, instance_to_json)
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -48,6 +49,39 @@ def instance_docs(draw):
                   else layers[draw(st.integers(0, len(layers) - 1))])
         target[field] = draw(JSON_VALUES)
     return doc
+
+
+@st.composite
+def wide_instance_docs(draw):
+    """Instance documents at any d up to 2^20, with one to three members
+    per layer."""
+    d = draw(st.integers(1, 1 << 20))
+    rest = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4,
+                         unique=True))
+    layers = [{"a": a, "set": draw(st.lists(st.integers(0, d - 1),
+                                            min_size=1, max_size=3,
+                                            unique=True))}
+              for a in [0] + sorted(rest)]
+    if 0 not in layers[0]["set"]:
+        layers[0]["set"].append(0)
+    return {"d": d, "layers": layers}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=instance_docs() | wide_instance_docs())
+def test_instance_json_is_the_documents_json(doc):
+    """`instance_to_json` of a valid document's instance is, byte for byte,
+    `json.dumps` of that document with sorted keys, no spaces and each
+    layer's members ascending, and it reads back to the same instance."""
+    try:
+        L = instance_from_doc(doc)
+    except LayeredSetError:
+        return
+    for layer in doc["layers"]:
+        layer["set"] = sorted(layer["set"])
+    text = instance_to_json(L)
+    assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    assert instance_from_doc(json.loads(text)) == L
 
 
 def _exit_code(argv) -> int:
@@ -119,8 +153,10 @@ ARABIC_INDIC, FULLWIDTH = (
 @st.composite
 def spellings(draw, values):
     """(value, token): a value drawn from `values` and one of the many
-    spellings that Python's int() or float() reads as it, or nearly so."""
-    value = draw(values)
+    spellings that Python's int() or float() reads as it, or nearly so.  A
+    zero is drawn as 0 or 0.0 and, half of the time, spelled as a negative
+    zero, which float() reads as -0.0."""
+    value = draw(values) + 0            # -0.0 + 0 is 0.0, the same value
     text = str(value)
     sign, body = ("-", text[1:]) if text[0] == "-" else ("", text)
     tokens = [text, f"{sign}0{body}", f"{sign}00{body}", f"+{text}",
@@ -132,6 +168,9 @@ def spellings(draw, values):
                    f"{value:.17g}", text.removeprefix("0")]
         if value.is_integer():
             tokens.append(str(int(value)))
+    if value == 0:
+        return value, draw(st.sampled_from(tokens)
+                           | st.sampled_from([f"-{text}", "-0", "-0e0"]))
     return value, draw(st.sampled_from(tokens))
 
 
@@ -143,8 +182,10 @@ SPELLED_FLAGS = {
     "--seed": ("seed ", st.integers(), (-inf, inf)),
     "--max-a-slack": ("param max_a_slack ", st.integers(-3, 2 * MAX_WIDTH),
                       (0, MAX_WIDTH)),
-    "--density": ("param density ", st.floats() | st.floats(0, 1), (0, 1)),
-    "--epsilon": ("param epsilon ", st.floats() | st.floats(0, 1), (0, 1)),
+    "--density": ("param density ",
+                  st.floats() | st.floats(0, 1) | st.just(-0.0), (0, 1)),
+    "--epsilon": ("param epsilon ",
+                  st.floats() | st.floats(0, 1) | st.just(-0.0), (0, 1)),
 }
 
 
@@ -155,7 +196,8 @@ def test_campaign_flag_one_spelling(data, monkeypatch, capsys):
     """A numeric flag runs only as the report prints it: the report's line
     reads the token unchanged (a whole float written as an integer gains
     ".0"), or the campaign exits 2.  The value's own spelling, in its
-    domain, runs."""
+    domain, runs.  A negative zero, which float() reads as a zero that
+    prints "-0.0", exits 2: 0.0 is spelled one way."""
     flag = data.draw(st.sampled_from(sorted(SPELLED_FLAGS)))
     prefix, values, (lo, hi) = SPELLED_FLAGS[flag]
     value, token = data.draw(spellings(values))
@@ -170,3 +212,5 @@ def test_campaign_flag_one_spelling(data, monkeypatch, capsys):
     printed = line[len(prefix):]
     assert printed == token or (isinstance(value, float)
                                 and printed == token + ".0")
+    # the value that ran has this one spelling: -0.0 would print as 0.0
+    assert printed == str(type(value)(printed) + 0)

@@ -66,6 +66,39 @@ class TestInstanceIO:
         again = instance_from_doc(json.loads(instance_to_json(L)))
         assert again == L
 
+    def test_to_json_writes_the_documents_json(self):
+        """`instance_to_json` formats the document itself: byte for byte it
+        is `json.dumps` of the dict form with sorted keys and no spaces,
+        and it reads back to the same instance.  Generated instances
+        (default, large-s, off-coset with single-member layers, wide
+        spans, d = 8192 and 16384), the battery, and single-member layers
+        at d up to 2^20."""
+        def dumped(L):
+            doc = {"d": L.d, "layers": [{"a": a, "set": list(b)}
+                                        for a, b in L.layers]}
+            return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+        large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
+                          max_a_slack=8)
+        instances = [L for _, L in canonical_instances()]
+        for seed, (p, count) in enumerate((
+                (GenParams(), 300), (large, 30),
+                (GenParams(density=0, epsilon=0.3), 300),
+                (GenParams(max_a_slack=1000), 100),
+                (GenParams(d_values=(8192, 16384)), 4))):
+            instances += [generate_instance(p, _rng_for(40 + seed, i))
+                          for i in range(count)]
+        top = 1 << 20
+        instances += [LayeredSet.of(top, [(0, [0]), (1, [top - 1])]),
+                      LayeredSet.of(top, [(0, [0, 1, top // 2]), (2, [7]),
+                                          (3, [top - 2, 5])]),
+                      LayeredSet.of(1, [(0, [0]), (1, [0]), (5, [0])])]
+        assert min(min(L.sizes) for L in instances) == 1
+        for L in instances:
+            text = instance_to_json(L)
+            assert text == dumped(L), L
+            assert instance_from_doc(json.loads(text)) == L
+
     def test_validation_messages(self):
         doc = {"d": 12, "layers": [{"a": a, "set": [0]} for a in (0, 2, 4)]}
         with pytest.raises(LayeredSetError, match="gcd"):
@@ -123,9 +156,12 @@ def generate_instance_sets(p, rng):
 
 class TestGenerator:
     def test_bitmap_layers_match_set_oracle(self):
-        """The same instances, and the same draws after them, as the
-        set-based generator: default, large-s, off-coset (density 0,
-        epsilon 0.3), large-d and s = 100..200 parameters."""
+        """The same instances, and the rng in the same state after each, as
+        the set-based generator, which draws through `random`'s own
+        `choice`, `randint` and `randrange`: default, large-s, off-coset
+        (density 0, epsilon 0.3), large-d, s = 100..200, wide-span (max a
+        slack 1000) and epsilon 1 parameters, the last drawing a stray
+        member on every instance."""
         large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
                           max_a_slack=8)
         hundreds = dataclasses.replace(large, s_min=100, s_max=200,
@@ -134,12 +170,22 @@ class TestGenerator:
                 (GenParams(), 2000), (large, 300),
                 (GenParams(density=0, epsilon=0.3), 2000),
                 (GenParams(d_values=(8192, 16384), epsilon=0.5), 10),
-                (hundreds, 30))):
+                (hundreds, 30), (GenParams(max_a_slack=1000), 500),
+                (GenParams(epsilon=1.0), 500))):
             for i in range(count):
                 rng, want_rng = _rng_for(seed, i), _rng_for(seed, i)
                 assert (generate_instance(p, rng)
                         == generate_instance_sets(p, want_rng)), (p, i)
-                assert rng.random() == want_rng.random()
+                assert rng.getstate() == want_rng.getstate(), (p, i)
+
+    def test_empty_draw_range_refused(self):
+        """A parameter set with nothing to draw from is refused when it is
+        built, not left to a draw that never returns."""
+        for bad in (dict(d_values=()), dict(s_min=9, s_max=6),
+                    dict(max_a_slack=-4), dict(density=1.5)):
+            with pytest.raises(ValueError, match="draw range empty"):
+                GenParams(**bad)
+        GenParams(max_a_slack=-3, density=1.0, s_min=6, s_max=6)
 
     def test_sample_coset_matches_random_sample(self):
         """`sample_coset` gives the multiples of the step that
@@ -775,20 +821,20 @@ class TestCli:
         ("--seed", "007", "an integer"), ("--count", "01", "an integer"),
         *((flag, raw, "a number") for flag in FLOAT_FLAGS
           for raw in ("0.7_5", " 0.75", "0.75 ", "\u0660.\u0667\u0665",
-                      ".75", "7.5e-1", "0.750", "0.00001"))])
+                      ".75", "7.5e-1", "0.750", "0.00001", "-0.0", "-0"))])
     def test_campaign_coercible_numeral_exit(self, flag, raw, noun, ran,
                                              capsys):
         """A numeral that Python's int or float would coerce (an underscore,
         surrounding whitespace, Arabic-Indic digits, a leading zero or sign,
-        another spelling of the float) is refused with exit 2 on every
-        numeric flag, and the message names the spelling the report
-        prints."""
+        another spelling of the float, a negative zero) is refused with
+        exit 2 on every numeric flag, and the message names the spelling
+        the report prints: 0.0 for a negative zero."""
         with pytest.raises(SystemExit) as exc:
             main(["campaign", "--mode", "random", "--count", "1",
                   f"{flag}={raw}"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        value = int(raw) if noun == "an integer" else float(raw)
+        value = int(raw) if noun == "an integer" else abs(float(raw))
         assert f"argument {flag}: not {noun}: {raw!r} (write {value})" \
                in captured.err
         assert captured.out == "" and ran == []

@@ -1,3 +1,5 @@
+import json
+import pickle
 import re
 import tracemalloc
 from collections import Counter
@@ -7,16 +9,18 @@ from math import gcd
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sumset_forge.group_core import (CyclicGroup, ResidueSet, Subgroup,
-                                     containing_coset, coset_step, subgroups)
+                                     containing_coset, coset_of, coset_step,
+                                     memo, subgroups)
 from sumset_forge.hall_bounds import (HallViolator, find_sdr, lemma2_copies,
                                       r_parameter, translated_family)
 from sumset_forge.harness import (GenParams, Tally, _rng_for,
                                   canonical_instances, enumerate_offset_sets,
-                                  generate_instance, verify_instance)
+                                  generate_instance, instance_from_doc,
+                                  instance_to_json, verify_instance)
 from sumset_forge.layered import (DENSE_SPAN, INEQ7_EQUALITY, INEQ7_STRICT,
                                   QUOTIENT_WIDTH, ConclusionFailed, LayeredSet,
                                   LayeredSetError, LayeredSumset,
@@ -813,12 +817,142 @@ class TestConfinement:
                    kinds[False, False, False]) > 0, kinds
 
 
+LAYERED_MEMOS = ("placement", "confinement", "flat", "sizes", "size", "ratio",
+                 "applicable", "profile")
+RESIDUE_MEMOS = ("size", "confining_step")
+
+
+def memo_instances():
+    """The battery and generated instances whose checks read every memo:
+    default, off-coset, and d = 8192, 16384, where `len` reads the
+    ResidueSet size memo (above MEMO_WIDTH)."""
+    instances = [L for _, L in canonical_instances()]
+    for seed, (p, count) in enumerate((
+            (GenParams(epsilon=0.2), 60),
+            (GenParams(density=0.0, epsilon=0.3), 60),
+            (GenParams(d_values=(8192, 16384)), 4))):
+        instances += [generate_instance(p, _rng_for(90 + seed, i))
+                      for i in range(count)]
+    return instances
+
+
+class TestMemos:
+    def test_computed_at_most_once_per_instance(self, monkeypatch,
+                                                empty_memo):
+        """Each LayeredSet memo (8) and ResidueSet memo (2), wrapped to
+        count its calls, runs at most once per object, however many checks
+        read it and however often they run, and every one of them runs.
+        `coset_of`'s cosets carry their size and confining step from the
+        start: reading them calls neither memo."""
+        calls = Counter()
+        alive = []                  # no id is reused while counting
+        for cls, names in ((LayeredSet, LAYERED_MEMOS),
+                           (ResidueSet, RESIDUE_MEMOS)):
+            assert sorted(names) == sorted(
+                k for k, v in vars(cls).items() if isinstance(v, memo))
+            for name in names:
+                def counting(obj, real=vars(cls)[name].func,
+                             key=(cls.__name__, name)):
+                    calls[key, id(obj)] += 1
+                    alive.append(obj)
+                    return real(obj)
+
+                wrapped = memo(counting)
+                wrapped.__set_name__(cls, name)
+                monkeypatch.setattr(cls, name, wrapped)
+        instances = memo_instances()
+        for L in instances:
+            for _ in range(2):
+                verify_instance(L, Tally())
+        assert max(calls.values()) == 1
+        assert {key for key, _ in calls} == {
+            (cls.__name__, name) for cls, names in (
+                (LayeredSet, LAYERED_MEMOS), (ResidueSet, RESIDUE_MEMOS))
+            for name in names}
+        assert {("LayeredSet", name, id(L)) for L in instances
+                for name in ("sizes", "size", "flat", "applicable")} <= {
+            (*key, i) for key, i in calls}
+        g = CyclicGroup(8192)
+        for order in (1, 64, 8192):
+            coset = coset_of(Subgroup(g, order), 4099)
+            assert (len(coset), coset.size, coset.confining_step,
+                    containing_coset(coset, Subgroup(g, order))) == (
+                order, order, 8192 // order, 4099 % (8192 // order))
+            assert not {key for key, i in calls if i == id(coset)}
+
+    def test_kept_out_of_equality_and_carried_by_pickle(self, empty_memo):
+        """Warm memos leave ==, hash and repr as a fresh copy has them; a
+        pickle carries every memo of the instance and of its layers, with
+        the same values."""
+        carried = set()
+        for L in memo_instances():
+            verify_instance(L, Tally())
+            fresh = instance_from_doc(json.loads(instance_to_json(L)))
+            assert not set(LAYERED_MEMOS) & set(vars(fresh))
+            assert fresh == L and hash(fresh) == hash(L)
+            assert repr(fresh) == repr(L)
+            again = pickle.loads(pickle.dumps(L))
+            assert again == L and hash(again) == hash(L)
+            warm = [name for name in LAYERED_MEMOS if name in vars(L)]
+            assert {"flat", "size", "sizes", "applicable"} <= set(warm)
+            assert {name: vars(again)[name] for name in warm} == {
+                name: vars(L)[name] for name in warm}
+            for (_, b), (_, c) in zip(L.layers, again.layers):
+                assert vars(c) == vars(b)
+                carried.update(set(vars(b)) - {"group", "bits"})
+        assert carried == set(RESIDUE_MEMOS)
+
+
 def _unplaced(lines):
     """`check` lines without the witness's ` x=.. y=..`."""
     return [re.sub(r" x=\d+ y=\d+", "", line) for line in lines]
 
 
+@st.composite
+def placed_instances(draw):
+    """A layered set with each B_i inside a_i*x + H for a drawn subgroup H,
+    sometimes with one member moved off its coset, translated so that 0 is
+    in B_1: s = 4..9 offsets with max a at most s + 3, and d up to 40 or
+    on either side of QUOTIENT_WIDTH."""
+    d = draw(st.integers(1, 40) | st.sampled_from(
+        [QUOTIENT_WIDTH - 8, QUOTIENT_WIDTH, QUOTIENT_WIDTH + 16]))
+    order = draw(st.sampled_from(CyclicGroup(d).divisors()))
+    step = d // order
+    x = draw(st.integers(0, d - 1))
+    s = draw(st.integers(4, 9))
+    top = s - 1 + draw(st.integers(0, 4))
+    rest = draw(st.lists(st.integers(1, top - 1), min_size=s - 2,
+                         max_size=s - 2, unique=True)) + [top]
+    offsets = [0] + sorted(rest)
+    assume(gcd(*offsets) == 1)
+    rnd = draw(st.randoms(use_true_random=False))
+    # most layers over three quarters of their coset, so that many
+    # instances are applicable
+    least = draw(st.sampled_from((1, -(-3 * order // 4))))
+    layers = [{(a * x + j * step) % d for j in rnd.sample(
+                   range(order), draw(st.integers(least, order)))}
+              for a in offsets]
+    if draw(st.booleans()):
+        layers[draw(st.integers(0, len(layers) - 1))].add(
+            draw(st.integers(0, d - 1)))
+    b0 = rnd.choice(sorted(layers[0]))
+    return LayeredSet.of(d, [(a, {(m - b0) % d for m in b})
+                             for a, b in zip(offsets, layers)])
+
+
 class TestPrimitiveReduction:
+    @settings(max_examples=150, deadline=None)
+    @given(L=placed_instances())
+    def test_quotient_keeps_every_verdict_drawn(self, L):
+        """The reduction on Hypothesis-drawn layered sets: Q =
+        coset_quotient(L, *L.placement) is primitive in Z/|H|Z and gives
+        the same `check` lines as L up to (x, y)."""
+        h, x, y = L.placement
+        q = coset_quotient(L, h, x, y)
+        assert q.d == h.order and q.placement[0].order == q.d
+        assert _unplaced(verify_instance(L, Tally())) == _unplaced(
+            verify_instance(q, Tally()))
+
     def test_quotient_keeps_every_verdict(self):
         """Q = coset_quotient(L, *L.placement) lives in Z/|H|Z and is
         primitive, its own placement's H is all of Z/|H|Z, and it gives the
