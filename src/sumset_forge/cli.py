@@ -8,6 +8,7 @@ Exit codes: 0 ran clean (equality findings included), 1 violations found,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import inf
 
@@ -66,6 +67,20 @@ def _int_tuple(lo, hi):
     return parse
 
 
+_GEN = GenParams()
+
+# the campaign flags only one mode reads, with their defaults: the parser
+# leaves a flag out unless written, so `cmd_campaign` refuses one the mode
+# would ignore and fills in the defaults of the rest
+MODE_FLAGS = {
+    "random": {"d": _GEN.d_values, "count": 10_000, "seed": 1,
+               "density": _GEN.density, "epsilon": _GEN.epsilon,
+               "max_a_slack": _GEN.max_a_slack, "no_canonical": False},
+    "exhaustive": {"max_a": 12,
+                   "cap": campaign_exhaustive.__kwdefaults__["cap"]},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumset-forge",
@@ -75,32 +90,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify one instance file")
     p_verify.add_argument("file")
 
-    gen = GenParams()
-    p_camp = sub.add_parser("campaign", help="run a verification campaign")
-    p_camp.add_argument("--mode", choices=("exhaustive", "random"),
-                        required=True)
+    p_camp = sub.add_parser("campaign", help="run a verification campaign",
+                            argument_default=argparse.SUPPRESS)
+    p_camp.add_argument("--mode", choices=sorted(MODE_FLAGS), required=True)
     p_camp.add_argument("--d", type=_int_tuple(1, MAX_WIDTH),
-                        default=gen.d_values,
                         help="comma-separated moduli (random mode)")
     p_camp.add_argument("--s", type=_int_tuple(2, MAX_WIDTH),
-                        default=tuple(range(gen.s_min, gen.s_max + 1)),
+                        default=tuple(range(_GEN.s_min, _GEN.s_max + 1)),
                         help="comma-separated layer counts / sizes")
-    p_camp.add_argument("--max-a", type=_strict(int, 1), default=12,
+    p_camp.add_argument("--max-a", type=_strict(int, 1),
                         help="offset ceiling (exhaustive mode)")
-    p_camp.add_argument("--count", type=_strict(int, 0), default=10_000,
+    p_camp.add_argument("--count", type=_strict(int, 0),
                         help="instances to generate (random mode)")
-    p_camp.add_argument("--seed", type=_strict(int), default=1)
-    p_camp.add_argument("--density", type=_strict(float, 0, 1),
-                        default=gen.density)
-    p_camp.add_argument("--epsilon", type=_strict(float, 0, 1),
-                        default=gen.epsilon)
-    p_camp.add_argument("--max-a-slack", type=_strict(int, 0, MAX_WIDTH),
-                        default=gen.max_a_slack)
+    p_camp.add_argument("--seed", type=_strict(int))
+    p_camp.add_argument("--density", type=_strict(float, 0, 1))
+    p_camp.add_argument("--epsilon", type=_strict(float, 0, 1))
+    p_camp.add_argument("--max-a-slack", type=_strict(int, 0, MAX_WIDTH))
     p_camp.add_argument("--no-canonical", action="store_true",
                         help="skip the canonical instance battery")
-    p_camp.add_argument("--cap", type=_strict(int),
-                        default=campaign_exhaustive.__kwdefaults__["cap"])
-    p_camp.add_argument("--out", help="write the report here (default stdout)")
+    p_camp.add_argument("--cap", type=_strict(int))
+    p_camp.add_argument("--out", default=None,
+                        help="write the report here (default stdout)")
 
     p_report = sub.add_parser("report", help="pretty-print a report file")
     p_report.add_argument("file")
@@ -110,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_verify(args) -> int:
     try:
         instance = load_instance(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LayeredSetError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 2
@@ -126,6 +133,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    given = vars(args)
+    foreign = [name for mode, flags in MODE_FLAGS.items() if mode != args.mode
+               for name in flags if name in given]
+    if foreign:
+        flags = ", ".join("--" + name.replace("_", "-") for name in foreign)
+        print(f"error: {args.mode} mode does not read {flags}",
+              file=sys.stderr)
+        return 2
+    for name, default in MODE_FLAGS[args.mode].items():
+        given.setdefault(name, default)
     try:
         worker_count()
         if args.mode == "exhaustive":
@@ -138,7 +155,7 @@ def cmd_campaign(args) -> int:
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.mode == "random":
@@ -161,14 +178,11 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not lines or lines[0] != REPORT_VERSION:
-        print("error: not a sumset-forge report", file=sys.stderr)
+    with open(args.file, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    # every report ends with "end": one cut short is refused
+    if not lines or lines[0] != REPORT_VERSION or lines[-1] != "end":
+        print("error: not a whole sumset-forge report", file=sys.stderr)
         return 2
     findings = [l for l in lines if l.startswith("finding ")]
     counts = [l for l in lines if l.startswith("count ")]
@@ -184,10 +198,25 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one verb.  A file it cannot read, decode or write, stdout too,
+    exits 2, as a refused input does, never in a traceback, whose exit 1
+    would read as "violations found"."""
     args = build_parser().parse_args(argv)
     handler = {"verify": cmd_verify, "campaign": cmd_campaign,
                "report": cmd_report}[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()      # a failed write to stdout shows here
+        return code
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:     # else the flush at exit fails and exits 120
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return 2
 
 
 if __name__ == "__main__":

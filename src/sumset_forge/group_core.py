@@ -36,7 +36,7 @@ class memo:
         return value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class CyclicGroup:
     """The cyclic group Z/dZ.  d = 1 (trivial group) is allowed."""
 
@@ -235,17 +235,6 @@ class Bitmap:
         return self.bits != 0
 
 
-# ResidueSets wider than this keep their `size` once counted.  Per read of a
-# set in a loop, a memo hit costs about 30 ns, a bare count 170 ns at 2048
-# bits, 300 at 4096, 540 at 8192 and 4.1 us at 65536, and a first count
-# 200-280 ns more than a bare one (2 vCPU Xeon, CPython 3.11.7; 3.11's
-# `cached_property`, which locks on a miss, cost 610-850 ns more): the memo
-# pays on a set counted 3 times at 2048 bits and twice from 4096.  The gate
-# was set from the locking figures and is kept.  Campaign sets (d <= 120)
-# never reach it.
-MEMO_WIDTH = 2048
-
-
 @dataclass(frozen=True)
 class ResidueSet(Bitmap):
     """A subset of Z/dZ, stored as a membership bitmap (python int).  Its
@@ -263,10 +252,6 @@ class ResidueSet(Bitmap):
             raise ValueError("bitmap has bits outside [0, d)")
 
     def __len__(self) -> int:
-        """|S|: the memoised `size` above MEMO_WIDTH; narrower bitmaps
-        count faster than a lookup."""
-        if self.group.modulus <= MEMO_WIDTH:
-            return self.bits.bit_count()
         return self.size
 
     @memo
@@ -321,9 +306,6 @@ class Subgroup:
     @property
     def step(self) -> int:
         return self.group.modulus // self.order
-
-    def __contains__(self, r: int) -> bool:
-        return r % self.group.modulus % self.step == 0
 
 
 def subgroups(g: CyclicGroup, m: int = 0) -> list[Subgroup]:

@@ -488,12 +488,6 @@ def _offset_keys(s_values: tuple[int, ...], max_a: int) -> Iterator[tuple]:
             if gcd(*rest) == 1)
 
 
-def enumerate_offset_sets(s: int, max_a: int) -> Iterable[IntegerSet]:
-    """All A' with |A'| = s, 0 in A', gcd of nonzero elements 1, max <= max_a."""
-    return (IntegerSet.of(rest[-1] + 1, (0,) + rest)
-            for rest in _offset_keys((s,), max_a))
-
-
 def _check_lemma2(aset: IntegerSet, emit) -> list[str]:
     _certified(emit, "lemma2", lemma2_certificate, aset)
     return []

@@ -44,12 +44,13 @@ DENSE_SPAN = 2
 
 # `flatten_sumset` adds the layers in Z/|H|Z, H their smallest coset
 # subgroup, from this d on.  Below it, placing the layers and reading them
-# out costs more than the d - |H| bits it saves per shift.  Checking the
-# 300 instances of `campaign --count 300 --seed 1 --d w` on fresh copies,
-# the quotient took 1.15-1.18x the plain time at w = 288 and 360, 0.96-1.08x
-# at 480, 0.96x at 540, 0.90x at 600 and 0.63-0.86x from 720 to 4096
-# (medians of 7-9 alternating runs, 2 vCPU Xeon, CPython 3.11.7;
-# BENCH_21.json, extra.quotient_width)
+# out costs more than the d - |H| bits it saves per shift.  Only instances
+# that miss the pigeonhole image reach it (density 0, epsilon, wide spans).
+# Timing the flatten alone on the 300 of `campaign --count 300 --seed 1
+# --density 0 --d w`, 245-272 of which reach it, the quotient took
+# 1.21-1.23x the plain time at w = 288, 1.10-1.15x at 360, 0.94-1.05x at
+# 480, 0.76-0.92x at 600, 0.86-0.88x at 720 and 0.78-0.80x at 4096 (2 vCPU
+# Xeon, CPython 3.11.7; BENCH_34.json, quotient_width)
 QUOTIENT_WIDTH = 512
 
 

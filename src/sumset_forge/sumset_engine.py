@@ -52,14 +52,6 @@ class IntegerSet(Bitmap):
     def of(cls, bound: int, members: Iterable[int]) -> "IntegerSet":
         return cls(bound, cls.bits_of(members, bound))
 
-    @classmethod
-    def from_members(cls, members: Iterable[int]) -> "IntegerSet":
-        """Tightest ambient bound: max(members) + 1."""
-        ms = list(members)
-        if not ms:
-            raise ValueError("need at least one member to infer a bound")
-        return cls.of(max(ms) + 1, ms)
-
     def max(self) -> int:
         if not self.bits:
             raise ValueError("empty set has no maximum")

@@ -12,6 +12,7 @@ from math import gcd
 
 import pytest
 
+from conftest import iset
 from sumset_forge.group_core import CyclicGroup, ResidueSet
 from sumset_forge.classical_checks import (check_lev_bound,
                                            kneser_decomposition,
@@ -156,7 +157,7 @@ def test_criterion_4_subset_sumset_bound_exhaustive():
     applicable = 0
     failures = 0
     for rest in _gcd_one_subsets(10):
-        u = IntegerSet.from_members((0,) + rest)
+        u = iset((0,) + rest)
         pool = (0,) + rest
         for t in range(1, len(pool) + 1):
             for vm in combinations(pool, t):
@@ -229,7 +230,7 @@ def test_criterion_7_affine_solver_suite():
         for rest in combinations(range(1, 10), s - 1):
             if _gcd_of(rest) != 1:
                 continue
-            aset = IntegerSet.from_members((0,) + rest)
+            aset = iset((0,) + rest)
             if 2 * len(sumset_int(aset, aset)) >= 5 * s:
                 continue
             sets += 1

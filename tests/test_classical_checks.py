@@ -1,6 +1,6 @@
 from itertools import product
 
-from conftest import random_residue_set
+from conftest import iset, random_residue_set
 from sumset_forge.classical_checks import (CheckOutcome, _coset_witness,
                                            check_lev_bound,
                                            kneser_decomposition,
@@ -15,10 +15,6 @@ from sumset_forge.sumset_engine import IntegerSet, stabilizer, sumset
 
 def rs(d, members):
     return ResidueSet.of(CyclicGroup(d), members)
-
-
-def iset(members):
-    return IntegerSet.from_members(members)
 
 
 class TestKneser:

@@ -105,44 +105,79 @@ def _int_list(values) -> str:
     return ",".join(map(str, values))
 
 
-def _campaign_flags(ints, fractions, min_size):
-    """Every campaign value flag, drawn from `ints(lo, hi)`, `fractions` and
-    lists of at least `min_size` values; exhaustive domains stay small
-    through --max-a and --cap."""
-    return st.fixed_dictionaries({
-        "--mode": st.sampled_from(["random", "exhaustive"]),
-        "--d": st.lists(ints(1, 40), min_size=min_size,
-                        max_size=3).map(_int_list),
-        "--s": st.lists(ints(2, 10), min_size=min_size,
-                        max_size=3).map(_int_list),
-        "--max-a": ints(1, 12).map(str),
-        "--count": ints(0, 8).map(str),
-        "--seed": st.integers().map(str),
-        "--density": fractions.map(str),
-        "--epsilon": fractions.map(str),
-        "--max-a-slack": ints(0, 8).map(str),
-        "--cap": ints(0, 500).map(str),
-    })
+def _mode_flags(ints, fractions, min_size):
+    """Each mode's campaign value flags, drawn from `ints(lo, hi)`,
+    `fractions` and lists of at least `min_size` values; exhaustive domains
+    stay small through --max-a and --cap."""
+    s = st.lists(ints(2, 10), min_size=min_size, max_size=3).map(_int_list)
+    return {
+        "random": {
+            "--s": s,
+            "--d": st.lists(ints(1, 40), min_size=min_size,
+                            max_size=3).map(_int_list),
+            "--count": ints(0, 8).map(str),
+            "--seed": st.integers().map(str),
+            "--density": fractions.map(str),
+            "--epsilon": fractions.map(str),
+            "--max-a-slack": ints(0, 8).map(str),
+        },
+        "exhaustive": {
+            "--s": s,
+            "--max-a": ints(1, 12).map(str),
+            "--cap": ints(0, 500).map(str),
+        },
+    }
 
 
 # in range, so the campaigns run; and one past each end, or not finite
-VALID_FLAGS = _campaign_flags(st.integers, st.floats(0, 1), 1)
-BOUNDED_FLAGS = _campaign_flags(
+VALID_FLAGS = _mode_flags(st.integers, st.floats(0, 1), 1)
+BOUNDED_FLAGS = _mode_flags(
     lambda lo, hi: st.integers(lo - 1, hi + 1),
     st.floats(-0.5, 1.5) | st.sampled_from(["nan", "inf", "-inf"]), 0)
 
 
+@st.composite
+def campaign_argv(draw, table, mode=None):
+    """A campaign in `mode` (else either) with every value flag that mode
+    reads, and in random mode --no-canonical half of the time."""
+    mode = mode or draw(st.sampled_from(sorted(table)))
+    flags = draw(st.fixed_dictionaries(table[mode]))
+    # --flag=value keeps a value such as "-1" from reading as a flag
+    argv = ["campaign", f"--mode={mode}"] + [
+        f"{flag}={value}" for flag, value in flags.items()]
+    if mode == "random" and draw(st.booleans()):
+        argv.append("--no-canonical")
+    return argv
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(flags=VALID_FLAGS | BOUNDED_FLAGS, no_canonical=st.booleans())
-def test_campaign_bounded_flags(flags, no_canonical, monkeypatch, capsys):
+@given(argv=campaign_argv(VALID_FLAGS) | campaign_argv(BOUNDED_FLAGS))
+def test_campaign_bounded_flags(argv, monkeypatch, capsys):
     monkeypatch.setenv(THREADS_ENV, "1")
-    # --flag=value keeps a value such as "-1" from reading as a flag
-    argv = ["campaign"] + [f"{flag}={value}" for flag, value in flags.items()]
-    if no_canonical:
-        argv.append("--no-canonical")
     assert _exit_code(argv) in (0, 1, 2)
     capsys.readouterr()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_campaign_foreign_flag_exits_2(data, tmp_path, capsys):
+    """A flag that the chosen mode does not read, written among that mode's
+    own, exits 2 with the flag and the mode on stderr, before the --out
+    file is created: the campaign never runs as if it were not there."""
+    mode, other = data.draw(st.permutations(["random", "exhaustive"]))
+    argv = data.draw(campaign_argv(VALID_FLAGS, mode))
+    foreign = [arg for arg in data.draw(campaign_argv(VALID_FLAGS, other))[2:]
+               if not arg.startswith("--s=")]
+    extra = data.draw(st.lists(st.sampled_from(foreign), min_size=1,
+                               unique=True))
+    out = tmp_path / "report.txt"
+    code = _exit_code(argv + extra + [f"--out={out}"])
+    err = capsys.readouterr().err
+    assert code == 2 and f"{mode} mode" in err
+    assert all(arg.split("=")[0] in err for arg in extra)
+    assert not out.exists()
 
 
 ARABIC_INDIC, FULLWIDTH = (

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from sumset_forge import group_core, harness, layered
 from sumset_forge.group_core import (BUILD_WIDTH, LATTICE_CACHE_SIZE,
-                                     MEMO_WIDTH, SCAN_WIDTH, Bitmap,
-                                     CyclicGroup, ModulusMismatch, ResidueSet,
-                                     Subgroup, build_lattice,
-                                     confining_subgroup, coset_of, coset_step,
+                                     SCAN_WIDTH, Bitmap, CyclicGroup,
+                                     ModulusMismatch, ResidueSet, Subgroup,
+                                     build_lattice, confining_subgroup,
+                                     coset_of, coset_step,
                                      containing_coset, gather, lattice,
                                      residues, subgroups)
 from sumset_forge.harness import (GenParams, Tally, _rng_for,
@@ -93,7 +93,7 @@ def test_coset_cardinality_and_equality_relation():
             assert len(coset_of(h, x)) == order
             for y in range(12):
                 same = coset_of(h, x).bits == coset_of(h, y).bits
-                assert same == ((x - y) % 12 in h)
+                assert same == ((x - y) % h.step == 0)
 
 
 def test_containing_coset():
@@ -116,7 +116,7 @@ def test_containing_coset_differences_in_subgroup():
         assert confining_subgroup(s) == confining_subgroup(pair) == h
         for x in s:
             for y in s:
-                assert (x - y) % 24 in h
+                assert (x - y) % h.step == 0
 
 
 def residue_coset_oracle(s, h):
@@ -473,10 +473,9 @@ def test_min_windows_up_to_the_least_member(least, data):
 
 
 def memo_cases(rng):
-    """Sets at widths on both sides of 64, SCAN_WIDTH and MEMO_WIDTH, and
-    at 720720: random, inside a coset, singletons and whole cosets."""
-    for d in (63, 64, 65, SCAN_WIDTH, SCAN_WIDTH + 1, MEMO_WIDTH,
-              MEMO_WIDTH + 1, 720720):
+    """Sets at widths on both sides of 64 and SCAN_WIDTH, and at 720720:
+    random, inside a coset, singletons and whole cosets."""
+    for d in (63, 64, 65, SCAN_WIDTH, SCAN_WIDTH + 1, 720720):
         g = CyclicGroup(d)
         yield ResidueSet.of(g, rng.sample(range(d), min(d, 40)))
         yield ResidueSet(g, 1 << rng.randrange(d))
@@ -490,19 +489,17 @@ def memo_cases(rng):
 
 def test_memoised_facts_match_oracles_and_leave_the_set_alone(rng):
     """`len` and `confining_step` against the bit count and the member gcd,
-    twice (the second from the memo where there is one); `len` memoises
-    `size` only above MEMO_WIDTH.  A set with warm memos (or, from
-    `coset_of`, pre-filled ones) is equal to a fresh copy, with the same
-    hash and repr, and its pickle (how worker processes get sets) loads to
-    an equal set with the same facts."""
-    seen = set()
+    twice (the second from the memo); `len` memoises `size` at every
+    width.  A set with warm memos (or, from `coset_of`, pre-filled ones) is
+    equal to a fresh copy, with the same hash and repr, and its pickle (how
+    worker processes get sets) loads to an equal set with the same facts."""
     for s in memo_cases(rng):
         fresh = ResidueSet(s.group, s.bits)
         for t in (s, fresh):
             for _ in range(2):
                 assert len(t) == s.bits.bit_count()
                 assert t.confining_step == member_gcd_step(s)
-        seen.add(("size" in fresh.__dict__, s.modulus > MEMO_WIDTH))
+        assert fresh.__dict__["size"] == s.bits.bit_count()
         assert s == fresh and hash(s) == hash(fresh)
         assert repr(s) == repr(fresh)
         again = pickle.loads(pickle.dumps(s))
@@ -510,7 +507,6 @@ def test_memoised_facts_match_oracles_and_leave_the_set_alone(rng):
         assert (len(again), again.confining_step) == (len(s),
                                                       s.confining_step)
         assert confining_subgroup(s) == confining_subgroup(fresh)
-    assert seen == {(False, False), (True, True)}
 
 
 def test_coset_of_prefills_the_computed_facts(rng):

@@ -1,30 +1,14 @@
-from itertools import combinations
-
 import pytest
 
+from conftest import all_offset_sets, iset
 from sumset_forge.hall_bounds import (BoundViolation, HallViolator,
                                       IntervalProfile, SdrCertificate,
                                       abc_parameters, find_sdr,
                                       is_unsaturated, lemma2_certificate,
                                       lemma2_copies, prop5_bound, r_parameter,
                                       translated_family)
-from sumset_forge.harness import enumerate_offset_sets
 from sumset_forge.layered import _prop6_copies
 from sumset_forge.sumset_engine import IntegerSet, sumset_int
-
-
-def iset(members):
-    return IntegerSet.from_members(members)
-
-
-def all_offset_sets(s, max_a):
-    from math import gcd
-    for rest in combinations(range(1, max_a + 1), s - 1):
-        g = 0
-        for m in rest:
-            g = gcd(g, m)
-        if g == 1:
-            yield IntegerSet.of(rest[-1] + 1, (0,) + rest)
 
 
 class TestFindSdr:
@@ -244,7 +228,7 @@ class TestAbcParameters:
         branch, for s = 4..10."""
         count = 0
         for s in range(4, 11):
-            for aset in enumerate_offset_sets(s, 2 * s - 3):
+            for aset in all_offset_sets(s, 2 * s - 3):
                 assert is_unsaturated(aset)
                 want = abc_parameters_by_interval_scan(aset)
                 assert abc_parameters(aset) == want, aset

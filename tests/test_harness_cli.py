@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -10,7 +12,9 @@ from math import ceil, comb, gcd
 
 import pytest
 
+import sumset_forge
 import sumset_forge.layered as layered
+from conftest import all_offset_sets
 from sumset_forge.classical_checks import CheckOutcome
 from sumset_forge.cli import build_parser, main
 from sumset_forge.group_core import Bitmap, CyclicGroup
@@ -18,9 +22,9 @@ from sumset_forge.hall_bounds import HallViolator
 from sumset_forge.harness import (MAX_WIDTH, CapExceeded, Finding, GenParams,
                                   REPORT_VERSION, THREADS_ENV, Tally,
                                   campaign_exhaustive, campaign_random,
-                                  canonical_instances, enumerate_offset_sets,
-                                  generate_instance, instance_from_doc,
-                                  instance_to_json, load_instance,
+                                  canonical_instances, generate_instance,
+                                  instance_from_doc, instance_to_json,
+                                  load_instance,
                                   require_exhaustive_domain, sample_coset,
                                   verify_instance, _rng_for)
 from sumset_forge.layered import LayeredSet, LayeredSetError, offset_profile
@@ -340,7 +344,7 @@ class TestCampaign:
         assert indices == [i for k in range(workers)
                            for i in range(k, 23, workers)]
         domain = [tuple(aset) for s in (6, 7)
-                  for aset in enumerate_offset_sets(s, 9)]
+                  for aset in all_offset_sets(s, 9)]
         assert Counter(offset_sets) == Counter(domain)
         assert offset_sets == [domain[i] for k in range(workers)
                                for i in range(k, len(domain), workers)]
@@ -723,6 +727,48 @@ class TestCli:
         path.write_text("hello\n")
         assert main(["report", str(path)]) == 2
 
+    def test_report_rejects_truncated_file(self, tmp_path, capsys):
+        """A report whose last line, `end`, is cut off exits 2 and prints
+        nothing; the whole report still prints."""
+        out, cut = tmp_path / "report.txt", tmp_path / "cut.txt"
+        assert main(["campaign", "--mode", "exhaustive", "--s", "6",
+                     "--max-a", "8", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        cut.write_text("".join(lines[:-1]))
+        capsys.readouterr()
+        assert main(["report", str(cut)]) == 2
+        captured = capsys.readouterr()
+        assert "not a whole sumset-forge report" in captured.err
+        assert captured.out == ""
+        assert main(["report", str(out)]) == 0
+        assert "count check=lemma2" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, to_stdout", [
+        (["campaign", "--mode", "exhaustive", "--s", "6", "--max-a", "8",
+          "--out", "/dev/full"], False),
+        (["campaign", "--mode", "exhaustive", "--s", "6", "--max-a", "8"],
+         True),
+        (["verify", "coset.json"], True)],
+        ids=["campaign-out", "campaign-stdout", "verify-stdout"])
+    def test_unwritable_output_exit(self, argv, to_stdout, tmp_path):
+        """An output that cannot be written, the --out file or stdout,
+        exits 2 with `error:`, not with a traceback, whose exit 1 reads as
+        "violations found", nor with the 120 of a failed flush at exit."""
+        (tmp_path / "coset.json").write_text(json.dumps(full_coset_doc()))
+        src = os.path.dirname(os.path.dirname(sumset_forge.__file__))
+        env = {**os.environ, "PYTHONPATH": src, THREADS_ENV: "1"}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sumset_forge.cli", *argv],
+                cwd=tmp_path, env=env, stdin=subprocess.DEVNULL,
+                stdout=full if to_stdout else subprocess.DEVNULL,
+                stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: [Errno 28]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.fixture
     def ran(self, monkeypatch):
         """The campaigns `main` starts, in either mode; none if it refuses
@@ -871,8 +917,9 @@ class TestCli:
     def test_campaign_canonical_numeral_runs(self, flag, raw, line, capsys):
         """The plain spellings still run, and the report reads the value; a
         whole float may be written as an integer."""
-        code = main(["campaign", "--mode", "random", "--count", "1",
-                     "--no-canonical", f"{flag}={raw}"])
+        mode = (["exhaustive", "--s", "2"] if flag in ("--max-a", "--cap")
+                else ["random", "--count", "1", "--no-canonical"])
+        code = main(["campaign", "--mode", *mode, f"{flag}={raw}"])
         assert code in (0, 1)
         out = capsys.readouterr().out.splitlines()
         assert out[0] == REPORT_VERSION

@@ -12,15 +12,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import all_offset_sets, iset
 from sumset_forge.group_core import (CyclicGroup, ResidueSet, Subgroup,
                                      containing_coset, coset_of, coset_step,
                                      memo, subgroups)
 from sumset_forge.hall_bounds import (HallViolator, find_sdr, lemma2_copies,
                                       r_parameter, translated_family)
 from sumset_forge.harness import (GenParams, Tally, _rng_for,
-                                  canonical_instances, enumerate_offset_sets,
-                                  generate_instance, instance_from_doc,
-                                  instance_to_json, verify_instance)
+                                  canonical_instances, generate_instance,
+                                  instance_from_doc, instance_to_json,
+                                  verify_instance)
 from sumset_forge.layered import (DENSE_SPAN, INEQ7_EQUALITY, INEQ7_STRICT,
                                   QUOTIENT_WIDTH, ConclusionFailed, LayeredSet,
                                   LayeredSetError, LayeredSumset,
@@ -225,7 +226,7 @@ def traced_peak(call, L):
 def scan_placement(L):
     """The ascending subgroup scan that `coset_placement` replaces: the first
     H confining every layer whose coset values admit an affine solution."""
-    aset = IntegerSet.from_members(L.offsets())
+    aset = iset(L.offsets())
     for h in subgroups(L.group):
         reps = tuple(containing_coset(b, h) for _, b in L.layers)
         if None in reps:
@@ -244,7 +245,7 @@ def member_gcd_placement(L):
     x0 = sum(c * b for c, b in zip(p.bezout, firsts))
     q = gcd(L.d, *(m - bi for (_, b), bi in zip(L.layers, firsts) for m in b),
             *(bi - a * x0 for a, bi in zip(L.offsets(), firsts)))
-    aset = IntegerSet.from_members(L.offsets())
+    aset = iset(L.offsets())
     xy = solve_affine(AffineAssignment(aset, firsts, q), p.bezout)
     return None if xy is None else (Subgroup(L.group, L.d // q), *xy)
 
@@ -559,7 +560,7 @@ class TestProp6:
         assert {L.s for L in instances} >= {2, 6, 9, 24, 40}
         for L in instances:
             offsets = L.offsets()
-            aset = IntegerSet.from_members(offsets)
+            aset = iset(offsets)
             copies = _prop6_copies(aset, r_parameter(aset))
             cert = find_sdr(translated_family(aset, copies))
             charge = [i for i, n in enumerate(copies) for _ in range(n)]
@@ -580,7 +581,7 @@ class TestProp6:
         set by set, and the prop6 copies charge the same layers."""
         special = 0
         for s in (6, 7):
-            for aset in enumerate_offset_sets(s, 12):
+            for aset in all_offset_sets(s, 12):
                 r = r_parameter(aset)
                 offsets = aset.members()
                 shifted = [IntegerSet(2 * aset.max() + 1, aset.bits << a)
@@ -824,8 +825,7 @@ RESIDUE_MEMOS = ("size", "confining_step")
 
 def memo_instances():
     """The battery and generated instances whose checks read every memo:
-    default, off-coset, and d = 8192, 16384, where `len` reads the
-    ResidueSet size memo (above MEMO_WIDTH)."""
+    default, off-coset, and d = 8192, 16384."""
     instances = [L for _, L in canonical_instances()]
     for seed, (p, count) in enumerate((
             (GenParams(epsilon=0.2), 60),

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import iset as tight
 from sumset_forge.rectify import (AffineAssignment, bezout, closure_step,
                                   find_seed_pair, good_closure, solve_affine,
                                   solve_affine_bruteforce)
@@ -70,23 +71,23 @@ class TestFindSeedPair:
 
 class TestSolveAffine:
     def test_examples(self):
-        a = IntegerSet.from_members(range(6))
+        a = tight(range(6))
         assign = AffineAssignment(a, tuple((3 * m + 2) % 4 for m in a), 4)
         assert solve_affine(assign, bezout(a)) == (3, 2)
-        a013 = IntegerSet.from_members([0, 1, 3])
+        a013 = tight([0, 1, 3])
         constant = AffineAssignment(a013, (5, 5, 5), 7)
         assert solve_affine(constant, bezout(a013)) == (0, 5)
-        a012 = IntegerSet.from_members([0, 1, 2])
+        a012 = tight([0, 1, 2])
         bad = AffineAssignment(a012, (0, 0, 1), 5)
         assert solve_affine(bad, bezout(a012)) is None
 
     def test_requires_zero_and_gcd_one(self):
         with pytest.raises(ValueError, match="a-set must contain 0"):
-            bezout(IntegerSet.from_members([1, 2]))
+            bezout(tight([1, 2]))
         with pytest.raises(ValueError, match="gcd of nonzero a_i is 2"):
-            bezout(IntegerSet.from_members([0, 2, 4]))
+            bezout(tight([0, 2, 4]))
         for members in ([0], [0, 1], [0, 3, 5], [0, 4, 6, 9], [0, 6, 10, 15]):
-            a = IntegerSet.from_members(members)
+            a = tight(members)
             c = bezout(a)
             assert len(c) == len(members)
             assert sum(ci * m for ci, m in zip(c, members)) == (len(a) > 1)
@@ -112,7 +113,7 @@ class TestSolveAffine:
             scale = rng.choice((1, 1, 2, 6))
             members = [0] + sorted(rng.sample(range(1, 3 * n + 3), n - 1))
             members = [scale * m for m in members]
-            a = IntegerSet.from_members(members)
+            a = tight(members)
             g, want = full_rescale(members)
             if g > 1:
                 with pytest.raises(ValueError, match="gcd of nonzero"):
@@ -123,15 +124,15 @@ class TestSolveAffine:
     def test_refuses_coefficients_of_another_aset(self):
         """Coefficients that do not give sum c_i a_i = 1 on this a-set are
         refused, never read as "no solution"."""
-        a = IntegerSet.from_members([0, 2, 3])
+        a = tight([0, 2, 3])
         assign = AffineAssignment(a, (1, 5, 0), 7)
         assert solve_affine(assign, bezout(a)) == (2, 1)
         for other in ([0, 1, 3], [0, 1, 2, 3], [0, 1], [0]):
-            c = bezout(IntegerSet.from_members(other))
+            c = bezout(tight(other))
             with pytest.raises(ValueError, match="do not fit the a-set"):
                 solve_affine(assign, c)
         with pytest.raises(ValueError, match="do not fit the a-set"):
-            solve_affine(AffineAssignment(IntegerSet.from_members([1, 2]),
+            solve_affine(AffineAssignment(tight([1, 2]),
                                           (0, 0), 3), (-1, 1))
 
     def test_solution_reverifies(self, rng):
@@ -145,7 +146,7 @@ class TestSolveAffine:
                 g = gcd(g, m)
             if g != 1:
                 continue
-            a = IntegerSet.from_members(members)
+            a = tight(members)
             values = tuple(rng.randrange(q) for _ in members)
             assign = AffineAssignment(a, values, q)
             got = solve_affine(assign, bezout(a))
@@ -175,7 +176,7 @@ class TestSolveAffine:
                 values = tuple((m * x + y) % q for m in members)
             else:
                 values = tuple(rng.randrange(q) for _ in members)
-            a = IntegerSet.from_members(members)
+            a = tight(members)
             assign = AffineAssignment(a, values, q)
             brute = solve_affine_bruteforce(assign)
             outcomes.add((n == 1, brute is None))
