@@ -69,14 +69,18 @@ def _int_tuple(lo, hi):
 
 _GEN = GenParams()
 
-# the campaign flags only one mode reads, with their defaults: the parser
-# leaves a flag out unless written, so `cmd_campaign` refuses one the mode
-# would ignore and fills in the defaults of the rest
+# the campaign flags each mode reads, with their defaults: the parser leaves
+# a flag out unless written, so `cmd_campaign` refuses one that only the
+# other mode reads and fills in the defaults of the rest.  Both read --s,
+# random mode as the range lo,hi of its layer counts and exhaustive mode as
+# a list of sizes, so each has its own default for it
 MODE_FLAGS = {
-    "random": {"d": _GEN.d_values, "count": 10_000, "seed": 1,
+    "random": {"s": (_GEN.s_min, _GEN.s_max), "d": _GEN.d_values,
+               "count": 10_000, "seed": 1,
                "density": _GEN.density, "epsilon": _GEN.epsilon,
                "max_a_slack": _GEN.max_a_slack, "no_canonical": False},
-    "exhaustive": {"max_a": 12,
+    "exhaustive": {"s": tuple(range(_GEN.s_min, _GEN.s_max + 1)),
+                   "max_a": 12,
                    "cap": campaign_exhaustive.__kwdefaults__["cap"]},
 }
 
@@ -96,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--d", type=_int_tuple(1, MAX_WIDTH),
                         help="comma-separated moduli (random mode)")
     p_camp.add_argument("--s", type=_int_tuple(2, MAX_WIDTH),
-                        default=tuple(range(_GEN.s_min, _GEN.s_max + 1)),
-                        help="comma-separated layer counts / sizes")
+                        help="layer counts: s or lo,hi (random mode), "
+                             "comma-separated sizes (exhaustive mode)")
     p_camp.add_argument("--max-a", type=_strict(int, 1),
                         help="offset ceiling (exhaustive mode)")
     p_camp.add_argument("--count", type=_strict(int, 0),
@@ -134,23 +138,32 @@ def cmd_verify(args) -> int:
 
 def cmd_campaign(args) -> int:
     given = vars(args)
+    own = MODE_FLAGS[args.mode]
     foreign = [name for mode, flags in MODE_FLAGS.items() if mode != args.mode
-               for name in flags if name in given]
+               for name in flags if name in given and name not in own]
     if foreign:
         flags = ", ".join("--" + name.replace("_", "-") for name in foreign)
         print(f"error: {args.mode} mode does not read {flags}",
               file=sys.stderr)
         return 2
-    for name, default in MODE_FLAGS[args.mode].items():
+    for name, default in own.items():
         given.setdefault(name, default)
     try:
         worker_count()
+        s = args.s
+        if args.mode == "random" and not (
+                len(s) == 1 or len(s) == 2 and s[0] < s[1]):
+            raise ValueError(
+                "random mode reads --s as one layer count or lo,hi with "
+                f"lo < hi, not {','.join(map(str, s))}")
         if args.mode == "exhaustive":
             # before the probe below, which creates a missing --out file
             require_exhaustive_domain(args.s, args.max_a, args.cap)
         if args.out:
-            # an unwritable path is refused here, not after the campaign;
-            # appending leaves an existing file as it is
+            # a path that cannot be opened for writing is refused here,
+            # before the campaign; one that opens but refuses writes
+            # (/dev/full) fails only at the write below, also with exit 2.
+            # Appending leaves an existing file as it is
             open(args.out, "a", encoding="utf-8").close()
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
@@ -159,8 +172,8 @@ def cmd_campaign(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.mode == "random":
-        params = GenParams(d_values=args.d, s_min=min(args.s),
-                           s_max=max(args.s), max_a_slack=args.max_a_slack,
+        params = GenParams(d_values=args.d, s_min=s[0],
+                           s_max=s[-1], max_a_slack=args.max_a_slack,
                            density=args.density, epsilon=args.epsilon)
         report = campaign_random(params, args.count, args.seed,
                                  include_canonical=not args.no_canonical)

@@ -58,14 +58,29 @@ def _strict_int(value, what: str) -> int:
     return value
 
 
+def _known_keys(obj, keys: tuple[str, ...], where: str) -> None:
+    """Refuse a key of the object `obj` outside the format's `keys`: a
+    misspelt one would be silently ignored, and the instance checked would
+    not be the one the user wrote.  A non-object is left to the reader."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in keys:
+                raise LayeredSetError(f"unknown key {key!r} in {where}; the "
+                                      f"format has {', '.join(keys)}")
+
+
 def instance_from_doc(doc) -> LayeredSet:
     if not isinstance(doc, dict) or "d" not in doc or "layers" not in doc:
         raise LayeredSetError('document must carry "d" and "layers"')
+    _known_keys(doc, ("d", "layers"), "the document")
     try:
         d = _strict_int(doc["d"], "d")
-        layers = [(_strict_int(layer["a"], "a"),
-                   [_strict_int(m, "set member") for m in layer["set"]])
-                  for layer in doc["layers"]]
+        layers = []
+        for layer in doc["layers"]:
+            _known_keys(layer, ("a", "set"), "a layer")
+            layers.append((_strict_int(layer["a"], "a"),
+                           [_strict_int(m, "set member")
+                            for m in layer["set"]]))
     except (KeyError, TypeError) as exc:
         raise LayeredSetError(f"malformed instance document: {exc}") from exc
     if max([d] + [a for a, _ in layers]) > MAX_WIDTH:
@@ -83,10 +98,21 @@ def instance_from_doc(doc) -> LayeredSet:
         raise LayeredSetError(str(exc)) from exc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key written twice, of which
+    `json.load` alone would keep the last value without a word."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise LayeredSetError(f"key {key!r} written twice")
+        seen.add(key)
+    return dict(pairs)
+
+
 def load_instance(path: str) -> LayeredSet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:       # bad JSON, bad UTF-8, huge integers
             raise LayeredSetError(f"parse error: {exc}") from exc
         except RecursionError:

@@ -39,7 +39,14 @@ PROFILE_MEMO_SIZE = 1024
 
 # `flatten_sumset` places layers at their offsets while max a < DENSE_SPAN * s
 # and by index otherwise, so none of its bitmaps scales with a wide span; its
-# pigeonhole image, placed by offset too, is tried below the same bound
+# pigeonhole image, placed by offset too, is tried below the same bound.
+# Timing the flatten alone on `--density 0` draws with DENSE_SPAN at 0 and at
+# infinity (which also turns the image off and on), the offset layout took
+# 0.69-0.88x the by-index time at max a/s below 16 and 1.05x at 16-32 for
+# s = 6..9, 1.9-4.5x from 64 on; for s = 24..40, 0.73-0.89x below 4, 1.11x
+# at 4-8 and 2.8-8.3x from 16 on.  The crossover sits near max a = 100-250
+# in both ranges, not at 2s (2 vCPU Xeon, CPython 3.11.7).  It stays at 2:
+# every benchmark instance lies below it, so no workload could show a move
 DENSE_SPAN = 2
 
 # `flatten_sumset` adds the layers in Z/|H|Z, H their smallest coset
@@ -114,10 +121,28 @@ class LayeredSet:
         return self.layers[-1][0]
 
     @memo
-    def placement(self) -> Optional[tuple[Subgroup, int, int]]:
-        """`coset_placement`, found once and shared by `find_structure` and
-        the flatten."""
-        return coset_placement(self)
+    def placement(self) -> tuple[Subgroup, int, int]:
+        """The smallest H with every B_i inside a_i*x + y + H, and that (x,
+        y), found once and shared by `find_structure` and the flatten.  With
+        b_i = min B_i, an (x, y) exists iff H holds each m - b_i (m in B_i)
+        and each a_j*b_i - a_i*b_j (y is in H as a_1 = 0 and 0 is in B_1).
+        With the offsets' Bezout coefficients c and x0 = sum c_i b_i, the s
+        terms b_i - a_i*x0 say the same, modulo the step of H: b_i = a_i*x0
+        for all i gives a_j*b_i - a_i*b_j = a_j*a_i*x0 - a_i*a_j*x0 = 0, and
+        conversely a_j*x0 = sum c_i*a_j*b_i = sum c_i*a_i*b_j = b_j.  The m
+        - b_i terms are the confining chain's: with g = gcd(d, every m -
+        b_i) read from `confinement`, the step of H is q = gcd(g, every b_i
+        - a_i*x0), and gcd is associative, so no member is read again.  B_i
+        then lies in b_i + H.  The solve cannot fail: q divides each b_i -
+        a_i*x0 by construction, and b_1 = min B_1 = 0, so (x0 mod q, 0)
+        solves b_i = a_i*x + y mod q, and `solve_affine` returns it."""
+        p = self.profile
+        g, firsts = self.confinement
+        x0 = sum(c * b for c, b in zip(p.bezout, firsts))
+        q = gcd(g, *(bi - a * x0 for a, bi in zip(self._offsets, firsts)))
+        x, y = solve_affine(AffineAssignment(self._offsets, firsts, q),
+                            p.bezout)
+        return Subgroup(self.group, self.d // q), x, y
 
     @memo
     def confinement(self) -> tuple[int, tuple[int, ...]]:
@@ -125,7 +150,7 @@ class LayeredSet:
         over every member m of every layer), the step of the smallest H
         with each B_i inside one of its cosets, (min B_i mod g) + H.  One
         chain of mask tests (`coset_step`, no member pass), stopped at g =
-        1, read by the flatten's image and by `coset_placement`."""
+        1, read by the flatten's image and by `placement`."""
         firsts = tuple(b.min() for _, b in self.layers)
         g = self.d
         for (_, b), m0 in zip(self.layers, firsts):
@@ -279,8 +304,8 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
             rows = _folded_count(sumset(image, image).bits, offsets[-1], g)
             return LayeredSumset(order * rows, 0 if isinstance(
                 matching, HallViolator) else order * len(matching))
-    if d >= QUOTIENT_WIDTH and L.placement and L.placement[0].order < d:
-        L = coset_quotient(L, *L.placement)
+    if d >= QUOTIENT_WIDTH and L.placement[0].order < d:
+        L = coset_quotient(L)
         d = L.d
     width = 2 * d
     place = offsets if dense else range(s)
@@ -389,30 +414,9 @@ def check_prop7(L: LayeredSet) -> CheckOutcome:
                         witness=(L.max_offset(), L.s))
 
 
-def coset_placement(L: LayeredSet) -> Optional[tuple[Subgroup, int, int]]:
-    """The smallest H with every B_i inside a_i*x + y + H, and that (x, y).
-    With b_i = min B_i, an (x, y) exists iff H holds each m - b_i (m in B_i)
-    and each a_j*b_i - a_i*b_j (y is in H as a_1 = 0 and 0 is in B_1).  With
-    the offsets' Bezout coefficients c and x0 = sum c_i b_i, the s terms
-    b_i - a_i*x0 say the same, modulo the step of H: b_i = a_i*x0 for all i
-    gives a_j*b_i - a_i*b_j = a_j*a_i*x0 - a_i*a_j*x0 = 0, and conversely
-    a_j*x0 = sum c_i*a_j*b_i = sum c_i*a_i*b_j = b_j.  The m - b_i terms
-    are the confining chain's: with g = gcd(d, every m - b_i) read from
-    `LayeredSet.confinement`, the step of H is q = gcd(g, every b_i -
-    a_i*x0), and gcd is associative, so no member is read again.  B_i
-    then lies in b_i + H, and AffineAssignment reduces b_i mod q."""
-    p = L.profile
-    g, firsts = L.confinement
-    x0 = sum(c * b for c, b in zip(p.bezout, firsts))
-    q = gcd(g, *(bi - a * x0 for a, bi in zip(L.offsets(), firsts)))
-    h = Subgroup(L.group, L.d // q)
-    xy = solve_affine(AffineAssignment(L.offsets(), firsts, q), p.bezout)
-    return None if xy is None else (h, *xy)
-
-
-def coset_quotient(L: LayeredSet, h: Subgroup, x: int, y: int) -> LayeredSet:
+def coset_quotient(L: LayeredSet) -> LayeredSet:
     """The layered set (Z/|H|Z, B_i'') with B_i'' = {(m - c_i)/step : m in
-    B_i}, c_i = a_i*x + y, given B_i inside c_i + H (`coset_placement`).
+    B_i}, c_i = a_i*x + y, where B_i lies inside c_i + H (`L.placement`).
     Each B_i is rotated by -c_i into H and its multiples of the step are
     packed down (`gather`).  B_i + B_j = (a_i + a_j)x + 2y + step(B_i'' +
     B_j''), and u -> c + step*u is injective on Z/|H|Z, so every pair of
@@ -420,6 +424,7 @@ def coset_quotient(L: LayeredSet, h: Subgroup, x: int, y: int) -> LayeredSet:
     pair sums keep their sizes, and `flatten_sumset` of the quotient
     equals `flatten_sumset(L)`.  0 stays in the first layer: c_1 = y,
     which the placement takes as min B_1 = 0 reduced mod the step."""
+    h, x, y = L.placement
     q = CyclicGroup(h.order)
     return LayeredSet(q, tuple(
         (a, ResidueSet(q, gather(b.shift(-(a * x + y)).bits, h.step, h.order)))
@@ -436,11 +441,7 @@ def find_structure(L: LayeredSet
         return NotApplicable(f"no doubling threshold for s={L.s}" if t is None
                              else f"doubling {L.ratio} >= {t}", L.ratio)
 
-    found = L.placement
-    if found is None:
-        return ConclusionFailed("coset-structure",
-                                "affine solve found no (x, y) for H")
-    h, x, y = found
+    h, x, y = L.placement
 
     if not 2 * L.max_offset() < 3 * L.s:
         return ConclusionFailed(

@@ -16,7 +16,7 @@ from .sumset_engine import IntegerSet, sumset_int
 @dataclass(frozen=True)
 class AffineAssignment:
     """One residue mod q per member of the a-set, read in ascending order
-    from a tuple (the offsets, in `coset_placement`) or an `IntegerSet`."""
+    from a tuple (a layered set's offsets) or an `IntegerSet`."""
 
     aset: Union[tuple[int, ...], IntegerSet]
     values: tuple[int, ...]

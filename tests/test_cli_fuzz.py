@@ -108,11 +108,14 @@ def _int_list(values) -> str:
 def _mode_flags(ints, fractions, min_size):
     """Each mode's campaign value flags, drawn from `ints(lo, hi)`,
     `fractions` and lists of at least `min_size` values; exhaustive domains
-    stay small through --max-a and --cap."""
+    stay small through --max-a and --cap.  Random mode's --s is one layer
+    count or an ascending pair lo,hi, the forms it reads."""
     s = st.lists(ints(2, 10), min_size=min_size, max_size=3).map(_int_list)
+    span = st.lists(ints(2, 10), min_size=min_size, max_size=2,
+                    unique=True).map(sorted).map(_int_list)
     return {
         "random": {
-            "--s": s,
+            "--s": span,
             "--d": st.lists(ints(1, 40), min_size=min_size,
                             max_size=3).map(_int_list),
             "--count": ints(0, 8).map(str),

@@ -671,6 +671,45 @@ class TestCli:
         assert main(["verify", str(path)]) == 2
         assert where in capsys.readouterr().err
 
+    D30_DOC = ('{"d": 30, "layers": [' + ", ".join(
+        f'{{"a": {a}, "set": [0, 10, 20]}}' for a in (0, 3, 4, 5, 6, 8))
+        + "]}")
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"d": 2, "d": 5, "layers": [{"a": 0, "set": [0]}, '
+         '{"a": 1, "set": [3]}]}', "'d' written twice"),
+        (D30_DOC[:-1] + ', "layers": [{"a": 0, "set": [0]}, '
+         '{"a": 1, "set": [1]}, {"a": 2, "set": [2]}]}',
+         "'layers' written twice"),
+        ('{"d": 5, "layers": [{"a": 0, "set": [0]}, '
+         '{"a": 1, "set": [3], "set": [2]}]}', "'set' written twice"),
+        ('{"d": 5, "layers": [{"a": 0, "a": 0, "set": [0]}, '
+         '{"a": 1, "set": [3]}]}', "'a' written twice"),
+        ('{"Layers": [], ' + D30_DOC[1:], "unknown key 'Layers'"),
+        ('{"d": 5, "layers": [{"a": 0, "set": [0]}, '
+         '{"a": 1, "set": [3], "b": [4]}]}', "unknown key 'b'")],
+        ids=["d-twice", "layers-twice", "set-twice", "a-twice",
+             "unknown-top", "unknown-layer"])
+    def test_verify_repeated_or_unknown_key_exit(self, text, key, tmp_path,
+                                                 capsys):
+        """The instance format has the keys d, layers, a and set, each
+        once: a key written twice is refused, not read as its last value,
+        and any other key is refused, not ignored."""
+        path = tmp_path / "keys.json"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid instance:" in captured.err and key in captured.err
+        assert captured.out == ""
+
+    def test_verify_d30_keys_read(self, tmp_path, capsys):
+        """The same document, each key once, is verified."""
+        path = tmp_path / "d30.json"
+        path.write_text(self.D30_DOC)
+        assert main(["verify", str(path)]) == 1
+        assert "check lemma5 applicable=true holds=false" in (
+            capsys.readouterr().out.splitlines())
+
     def test_verify_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/inst.json"]) == 2
 
@@ -986,6 +1025,27 @@ class TestCli:
                      "--max-a", "8", "--out", str(out)]) == 2
         assert "error: s values 6,7,6 repeat 6" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["6,7,9", "9,6", "6,6,6", "6,6",
+                                     "6,7,8,9"])
+    def test_campaign_random_s_form_exit(self, raw, tmp_path, ran, capsys):
+        """Random mode draws s from one range, written s or lo,hi with lo <
+        hi; a list that is neither exits 2 before the --out file is made,
+        not run as the range from its least to its greatest member."""
+        out = tmp_path / "new.txt"
+        assert main(["campaign", "--mode", "random", "--count", "3", "--s",
+                     raw, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--s as one layer count or lo,hi with lo < hi, not {raw}" in err
+        assert ran == [] and not out.exists()
+
+    @pytest.mark.parametrize("raw, line", [("7", "param s 7..7"),
+                                           ("6,9", "param s 6..9")])
+    def test_campaign_random_s_forms_run(self, raw, line, capsys):
+        """One layer count, and the pair that is also the default."""
+        assert main(["campaign", "--mode", "random", "--count", "0",
+                     "--no-canonical", "--s", raw]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_campaign_out_kept_until_report(self, tmp_path):
         out = tmp_path / "report.txt"

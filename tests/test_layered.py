@@ -28,8 +28,7 @@ from sumset_forge.layered import (DENSE_SPAN, INEQ7_EQUALITY, INEQ7_STRICT,
                                   NotApplicable,
                                   StructureWitness, _prop6_copies,
                                   check_ineq7, check_lemma5, check_prop7,
-                                  corollary1_check, coset_placement,
-                                  coset_quotient,
+                                  corollary1_check, coset_quotient,
                                   find_structure, flatten_sumset,
                                   is_coset_saturated,
                                   offset_profile, prop6_lower_bound, tau,
@@ -224,8 +223,9 @@ def traced_peak(call, L):
 
 
 def scan_placement(L):
-    """The ascending subgroup scan that `coset_placement` replaces: the first
-    H confining every layer whose coset values admit an affine solution."""
+    """The ascending subgroup scan that `LayeredSet.placement` replaces: the
+    first H confining every layer whose coset values admit an affine
+    solution."""
     aset = iset(L.offsets())
     for h in subgroups(L.group):
         reps = tuple(containing_coset(b, h) for _, b in L.layers)
@@ -238,8 +238,8 @@ def scan_placement(L):
 
 
 def member_gcd_placement(L):
-    """Oracle: `coset_placement` with its step as one gcd over every member
-    of every layer, as it was before the mask tests."""
+    """Oracle: `LayeredSet.placement` with its step as one gcd over every
+    member of every layer, as it was before the mask tests."""
     p = L.profile
     firsts = tuple(b.min() for _, b in L.layers)
     x0 = sum(c * b for c, b in zip(p.bezout, firsts))
@@ -248,6 +248,51 @@ def member_gcd_placement(L):
     aset = iset(L.offsets())
     xy = solve_affine(AffineAssignment(aset, firsts, q), p.bezout)
     return None if xy is None else (Subgroup(L.group, L.d // q), *xy)
+
+
+@st.composite
+def any_layered_sets(draw):
+    """Valid layered sets of shapes the generator never draws: each layer
+    random members, one member, the whole group or a part of a_i*x + H for
+    a drawn H and x, and sometimes one stray member more, translated so
+    that 0 is in B_1; d = 1, d up to 40, or d on either side of
+    QUOTIENT_WIDTH.  Half of them have only whole groups and layers over
+    three quarters of their coset, and offsets often within s + 2, so
+    that the doubling hypothesis often holds."""
+    d = draw(st.integers(2, 40) | st.sampled_from(
+        [1, QUOTIENT_WIDTH - 8, QUOTIENT_WIDTH, QUOTIENT_WIDTH + 16]))
+    order = draw(st.sampled_from(CyclicGroup(d).divisors()))
+    x = draw(st.integers(0, d - 1))
+    s = draw(st.integers(2, 9))
+    top = s - 1 + draw(st.integers(0, 2) | st.integers(0, 2 * s))
+    rest = sorted(draw(st.sets(st.integers(1, top), min_size=s - 1,
+                               max_size=s - 1)))
+    if gcd(*rest) != 1:         # then 1 is not in rest
+        rest[0] = 1
+    offsets = [0] + rest
+    rnd = draw(st.randoms(use_true_random=False))
+    dense = draw(st.booleans())
+    kinds = ("full", "coset") if dense else ("random", "one", "full",
+                                             "coset")
+    least = -(-3 * order // 4) if dense else 1
+    member = st.integers(0, d - 1)
+    layers = []
+    for a in offsets:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "random":
+            layers.append(draw(st.sets(member, min_size=1, max_size=12)))
+        elif kind == "one":
+            layers.append({draw(member)})
+        elif kind == "full":
+            layers.append(set(range(d)))
+        else:
+            layers.append({(a * x + j * (d // order)) % d for j in rnd.sample(
+                range(order), draw(st.integers(least, order)))})
+    if draw(st.integers(0, 3)) == 0:
+        layers[draw(st.integers(0, s - 1))].add(draw(member))
+    b0 = rnd.choice(sorted(layers[0]))
+    return LayeredSet.of(d, [(a, {(m - b0) % d for m in b})
+                             for a, b in zip(offsets, layers)])
 
 
 class TestValidation:
@@ -358,7 +403,7 @@ class TestFlatten:
             assert max(moduli) <= DENSE_SPAN * L.s * 2 * L.d
             assert peak < 100_000
             assert flat == pairwise_flatten(L)
-            found, peak = traced_peak(coset_placement, L)
+            found, peak = traced_peak(LayeredSet.placement.func, L)
             assert peak < 100_000
             assert found == member_gcd_placement(L)
 
@@ -464,7 +509,7 @@ class TestFlatten:
             L.profile
             moduli.clear()
             assert L.flat == pairwise_flatten(L, sumset)
-            h = L.placement[0].order if L.placement else L.d
+            h = L.placement[0].order
             kinds[L.d >= QUOTIENT_WIDTH, h < L.d, len(moduli) == 1] += 1
         assert kinds[True, True, True] and kinds[False, True, True]
         assert kinds[True, False, True] or kinds[False, False, True]
@@ -492,11 +537,12 @@ class TestFlatten:
         kinds = Counter()
         for L, plain in zip(instances, plains):
             found = L.placement
-            assert found is L.placement and found == coset_placement(L)
-            h, x, y = found
+            assert found is L.placement
+            assert found == LayeredSet.placement.func(L)
+            h = found[0]
             assert L.flat == plain
             if h.order < L.d:
-                q = coset_quotient(L, h, x, y)
+                q = coset_quotient(L)
                 assert q.d == h.order and q.offsets() == L.offsets()
                 assert [len(b) for _, b in q.layers] == [
                     len(b) for _, b in L.layers]
@@ -666,7 +712,7 @@ class TestFindStructure:
         instances += [sparse_instance(rng) for _ in range(4000)]
         orders = set()
         for L in instances:
-            h, x, y = coset_placement(L)
+            h, x, y = LayeredSet.placement.func(L)
             assert (h.order, x, y) == scan_placement(L), L
             orders.add(h.order == L.d)
         assert len(instances) >= 10_000 and orders == {True, False}
@@ -693,7 +739,7 @@ class TestFindStructure:
         instances += [sparse_instance(rng) for _ in range(1000)]
         saturated = Counter()
         for L in instances:
-            found = coset_placement(L)
+            found = LayeredSet.placement.func(L)
             assert found == member_gcd_placement(L), L
             h, x, y = found
             firsts = (b.min() for _, b in L.layers)
@@ -706,6 +752,25 @@ class TestFindStructure:
                 assert sat == (verify_witness(L, w) and all(
                     n == h.order for n in L.sizes)), L
         assert saturated[True] > 0 and saturated[False] > 0, saturated
+
+    @settings(max_examples=200, deadline=None)
+    @given(L=any_layered_sets())
+    def test_placement_total_on_any_layered_set(self, L):
+        """The placement never fails: on any valid layered set it is (H,
+        x, 0), every member of every B_i lies in a_i*x + H, and H is the
+        member gcd's.  So the structure finder's only failures are the
+        theorem's conclusions."""
+        h, x, y = L.placement
+        assert y == 0 and (h, x, y) == member_gcd_placement(L)
+        for a, b in L.layers:
+            assert all((m - a * x) % h.step == 0 for m in b), (L, a)
+        out = find_structure(L)
+        if isinstance(out, ConclusionFailed):
+            assert out.conclusion in ("max-offset-bound",
+                                      "two-thirds-witness",
+                                      "subgroup-size-bound", "ineq7"), out
+        elif isinstance(out, StructureWitness):
+            assert verify_witness_elementwise(L, out)
 
     def test_witness_reverifies_randomized(self, rng):
         for _ in range(400):
@@ -722,7 +787,7 @@ class TestFindStructure:
                      + [sparse_instance(rng) for _ in range(300)])
         seen = set()
         for L in instances:
-            _, x0, y0 = coset_placement(L)
+            _, x0, y0 = L.placement
             for h in subgroups(L.group):
                 for x, y in ((x0, y0), (rng.randrange(L.d),
                                         rng.randrange(L.d))):
@@ -945,20 +1010,19 @@ class TestPrimitiveReduction:
     @given(L=placed_instances())
     def test_quotient_keeps_every_verdict_drawn(self, L):
         """The reduction on Hypothesis-drawn layered sets: Q =
-        coset_quotient(L, *L.placement) is primitive in Z/|H|Z and gives
-        the same `check` lines as L up to (x, y)."""
-        h, x, y = L.placement
-        q = coset_quotient(L, h, x, y)
+        coset_quotient(L) is primitive in Z/|H|Z and gives the same `check`
+        lines as L up to (x, y)."""
+        h = L.placement[0]
+        q = coset_quotient(L)
         assert q.d == h.order and q.placement[0].order == q.d
         assert _unplaced(verify_instance(L, Tally())) == _unplaced(
             verify_instance(q, Tally()))
 
     def test_quotient_keeps_every_verdict(self):
-        """Q = coset_quotient(L, *L.placement) lives in Z/|H|Z and is
-        primitive, its own placement's H is all of Z/|H|Z, and it gives the
-        same `check` lines as L up to (x, y): the canonical battery, each
-        to the Q expected, and generated instances on both sides of
-        QUOTIENT_WIDTH."""
+        """Q = coset_quotient(L) lives in Z/|H|Z and is primitive, its own
+        placement's H is all of Z/|H|Z, and it gives the same `check` lines
+        as L up to (x, y): the canonical battery, each to the Q expected,
+        and generated instances on both sides of QUOTIENT_WIDTH."""
         battery = dict(canonical_instances())
         expected = {
             "full-coset-d12": LayeredSet.of(3, [(a, range(3))
@@ -967,7 +1031,7 @@ class TestPrimitiveReduction:
             "trivial-subgroup-d7": LayeredSet.of(1, [(a, [0])
                                                      for a in range(6)])}
         for name, L in battery.items():
-            assert coset_quotient(L, *L.placement) == expected[name]
+            assert coset_quotient(L) == expected[name]
         near = (QUOTIENT_WIDTH - 8, QUOTIENT_WIDTH + 16)
         params = ((GenParams(), 1000),
                   (GenParams(density=0.0, epsilon=0.3), 700),
@@ -980,8 +1044,8 @@ class TestPrimitiveReduction:
                           for i in range(count)]
         kinds = Counter()
         for L in instances:
-            h, x, y = L.placement
-            q = coset_quotient(L, h, x, y)
+            h = L.placement[0]
+            q = coset_quotient(L)
             assert q.d == h.order and q.placement[0].order == q.d, L
             assert _unplaced(verify_instance(L, Tally())) == _unplaced(
                 verify_instance(q, Tally())), L
