@@ -17,9 +17,10 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from itertools import combinations, islice
-from math import ceil, gcd, log
+from math import gcd
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import layered as ls
@@ -135,24 +136,41 @@ class GenParams:
 
     def __post_init__(self):
         # `generate_instance` draws below the size of each range, and never
-        # returns from an empty one, where `random`'s draws raised
+        # returns from an empty one, where `random`'s draws raised; a nan
+        # density has no floor
         if (not self.d_values or self.s_min > self.s_max
-                or self.max_a_slack < -3 or self.density > 1):
+                or self.max_a_slack < -3 or not self.density <= 1):
             raise ValueError(f"{self} leaves a draw range empty")
+        # the density as the fraction its decimal spells (the CLI takes
+        # only the spelling `str` gives back), kept outside the fields
+        f = Fraction(str(self.density))
+        object.__setattr__(self, "_density", (f.numerator, f.denominator))
+
+    def min_fill(self, h: int) -> int:
+        """The fewest members a layer draws in a coset of h: ceil(density *
+        h), at least 1, exactly.  The float product misrounds for some
+        densities: 0.28 * 25 is 7.000000000000001, whose ceiling is 8."""
+        num, den = self._density
+        return max(1, -(-num * h // den))
 
 
 def sample_coset(rng: random.Random, d: int, step: int, k: int) -> int:
     """Bitmap of {j*step : j in rng.sample(range(d // step), k)}, from the
     same `getrandbits` calls.  Where `random.sample` keeps a pool list (its
-    `setsize` test), its loop is inlined: draw j below n = h, h-1, ...,
-    h-k+1 by rejection on n.bit_length() bits, then move pool[n-1] into
-    slot j.  Afterwards pool[:h-k] holds the undrawn indices, so the sample
-    is the lattice of the step less those h-k members: no `randbelow` call
-    and no result list per draw.  Elsewhere `random.sample` itself draws."""
+    `setsize` test, 21 + 4 ** ceil(log(3k, 4)) in floating point for k > 5,
+    here the least power of 4 at or above 3k in integers: 3k is never a
+    power of 4, and the two agree for every k below 2^22 and at each side
+    of every 4^m / 3 up to MAX_WIDTH), its loop is inlined: draw j below
+    n = h, h-1, ..., h-k+1 by rejection on n.bit_length() bits, then move
+    pool[n-1] into slot j.  Afterwards pool[:h-k] holds the undrawn
+    indices, so the sample is the lattice of the step less those h-k
+    members: no `randbelow` call and no result list per draw.  Elsewhere
+    `random.sample` itself draws."""
     h = d // step
     if not 0 <= k <= h:
         raise ValueError(f"sample of {k} from a coset of {h}")
-    if h > 21 and (k <= 5 or h > 21 + 4 ** ceil(log(k * 3, 4))):
+    if h > 21 and (k <= 5
+                   or h > 21 + 4 ** ((3 * k - 1).bit_length() + 1 >> 1)):
         return Bitmap.bits_of(map(step.__mul__, rng.sample(range(h), k)), d)
     getrandbits = rng.getrandbits
     pool = list(range(h))
@@ -169,7 +187,11 @@ def sample_coset(rng: random.Random, d: int, step: int, k: int) -> int:
 def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
     """One structured instance: pick d, a subgroup order h | d, an offset set
     with gcd 1, a slope x, fill each layer inside its prescribed coset, then
-    translate so 0 lands in the first layer.  `sample_coset` fixes the
+    translate so 0 lands in the first layer.  Each layer is drawn as a
+    sample of the multiples of the step and rotated once, by a_i*x - b0,
+    its coset's shift and the translation together; the epsilon member r
+    lands at r - a_i*x in that unrotated frame.  a_1 = 0, so B_1 is drawn
+    unrotated and b0 is read from it as before.  `sample_coset` fixes the
     layer draws where `random.sample` keeps a pool (tested equal on Python
     3.10 to 3.13); its set branch (h > 21 and k <= 5, or h past its
     setsize) and the other `sample` and `random` draws come from the
@@ -199,21 +221,19 @@ def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
             continue
         step = d // h
         x = below(d)
-        lo = max(1, ceil(p.density * h))
-        layers = []
-        for a in offsets:
-            # the members a sample of the coset list [(a*x + j*step) % d for
-            # j < h] would give: the sampled multiples of step, rotated by a*x
-            k = lo + below(h - lo + 1)
-            layers.append(fold(sample_coset(rng, d, step, k) << a * x % d, d))
+        lo = p.min_fill(h)
+        # the members a sample of the coset list [(a*x + j*step) % d for j
+        # < h] would give, as sampled multiples of step, rotated below
+        layers = [sample_coset(rng, d, step, lo + below(h - lo + 1))
+                  for _ in offsets]
         if p.epsilon and rng.random() < p.epsilon:
             i = below(s)
-            layers[i] |= 1 << below(d)
+            layers[i] |= 1 << (below(d) - offsets[i] * x) % d
         # the k-th member of B_1, ascending, as `choice` of its sorted list
         first = layers[0]
         b0 = next(islice(members_of(first), below(first.bit_count()), None))
         return LayeredSet(group, tuple(
-            (a, ResidueSet(group, fold(bits << d - b0, d)))
+            (a, ResidueSet(group, fold(bits << (a * x - b0) % d, d)))
             for a, bits in zip(offsets, layers)))
 
 

@@ -19,9 +19,9 @@ from .classical_checks import CheckOutcome
 from .group_core import (CyclicGroup, ResidueSet, Subgroup, build_lattice,
                          containing_coset, coset_step, fold, gather, lattice,
                          memo)
-from .hall_bounds import (BoundViolation, HallViolator, find_sdr,
-                          is_unsaturated, lemma2_copies, r_parameter,
-                          translated_family)
+from .hall_bounds import (BoundViolation, HallViolator, SdrCertificate,
+                          find_sdr, is_unsaturated, lemma2_copies,
+                          r_parameter, translated_family)
 from .rectify import AffineAssignment, bezout, solve_affine
 from .sumset_engine import IntegerSet, sumset
 
@@ -130,7 +130,7 @@ class LayeredSet:
         terms b_i - a_i*x0 say the same, modulo the step of H: b_i = a_i*x0
         for all i gives a_j*b_i - a_i*b_j = a_j*a_i*x0 - a_i*a_j*x0 = 0, and
         conversely a_j*x0 = sum c_i*a_j*b_i = sum c_i*a_i*b_j = b_j.  The m
-        - b_i terms are the confining chain's: with g = gcd(d, every m -
+        - b_i terms are the confining mask's: with g = gcd(d, every m -
         b_i) read from `confinement`, the step of H is q = gcd(g, every b_i
         - a_i*x0), and gcd is associative, so no member is read again.  B_i
         then lies in b_i + H.  The solve cannot fail: q divides each b_i -
@@ -148,15 +148,17 @@ class LayeredSet:
     def confinement(self) -> tuple[int, tuple[int, ...]]:
         """(g, firsts): min B_i for each layer, and g = gcd(d, m - min B_i
         over every member m of every layer), the step of the smallest H
-        with each B_i inside one of its cosets, (min B_i mod g) + H.  One
-        chain of mask tests (`coset_step`, no member pass), stopped at g =
-        1, read by the flatten's image and by `placement`."""
+        with each B_i inside one of its cosets, (min B_i mod g) + H.  The
+        layers are ORed into one mask T, each shifted down by its least
+        member, so T's members are the union of the sets {m - min B_i} and
+        0; gcd is associative, so g = gcd(d, every member of T), one
+        `coset_step` of T (mask tests, no member pass).  Read by the
+        flatten's image and by `placement`."""
         firsts = tuple(b.min() for _, b in self.layers)
-        g = self.d
+        t = 0
         for (_, b), m0 in zip(self.layers, firsts):
-            if g > 1:
-                g = coset_step(b.bits, m0, self.d, g)
-        return g, firsts
+            t |= b.bits >> m0
+        return coset_step(t, 0, self.d), firsts
 
     @memo
     def flat(self) -> "LayeredSumset":
@@ -171,7 +173,7 @@ class LayeredSet:
         Not a tuple: CPython keeps 2000 freed tuples per length below 20,
         and with a tuple of 10-19 sizes per instance, 40 default campaigns
         of 500 instances peaked 1.7 MB higher in RSS (CPython 3.11.7)."""
-        return [len(b) for _, b in self.layers]
+        return [b.size for _, b in self.layers]
 
     @memo
     def size(self) -> int:
@@ -207,13 +209,37 @@ class LayeredSumset:
 
 @dataclass(frozen=True)
 class OffsetProfile:
-    """The R of an offset set, its prop6 matching (a pair (i, j), i <= j,
-    per SDR representative a_i + a_j, or the Hall violator when there is
-    none) and the Bezout coefficients of the offsets, sum c_i a_i = 1."""
+    """The R of an offset set; the SDR (system of distinct representatives)
+    of its prop6 family, or the Hall violator when there is none; the
+    copies of each translate a_i + A' in that family; the offsets; and
+    their Bezout coefficients, sum c_i a_i = 1.  The prop6 matching's
+    (i, j) pairs are built on first read (`matching`): only the packed
+    flatten reads them, while the pigeonhole image needs the SDR's size
+    alone."""
 
     r: int
-    matching: Union[tuple[tuple[int, int], ...], HallViolator]
+    sdr: Union[SdrCertificate, HallViolator]
+    copies: tuple[int, ...]
+    offsets: tuple[int, ...]
     bezout: tuple[int, ...]
+
+    @memo
+    def matching(self) -> Union[tuple[tuple[int, int], ...], HallViolator]:
+        """A pair (i, j), i <= j, per SDR representative a_i + a_j, or the
+        Hall violator.  The family holds copies[i] copies of a_i + A' in
+        offset order, and the representative rep of a copy of a_i + A' is
+        the pair (i, j) with a_j = rep - a_i."""
+        if isinstance(self.sdr, HallViolator):
+            return self.sdr
+        offsets = self.offsets
+        index_of = {a: i for i, a in enumerate(offsets)}
+        reps = iter(self.sdr.representatives)
+        pairs = []
+        for i, (a, n) in enumerate(zip(offsets, self.copies)):
+            for rep in islice(reps, n):
+                j = index_of[rep - a]
+                pairs.append((i, j) if i <= j else (j, i))
+        return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -260,9 +286,10 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     in Z/((2 max a + 1)*2g)Z: c_i + c_j < 2g, so slot a_i + a_j holds c_i +
     c_j in Z and nothing wraps, and the dense path's masked fold, taken mod
     g, leaves the residues of every row.  So |B~+B~| is |H| times its bit
-    count, and each matched pair adds |H| to the prop6 bound.  The cosets
-    need not follow a_i*x + y, so a row may be several cosets and the
-    placement's H is not used.
+    count, and each matched pair adds |H| to the prop6 bound: |H| times
+    the SDR's size, with no (i, j) pair built.  The cosets need not follow
+    a_i*x + y, so a row may be several cosets and the placement's H is not
+    used.
 
     Otherwise one packed pass makes every B_i + B_j, from d = QUOTIENT_WIDTH
     on in `coset_quotient` when the placement's H is proper: the same sizes
@@ -289,11 +316,10 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
     `lattice`'s cache.  Y has 2 max a + 1 slots, so a wide offset span
     would make it and the packs scale with max a instead of s; there each
     slot is ORed into its row by a_i + a_j instead, and every bitmap stays
-    within s slots.  A matched pair (i, j), i <= j, adds its one slot
-    of sums[i], folded."""
+    within s slots.  A matched pair (i, j), i <= j, of the profile's
+    `matching` adds its one slot of sums[i], folded."""
     d, s, offsets = L.d, L.s, L.offsets()
     dense = offsets[-1] < DENSE_SPAN * s
-    matching = L.profile.matching
     if dense and 2 * min(L.sizes) > max(L.sizes):
         g, firsts = L.confinement
         if 2 * min(L.sizes) * g > d:
@@ -302,8 +328,9 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
             image = ResidueSet(group, sum(1 << 2 * a * g + m0 % g
                                           for a, m0 in zip(offsets, firsts)))
             rows = _folded_count(sumset(image, image).bits, offsets[-1], g)
+            sdr = L.profile.sdr
             return LayeredSumset(order * rows, 0 if isinstance(
-                matching, HallViolator) else order * len(matching))
+                sdr, HallViolator) else order * len(sdr))
     if d >= QUOTIENT_WIDTH and L.placement[0].order < d:
         L = coset_quotient(L)
         d = L.d
@@ -333,6 +360,7 @@ def flatten_sumset(L: LayeredSet) -> LayeredSumset:
                 rows[k] = rows.get(k, 0) | out & slot
                 out >>= width
         total = sum(fold(row, d).bit_count() for row in rows.values())
+    matching = L.profile.matching
     bound = 0 if isinstance(matching, HallViolator) else sum(
         fold(sums[i] >> (place[j] - place[i]) * width & slot, d).bit_count()
         for i, j in matching)
@@ -359,36 +387,25 @@ def _prop6_copies(aset: IntegerSet, r: int) -> list[int]:
 
 @lru_cache(maxsize=PROFILE_MEMO_SIZE)
 def offset_profile(offsets: tuple[int, ...]) -> OffsetProfile:
-    """R, the prop6 matching and the Bezout coefficients of an ascending
-    offset tuple, computed once per tuple while it stays in the memo.  The
-    family holds copies[i] copies of a_i + A' in offset order, and the
-    representative rep of a copy of a_i + A' is the pair (i, j) with
-    a_j = rep - a_i."""
+    """R, the prop6 SDR (or Hall violator) with its copy counts, and the
+    Bezout coefficients of an ascending offset tuple, computed once per
+    tuple while it stays in the memo."""
     aset = IntegerSet(offsets[-1] + 1, sum(1 << a for a in offsets))
     r = r_parameter(aset)
     copies = _prop6_copies(aset, r)
-    out = find_sdr(translated_family(aset, copies))
-    if not isinstance(out, HallViolator):
-        index_of = {a: i for i, a in enumerate(offsets)}
-        reps = iter(out.representatives)
-        pairs = []
-        for i, (a, n) in enumerate(zip(offsets, copies)):
-            for rep in islice(reps, n):
-                j = index_of[rep - a]
-                pairs.append((i, j) if i <= j else (j, i))
-        out = tuple(pairs)
-    return OffsetProfile(r, out, bezout(offsets))
+    return OffsetProfile(r, find_sdr(translated_family(aset, copies)),
+                         tuple(copies), offsets, bezout(offsets))
 
 
 def prop6_lower_bound(L: LayeredSet) -> int:
     """Hall-certified lower bound on the full layered sumset: each SDR
     representative a_i + a_j contributes |B_i + B_j| at a distinct first
     coordinate.  Always <= |B~+B~|."""
-    matching = L.profile.matching
-    if isinstance(matching, HallViolator):
+    sdr = L.profile.sdr
+    if isinstance(sdr, HallViolator):
         raise BoundViolation(
             f"SDR absent for offsets {L.offsets()}: violator "
-            f"{matching.indices}")
+            f"{sdr.indices}")
     bound, total = L.flat.bound, L.flat.total
     if bound > total:
         raise BoundViolation(
@@ -448,15 +465,16 @@ def find_structure(L: LayeredSet
             "max-offset-bound", f"max a_i = {L.max_offset()} >= 1.5*{L.s}")
 
     sizes = L.sizes
-    j = max(range(L.s), key=lambda i: (sizes[i], -i))
-    if 3 * sizes[j] < 2 * h.order:
+    largest = max(sizes)
+    j = sizes.index(largest)    # the first layer of the largest size
+    if 3 * largest < 2 * h.order:
         return ConclusionFailed(
             "two-thirds-witness",
-            f"max |B_j| = {sizes[j]} < (2/3)|H| with |H| = {h.order}")
-    if not 2 * h.order < 3 * max(sizes):
+            f"max |B_j| = {largest} < (2/3)|H| with |H| = {h.order}")
+    if not 2 * h.order < 3 * largest:
         return ConclusionFailed(
             "subgroup-size-bound",
-            f"|H| = {h.order} >= (3/2) max|B_i| = (3/2)*{max(sizes)}")
+            f"|H| = {h.order} >= (3/2) max|B_i| = (3/2)*{largest}")
     status = check_ineq7(L, h)
     if status == INEQ7_VIOLATED:
         return ConclusionFailed(

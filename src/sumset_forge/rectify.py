@@ -92,13 +92,17 @@ def bezout(aset: Union[tuple[int, ...], IntegerSet]) -> tuple[int, ...]:
     """Coefficients c with sum c_i a_i = 1, in ascending member order, over
     an a-set (a tuple or an `IntegerSet`) holding 0 whose nonzero members
     have gcd 1 (the singleton {0} gets (0,)), by extended Euclid folded
-    over the members.  Each step scales the coefficients so far by u0;
-    once the gcd is 1, u0 is 1, so they are rescaled only while it is not,
-    and a step costs O(1) from there on rather than O(s)."""
+    over the members.  Each step scales the coefficients so far by u0, and
+    they are rescaled only while u0 is not 1.  Once the gcd is 1, every
+    later member m is above 1 (members ascend), and Euclid on (1, m) ends
+    with u0 = 1 and v0 = 0: those members get 0 with no Euclid steps."""
     if 0 not in aset:
         raise ValueError("a-set must contain 0")
     g, coeffs = 0, []
     for m in aset:
+        if g == 1:
+            coeffs.append(0)
+            continue
         a, b, u0, u1, v0, v1 = g, m, 1, 0, 0, 1
         # invariant: u0*g + v0*m == a and u1*g + v1*m == b
         while b:

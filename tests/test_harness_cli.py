@@ -8,7 +8,8 @@ import sys
 import time
 from collections import Counter
 from itertools import combinations
-from math import ceil, comb, gcd
+from fractions import Fraction
+from math import ceil, comb, gcd, log
 
 import pytest
 
@@ -136,7 +137,8 @@ class TestInstanceIO:
 
 def generate_instance_sets(p, rng):
     """Oracle: the generator as it was, layers built as sets of members with
-    the same rng draws, then `LayeredSet.of`."""
+    the same rng draws, then `LayeredSet.of`; the density floor is the
+    ceiling of the density's decimal times h, in `Fraction`s."""
     while True:
         d = rng.choice(p.d_values)
         h = rng.choice(CyclicGroup(d).divisors())
@@ -148,7 +150,7 @@ def generate_instance_sets(p, rng):
             continue
         step = d // h
         x = rng.randrange(d)
-        lo = max(1, ceil(p.density * h))
+        lo = max(1, ceil(Fraction(str(p.density)) * h))
         layers = [{(a * x + j * step) % d for j in
                    rng.sample(range(h), rng.randint(lo, h))} for a in offsets]
         if p.epsilon and rng.random() < p.epsilon:
@@ -186,7 +188,8 @@ class TestGenerator:
         """A parameter set with nothing to draw from is refused when it is
         built, not left to a draw that never returns."""
         for bad in (dict(d_values=()), dict(s_min=9, s_max=6),
-                    dict(max_a_slack=-4), dict(density=1.5)):
+                    dict(max_a_slack=-4), dict(density=1.5),
+                    dict(density=float("nan"))):
             with pytest.raises(ValueError, match="draw range empty"):
                 GenParams(**bad)
         GenParams(max_a_slack=-3, density=1.0, s_min=6, s_max=6)
@@ -217,6 +220,73 @@ class TestGenerator:
         for k in (-1, 4):
             with pytest.raises(ValueError, match="sample of"):
                 sample_coset(_rng_for(0, 0), 9, 3, k)
+
+    def test_sample_coset_branch_matches_setsize(self):
+        """`sample_coset` keeps a pool exactly where `random.sample` does:
+        for n = h <= its setsize, 21 + 4 ** ceil(log(3k, 4)) in floating
+        point for k > 5.  Checked at h = setsize and setsize + 1 for every
+        k below 2^16, and for k on both sides of each 4^m / 3 up to
+        MAX_WIDTH.  A stub rng tells the branches apart before either
+        draws or builds a pool: `sample` is the set branch, `getrandbits`
+        the pool."""
+
+        class Branch(Exception):
+            pass
+
+        class Stub:
+            def sample(self, population, k):
+                raise Branch("set")
+
+            @property
+            def getrandbits(self):
+                raise Branch("pool")
+
+        def setsize(k):             # as in `random.Random.sample`
+            return 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+
+        ks = list(range(1, 1 << 16))
+        m = 1
+        while 4 ** m // 3 <= MAX_WIDTH:
+            ks += [4 ** m // 3, 4 ** m // 3 + 1]
+            m += 1
+        for k in ks:
+            for h in (setsize(k), setsize(k) + 1):
+                with pytest.raises(Branch) as got:
+                    sample_coset(Stub(), h, 1, k)
+                assert str(got.value) == ("pool" if h <= setsize(k)
+                                          else "set"), (k, h)
+
+    def test_density_floor_is_exact(self):
+        """The fewest members per layer is ceil(density * h) from the
+        decimal as written: 0.28 of 25 is 7 and 0.55 of 100 is 55, where
+        the float products, 7.000000000000001 and 55.00000000000001, gave
+        8 and 56; never below 1."""
+        for density, h, want in ((0.28, 25, 7), (0.55, 100, 55),
+                                 (0.75, 12, 9), (0.75, 1, 1), (0, 36, 1),
+                                 (1, 36, 36), (0.05, 100, 5), (1e-05, 7, 1),
+                                 (0.3, 10, 3), (0.3, 11, 4)):
+            assert GenParams(density=density).min_fill(h) == want, density
+        assert ceil(0.28 * 25) == 8 and ceil(0.55 * 100) == 56
+        for k in range(1, 100):
+            density = k / 100
+            exact = Fraction(k, 100)
+            for h in range(1, 200):
+                assert (GenParams(density=density).min_fill(h)
+                        == max(1, ceil(exact * h))), (density, h)
+
+    def test_density_floor_reaches_its_draws(self):
+        """At density 0.28 and d = 100, layers drawn in a coset of 25 have
+        7 members, the exact floor, and never fewer.  Such a layer is one
+        whose members differ by multiples of 4 alone: the other orders
+        whose floor is at most 7 (10 and 20) have steps 10 and 5."""
+        p = GenParams(d_values=(100,), density=0.28, s_min=2, s_max=2,
+                      max_a_slack=-3)
+        sizes = Counter()
+        for i in range(3000):
+            for _, b in generate_instance(p, _rng_for(5, i)).layers:
+                if b.confining_step == 4:
+                    sizes[len(b)] += 1
+        assert min(sizes) == 7 and sizes[7] >= 10, sizes
 
     def test_deterministic_per_index(self):
         p = GenParams()

@@ -591,6 +591,36 @@ class TestProp6:
             L = random_instance(rng)
             assert prop6_lower_bound(L) <= flatten_sumset(L).total
 
+    def test_image_reads_no_matching(self, empty_memo):
+        """On instances that take the pigeonhole image, a whole `verify`
+        builds no (i, j) pair: the profile's `matching` memo stays empty,
+        and prop6 is |H| times the SDR's size, H the confining subgroup.
+        The packed flatten does build the pairs."""
+        large = GenParams(d_values=(48, 60, 72, 96, 120), s_min=24, s_max=40,
+                          max_a_slack=8)
+        drawn = [generate_instance(p, _rng_for(70 + seed, i))
+                 for seed, (p, count) in enumerate(((GenParams(), 300),
+                                                    (large, 30)))
+                 for i in range(count)]
+
+        def pigeonhole(L):
+            return (L.max_offset() < DENSE_SPAN * L.s
+                    and 2 * min(L.sizes) * L.confinement[0] > L.d)
+
+        image = [L for L in drawn if pigeonhole(L)]
+        assert len(image) >= 300, len(image)
+        for L in image:
+            verify_instance(L, Tally())
+            assert "matching" not in L.profile.__dict__, L
+            order = L.d // L.confinement[0]
+            assert prop6_lower_bound(L) == order * len(L.profile.sdr)
+            assert len(L.profile.sdr) == sum(L.profile.copies)
+        packed = LayeredSet.of(60, [(a, [0, 1]) for a in range(6)])
+        assert not pigeonhole(packed)
+        verify_instance(packed, Tally())
+        assert "matching" in packed.profile.__dict__
+        assert len(packed.profile.matching) == len(packed.profile.sdr)
+
     def test_memoized_profile_matches_oracle(self, rng, empty_memo):
         """The bound read through the offset profile equals one built from
         scratch: the family, a fresh matching and one sumset per SDR
@@ -668,6 +698,28 @@ class TestProp7:
         wide = LayeredSet.of(6, [(0, range(6)), (1, range(6))])
         out = check_prop7(wide)
         assert not out.applicable and out.witness == "out-of-range s"
+
+    def test_tight_family(self):
+        """Whole-group layers on A = [0, s-2] with t = ceil(3s/2) - 1 added
+        have doubling (s + t)/s < 5/2, so they are applicable, and prop7
+        holds with margin 3s - 2t of 1 or 2: the bound is tight at every s.
+        With t + 1 in place of t the doubling reaches 5/2 and nothing
+        applies."""
+        for s in range(6, 10):
+            t = -(-3 * s // 2) - 1
+            for top, applicable in ((t, True), (t + 1, False)):
+                for d in (1, 4, 12):
+                    L = LayeredSet.of(d, [(a, range(d)) for a in
+                                          [*range(s - 1), top]])
+                    assert L.ratio == Fraction(s + top, s)
+                    out = check_prop7(L)
+                    assert out.applicable == applicable, (s, top, d)
+                    if applicable:
+                        assert out.holds and out.witness == (t, s)
+                        assert 3 * s - 2 * t == 2 - s % 2
+                        w = find_structure(L)
+                        assert isinstance(w, StructureWitness)
+                        assert w.subgroup.order == d
 
     def test_tau_config(self):
         assert tau(4) == Fraction(9, 4)
@@ -850,23 +902,37 @@ class TestConfinement:
 
     def test_matches_member_gcd(self, rng, monkeypatch):
         """g is the step of the smallest confining H, from the gcd over
-        every member, and firsts the least members; the chain stops at g
-        = 1, which many instances reach before their last layer."""
+        every member, and firsts the least members, from one `coset_step`
+        call per instance, whether g ends at 1 or above it."""
         calls = recorded_steps(monkeypatch)
-        early = Counter()
+        ends = Counter()
         for L in self.instances(rng):
             calls.clear()
             g, firsts = L.confinement
             assert L.d // g == confining_order(L), L
             assert firsts == tuple(b.min() for _, b in L.layers)
-            early[g == 1 and len(calls) < L.s] += 1
-        assert early[True] >= 100 and early[False] >= 100, early
+            assert len(calls) == 1, L
+            ends[g == 1] += 1
+        assert ends[True] >= 100 and ends[False] >= 100, ends
 
-    def test_one_chain_per_instance(self, rng, monkeypatch):
-        """The flatten, the placement and the structure finder make at most
-        s `coset_step` calls between them: one chain, on both sides of
-        QUOTIENT_WIDTH, through the pigeonhole image, the packed pass and
-        the quotient's packed pass."""
+    @settings(max_examples=300, deadline=None)
+    @given(L=any_layered_sets())
+    def test_matches_member_pass_drawn(self, L):
+        """On random, coset, one-member and whole-group layers, with a stray
+        member or not, at d = 1 and on both sides of QUOTIENT_WIDTH: g is
+        gcd(d, m - min B_i) over a pass of every member of every layer."""
+        firsts = tuple(min(b) for _, b in L.layers)
+        g = L.d
+        for (_, b), m0 in zip(L.layers, firsts):
+            for m in b:
+                g = gcd(g, m - m0)
+        assert L.confinement == (g, firsts)
+
+    def test_one_mask_per_instance(self, rng, monkeypatch):
+        """The flatten, the placement and the structure finder make one
+        `coset_step` call between them, the confinement's, on both sides
+        of QUOTIENT_WIDTH, through the pigeonhole image, the packed pass
+        and the quotient's packed pass."""
         calls = recorded_steps(monkeypatch)
         kinds = Counter()
         for L in self.instances(rng):
@@ -874,7 +940,7 @@ class TestConfinement:
             L.flat
             L.placement
             find_structure(L)
-            assert len(calls) <= L.s, L
+            assert len(calls) == 1, L
             g, _ = L.confinement
             kinds[L.d >= QUOTIENT_WIDTH, L.placement[0].order < L.d,
                   2 * min(L.sizes) * g > L.d] += 1

@@ -11,6 +11,22 @@ def iset(bound, members):
     return IntegerSet.of(bound, members)
 
 
+def euclid_fold(members):
+    """Oracle: the plain extended-Euclid fold `bezout` shortcuts, one
+    Euclid run per member that rescales every earlier coefficient: (gcd,
+    coefficients)."""
+    g, coeffs = 0, []
+    for m in members:
+        a, b, u0, u1, v0, v1 = g, m, 1, 0, 0, 1
+        while b:
+            t = a // b
+            a, b = b, a - t * b
+            u0, u1 = u1, u0 - t * u1
+            v0, v1 = v1, v0 - t * v1
+        g, coeffs = a, [c * u0 for c in coeffs] + [v0]
+    return g, tuple(coeffs)
+
+
 class TestClosure:
     def test_examples(self):
         out = good_closure(iset(6, [0, 1]), iset(6, range(6)))
@@ -95,31 +111,41 @@ class TestSolveAffine:
     def test_matches_full_rescale_fold(self, rng):
         """The same coefficients as the fold that rescales every earlier
         coefficient at every member, on a-sets of up to 200 members."""
-
-        def full_rescale(members):
-            g, coeffs = 0, []
-            for m in members:
-                a, b, u0, u1, v0, v1 = g, m, 1, 0, 0, 1
-                while b:
-                    t = a // b
-                    a, b = b, a - t * b
-                    u0, u1 = u1, u0 - t * u1
-                    v0, v1 = v1, v0 - t * v1
-                g, coeffs = a, [c * u0 for c in coeffs] + [v0]
-            return g, tuple(coeffs)
-
         for _ in range(400):
             n = rng.choice((1, 2, 3, 5, 8, 40, 120, 200))
             scale = rng.choice((1, 1, 2, 6))
             members = [0] + sorted(rng.sample(range(1, 3 * n + 3), n - 1))
             members = [scale * m for m in members]
             a = tight(members)
-            g, want = full_rescale(members)
+            g, want = euclid_fold(members)
             if g > 1:
                 with pytest.raises(ValueError, match="gcd of nonzero"):
                     bezout(a)
             else:
                 assert bezout(a) == want
+
+    def test_zeros_once_gcd_is_one(self, rng):
+        """Once the gcd reaches 1, every later member gets coefficient 0,
+        as the Euclid fold gives it, also when the gcd reaches 1 late (at
+        the last member of (0, 6, 10, 15)) or at once (0, 1, ...); as a
+        tuple and as an `IntegerSet`."""
+        cases = [(0, 6, 10, 15), (0, 6, 10, 15, 16, 30), (0, 1, 2, 3),
+                 (0, 1, 100), (0, 4, 6, 9, 12), (0, 30, 42, 70, 105, 106)]
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            scale = rng.choice((2, 3, 6, 10))
+            members = sorted({0, *(scale * rng.randint(1, 20)
+                                   for _ in range(n))})
+            members += sorted(rng.sample(range(members[-1] + 1, 300), 3))
+            cases.append(tuple(members))
+        for members in cases:
+            g, want = euclid_fold(members)
+            if g > 1:
+                continue
+            assert bezout(members) == bezout(tight(members)) == want
+            first = next(i for i in range(len(members))
+                         if euclid_fold(members[:i + 1])[0] == 1)
+            assert not any(want[first + 1:]), members
 
     def test_refuses_coefficients_of_another_aset(self):
         """Coefficients that do not give sum c_i a_i = 1 on this a-set are
