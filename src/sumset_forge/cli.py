@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from math import inf
 
-from .harness import (MAX_WIDTH, CapExceeded, GenParams, LayeredSetError,
-                      campaign_exhaustive, campaign_random, load_instance,
-                      require_exhaustive_domain, verify_instance,
-                      worker_count, Tally, REPORT_VERSION)
+from .harness import (EXHAUSTIVE_CAP, MAX_WIDTH, CapExceeded, GenParams,
+                      LayeredSetError, campaign_exhaustive, campaign_random,
+                      load_instance, require_exhaustive_domain,
+                      verify_instance, worker_count, Tally, REPORT_VERSION)
 
 
 def _strict(kind, lo=-inf, hi=inf):
@@ -67,21 +68,42 @@ def _int_tuple(lo, hi):
     return parse
 
 
-_GEN = GenParams()
+def _plan_random(args):
+    """The random campaign of `args`; --s is one layer count or lo,hi."""
+    s = args.s
+    if not (len(s) == 1 or len(s) == 2 and s[0] < s[1]):
+        raise ValueError(
+            "random mode reads --s as one layer count or lo,hi with "
+            f"lo < hi, not {','.join(map(str, s))}")
+    params = GenParams(d_values=args.d, s_min=s[0], s_max=s[-1],
+                       max_a_slack=args.max_a_slack, density=args.density,
+                       epsilon=args.epsilon)
+    return partial(campaign_random, params, args.count, args.seed,
+                   include_canonical=not args.no_canonical)
 
-# the campaign flags each mode reads, with their defaults: the parser leaves
-# a flag out unless written, so `cmd_campaign` refuses one that only the
-# other mode reads and fills in the defaults of the rest.  Both read --s,
-# random mode as the range lo,hi of its layer counts and exhaustive mode as
-# a list of sizes, so each has its own default for it
-MODE_FLAGS = {
-    "random": {"s": (_GEN.s_min, _GEN.s_max), "d": _GEN.d_values,
-               "count": 10_000, "seed": 1,
-               "density": _GEN.density, "epsilon": _GEN.epsilon,
-               "max_a_slack": _GEN.max_a_slack, "no_canonical": False},
-    "exhaustive": {"s": tuple(range(_GEN.s_min, _GEN.s_max + 1)),
-                   "max_a": 12,
-                   "cap": campaign_exhaustive.__kwdefaults__["cap"]},
+
+def _plan_exhaustive(args):
+    """The exhaustive campaign of `args`, its domain refused here."""
+    require_exhaustive_domain(args.s, args.max_a, args.cap)
+    return partial(campaign_exhaustive, args.s, args.max_a, cap=args.cap)
+
+
+# one record per campaign mode, (plan, defaults).  `plan(args)` raises
+# ValueError on the mode's flags before `--out` is opened, else returns the
+# campaign to run.  `defaults` names every flag the mode reads: the parser
+# leaves a flag out unless written, so `cmd_campaign` refuses one that only
+# another mode reads and fills in the rest.  Both modes read --s, random
+# mode as the range lo,hi of its layer counts and exhaustive mode as a list
+# of sizes, so each has its own default for it
+MODES = {
+    "random": (_plan_random, {
+        "s": (GenParams.s_min, GenParams.s_max), "d": GenParams.d_values,
+        "count": 10_000, "seed": 1, "density": GenParams.density,
+        "epsilon": GenParams.epsilon, "max_a_slack": GenParams.max_a_slack,
+        "no_canonical": False}),
+    "exhaustive": (_plan_exhaustive, {
+        "s": tuple(range(GenParams.s_min, GenParams.s_max + 1)),
+        "max_a": 12, "cap": EXHAUSTIVE_CAP}),
 }
 
 
@@ -96,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_camp = sub.add_parser("campaign", help="run a verification campaign",
                             argument_default=argparse.SUPPRESS)
-    p_camp.add_argument("--mode", choices=sorted(MODE_FLAGS), required=True)
+    p_camp.add_argument("--mode", choices=sorted(MODES), required=True)
     p_camp.add_argument("--d", type=_int_tuple(1, MAX_WIDTH),
                         help="comma-separated moduli (random mode)")
     p_camp.add_argument("--s", type=_int_tuple(2, MAX_WIDTH),
@@ -138,9 +160,10 @@ def cmd_verify(args) -> int:
 
 def cmd_campaign(args) -> int:
     given = vars(args)
-    own = MODE_FLAGS[args.mode]
-    foreign = [name for mode, flags in MODE_FLAGS.items() if mode != args.mode
-               for name in flags if name in given and name not in own]
+    plan, own = MODES[args.mode]
+    # each flag some mode reads, once, in table order
+    every = dict.fromkeys(f for _, flags in MODES.values() for f in flags)
+    foreign = [name for name in every if name in given and name not in own]
     if foreign:
         flags = ", ".join("--" + name.replace("_", "-") for name in foreign)
         print(f"error: {args.mode} mode does not read {flags}",
@@ -150,20 +173,12 @@ def cmd_campaign(args) -> int:
         given.setdefault(name, default)
     try:
         worker_count()
-        s = args.s
-        if args.mode == "random" and not (
-                len(s) == 1 or len(s) == 2 and s[0] < s[1]):
-            raise ValueError(
-                "random mode reads --s as one layer count or lo,hi with "
-                f"lo < hi, not {','.join(map(str, s))}")
-        if args.mode == "exhaustive":
-            # before the probe below, which creates a missing --out file
-            require_exhaustive_domain(args.s, args.max_a, args.cap)
-        if args.out:
-            # a path that cannot be opened for writing is refused here,
-            # before the campaign; one that opens but refuses writes
-            # (/dev/full) fails only at the write below, also with exit 2.
-            # Appending leaves an existing file as it is
+        campaign = plan(args)   # before the probe, which creates --out
+        if args.out is not None:
+            # a path that cannot be opened for writing, "" included, is
+            # refused here, before the campaign; one that opens but refuses
+            # writes (/dev/full) fails only at the write below, also with
+            # exit 2.  Appending leaves an existing file as it is
             open(args.out, "a", encoding="utf-8").close()
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
@@ -171,22 +186,14 @@ def cmd_campaign(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.mode == "random":
-        params = GenParams(d_values=args.d, s_min=s[0],
-                           s_max=s[-1], max_a_slack=args.max_a_slack,
-                           density=args.density, epsilon=args.epsilon)
-        report = campaign_random(params, args.count, args.seed,
-                                 include_canonical=not args.no_canonical)
-    else:
-        report = campaign_exhaustive(args.s, args.max_a, cap=args.cap)
+    report = campaign()
     text = report.to_text()
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    for phase, secs in report.timings.items():
-        print(f"timing {phase} {secs:.3f}s", file=sys.stderr)
+    print(f"timing total {report.seconds:.3f}s", file=sys.stderr)
     return 1 if report.tally.violations else 0
 
 

@@ -404,7 +404,7 @@ class CampaignReport:
     seed: Optional[int]
     params: dict
     tally: Tally
-    timings: dict[str, float] = field(default_factory=dict)
+    seconds: float              # wall clock of the whole run
 
     def to_text(self) -> str:
         lines = [REPORT_VERSION, f"mode {self.mode}",
@@ -479,8 +479,7 @@ def run_campaign(mode: str, seed: Optional[int], params: dict, keys: Callable,
                     tally.merge(part)
     finally:
         ls.offset_profile.cache_clear()
-    return CampaignReport(mode, seed, params, tally,
-                          {"total": time.perf_counter() - t0})
+    return CampaignReport(mode, seed, params, tally, time.perf_counter() - t0)
 
 
 def _check_drawn(p: GenParams, seed: int, index: int, tally: Tally) -> None:
@@ -501,6 +500,10 @@ def campaign_random(p: GenParams, count: int, seed: int,
 
 class CapExceeded(ValueError):
     pass
+
+
+# the most offset sets an exhaustive campaign enumerates unless told more
+EXHAUSTIVE_CAP = 2_000_000
 
 
 def require_exhaustive_domain(s_values: tuple[int, ...], max_a: int,
@@ -565,7 +568,7 @@ def _check_offsets(rest: tuple[int, ...], tally: Tally) -> None:
 
 
 def campaign_exhaustive(s_values: tuple[int, ...], max_a: int, *,
-                        cap: int = 2_000_000) -> CampaignReport:
+                        cap: int = EXHAUSTIVE_CAP) -> CampaignReport:
     """Full enumeration of the projection space: the SDR certificate, the
     refined bound, and the missing-element profile, for every offset set."""
     require_exhaustive_domain(s_values, max_a, cap)

@@ -8,7 +8,7 @@ from math import inf
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sumset_forge.cli import main
+from sumset_forge.cli import MODES, main
 from sumset_forge.harness import (MAX_WIDTH, THREADS_ENV, LayeredSetError,
                                   instance_from_doc, instance_to_json)
 
@@ -137,6 +137,17 @@ VALID_FLAGS = _mode_flags(st.integers, st.floats(0, 1), 1)
 BOUNDED_FLAGS = _mode_flags(
     lambda lo, hi: st.integers(lo - 1, hi + 1),
     st.floats(-0.5, 1.5) | st.sampled_from(["nan", "inf", "-inf"]), 0)
+
+
+def test_fuzzed_flags_are_the_mode_records():
+    """The fuzz tables draw, for each mode, exactly the value flags of its
+    `cli.MODES` record (the switch --no-canonical is drawn apart), so a
+    flag added to a mode is fuzzed and the tables cannot drift apart."""
+    for table in (VALID_FLAGS, BOUNDED_FLAGS):
+        assert sorted(table) == sorted(MODES)
+        for mode, (_, defaults) in MODES.items():
+            flags = {"--" + name.replace("_", "-") for name in defaults}
+            assert set(table[mode]) == flags - {"--no-canonical"}, mode
 
 
 @st.composite

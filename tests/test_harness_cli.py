@@ -378,6 +378,31 @@ class TestCampaign:
         assert serial == parallel
         assert campaign_exhaustive((6, 7), 12).to_text() == exhaustive
 
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_workers_start_method_proof(self, method, monkeypatch):
+        """A worker that does not fork inherits nothing: its keys and check
+        reach it pickled, so they must be partials of module-level
+        functions.  Two workers started by `spawn` and by `forkserver`
+        (Linux's default from Python 3.14) reproduce the serial reports."""
+        import multiprocessing
+        import sumset_forge.harness as harness
+        runs = (functools.partial(campaign_random, GenParams(), 200, 1),
+                functools.partial(campaign_exhaustive, (6, 7), 12))
+        monkeypatch.setenv(THREADS_ENV, "1")
+        serial = [run().to_text() for run in runs]
+        pools, executor = [], harness.ProcessPoolExecutor
+
+        def pool(**kwargs):
+            pools.append(kwargs["max_workers"])
+            return executor(mp_context=multiprocessing.get_context(method),
+                            **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv(THREADS_ENV, "2")
+        assert [run().to_text() for run in runs] == serial
+        assert pools == [2, 2]
+
     def test_fewer_keys_than_workers(self, monkeypatch, serial_pool):
         """Workers left without a key add empty tallies: one instance or
         one offset set over three workers gives the serial report."""
@@ -1072,14 +1097,18 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["missing/r.txt", "."])
+    @pytest.mark.parametrize("where", ["missing/r.txt", ".", None])
     def test_campaign_bad_out_refused_before_work(self, where, tmp_path,
                                                   ran, capsys):
-        out = tmp_path / where
+        """A --out path that cannot be opened exits 2 naming it, before
+        any campaign runs; the empty path (None here) is one such path,
+        not a request for stdout."""
+        out = "" if where is None else str(tmp_path / where)
         assert main(["campaign", "--mode", "random", "--count", "5",
-                     "--out", str(out)]) == 2
+                     "--out", out]) == 2
         captured = capsys.readouterr()
-        assert "error:" in captured.err and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert repr(out) in captured.err
         assert ran == []
 
     def test_campaign_refusal_creates_no_out(self, tmp_path, capsys):

@@ -721,6 +721,27 @@ class TestProp7:
                         assert isinstance(w, StructureWitness)
                         assert w.subgroup.order == d
 
+    # the first instances of seed 1 at --max-a-slack 8 that reach every
+    # cell below; the last new cell is reached at index 2237
+    BOUNDARY_COUNT = 2238
+
+    def test_generator_reaches_the_boundary(self):
+        """Seed 1 at `max_a_slack=8`, the CI row `max-a-slack8`, draws an
+        applicable instance in every (s, max a) cell for s = 6..9 and max a
+        from s - 1 up to prop7's bound ceil(3s/2) - 1 (20 cells), within
+        its first BOUNDARY_COUNT instances, and none past the bound."""
+        p = GenParams(max_a_slack=8)
+        cells = {(s, top) for s in range(6, 10)
+                 for top in range(s - 1, -(-3 * s // 2))}
+        assert len(cells) == 20
+        seen = set()
+        for i in range(self.BOUNDARY_COUNT):
+            L = generate_instance(p, _rng_for(1, i))
+            if L.applicable:
+                assert 2 * L.max_offset() < 3 * L.s, i
+                seen.add((L.s, L.max_offset()))
+        assert seen == cells
+
     def test_tau_config(self):
         assert tau(4) == Fraction(9, 4)
         assert tau(5) == Fraction(12, 5)
