@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--max-a-slack", type=_strict(int, 0, MAX_WIDTH))
     p_camp.add_argument("--no-canonical", action="store_true",
                         help="skip the canonical instance battery")
-    p_camp.add_argument("--cap", type=_strict(int))
+    p_camp.add_argument("--cap", type=_strict(int, 0))
     p_camp.add_argument("--out", default=None,
                         help="write the report here (default stdout)")
 

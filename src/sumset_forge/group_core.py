@@ -87,16 +87,15 @@ def build_lattice(n: int, step: int) -> int:
 lattice = lru_cache(maxsize=LATTICE_CACHE_SIZE)(build_lattice)
 
 
-def coset_step(bits: int, m0: int, d: int, g: int = 0) -> int:
-    """gcd(d, g, m - m0 over the members m of `bits`), m0 its least member,
-    with no member pass.  g starts as the gcd with the span (max - m0);
+def coset_step(bits: int, m0: int, d: int) -> int:
+    """gcd(d, m - m0 over the members m of `bits`), m0 its least member,
+    with no member pass.  g starts as gcd(d, max - m0), the span;
     each round tests the members above m0 against the lattice of multiples
     of g with one mask, and a stray member, one not on it, replaces g by
     its gcd with the stray's offset.  g at least halves each round, so
     there are at most log2(d) rounds.  The mask is the lattice of g below
     d, which the other users of the subgroup of step g share."""
-    span = bits.bit_length() - 1 - m0
-    g = gcd(d, g, span)
+    g = gcd(d, bits.bit_length() - 1 - m0)
     t = bits >> m0
     while g > 1:
         stray = t & lattice(d, g) ^ t

@@ -137,10 +137,13 @@ class GenParams:
     def __post_init__(self):
         # `generate_instance` draws below the size of each range, and never
         # returns from an empty one, where `random`'s draws raised; a nan
-        # density has no floor
-        if (not self.d_values or self.s_min > self.s_max
+        # density has no floor; a layered set has s >= 2 layers and a
+        # modulus d >= 1
+        if (not self.d_values or min(self.d_values) < 1
+                or not 2 <= self.s_min <= self.s_max
                 or self.max_a_slack < -3 or not self.density <= 1):
-            raise ValueError(f"{self} leaves a draw range empty")
+            raise ValueError(f"{self} leaves a draw range empty or reaches "
+                             "past the layered sets")
         # the density as the fraction its decimal spells (the CLI takes
         # only the spelling `str` gives back), kept outside the fields
         f = Fraction(str(self.density))
@@ -215,8 +218,7 @@ def generate_instance(p: GenParams, rng: random.Random) -> LayeredSet:
         s = p.s_min + below(p.s_max - p.s_min + 1)
         # slack 0 is drawn four times as often as each positive slack
         top = s - 1 + max(0, below(p.max_a_slack + 4) - 3)
-        offsets = sorted(rng.sample(range(1, top), s - 2)) if s > 2 else []
-        offsets = [0] + offsets + [top]
+        offsets = [0] + sorted(rng.sample(range(1, top), s - 2)) + [top]
         if gcd(*offsets) != 1:
             continue
         step = d // h

@@ -254,7 +254,6 @@ class StructureWitness:
 @dataclass(frozen=True)
 class NotApplicable:
     reason: str
-    ratio: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -456,7 +455,7 @@ def find_structure(L: LayeredSet
     if not L.applicable:
         t = tau(L.s)
         return NotApplicable(f"no doubling threshold for s={L.s}" if t is None
-                             else f"doubling {L.ratio} >= {t}", L.ratio)
+                             else f"doubling {L.ratio} >= {t}")
 
     h, x, y = L.placement
 

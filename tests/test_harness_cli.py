@@ -186,13 +186,17 @@ class TestGenerator:
 
     def test_empty_draw_range_refused(self):
         """A parameter set with nothing to draw from is refused when it is
-        built, not left to a draw that never returns."""
+        built, not left to a draw that never returns, and so is one that
+        names a layer count or a modulus no layered set has."""
         for bad in (dict(d_values=()), dict(s_min=9, s_max=6),
                     dict(max_a_slack=-4), dict(density=1.5),
-                    dict(density=float("nan"))):
+                    dict(density=float("nan")), dict(s_min=1, s_max=1),
+                    dict(s_min=0, s_max=0), dict(d_values=(0,))):
             with pytest.raises(ValueError, match="draw range empty"):
                 GenParams(**bad)
         GenParams(max_a_slack=-3, density=1.0, s_min=6, s_max=6)
+        two = GenParams(d_values=(1,), s_min=2, s_max=2)
+        assert generate_instance(two, _rng_for(0, 0)).s == 2
 
     def test_sample_coset_matches_random_sample(self):
         """`sample_coset` gives the multiples of the step that
@@ -920,7 +924,8 @@ class TestCli:
                "--count": "an integer in [0, inf]",
                "--max-a-slack": f"an integer in [0, {MAX_WIDTH}]",
                "--density": "a number in [0, 1]",
-               "--epsilon": "a number in [0, 1]"}
+               "--epsilon": "a number in [0, 1]",
+               "--cap": "an integer in [0, inf]"}
 
     @pytest.mark.parametrize("args", [
         ["--mode", "random", "--d", "0"],
@@ -938,6 +943,7 @@ class TestCli:
         ["--mode", "random", "--max-a-slack", "-5"],
         ["--mode", "exhaustive", "--s", "6", "--max-a", "-3"],
         ["--mode", "exhaustive", "--s", "6", "--max-a", "0"],
+        ["--mode", "exhaustive", "--s", "5", "--max-a", "3", "--cap", "-1"],
     ])
     def test_campaign_bad_arguments_exit(self, args, ran, capsys):
         """An out-of-range value exits 2 from the parser, naming its flag

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_offset_sets, iset
+from conftest import all_offset_sets, any_layered_sets, iset
 from sumset_forge.group_core import (CyclicGroup, ResidueSet, Subgroup,
                                      containing_coset, coset_of, coset_step,
                                      memo, subgroups)
@@ -248,51 +248,6 @@ def member_gcd_placement(L):
     aset = iset(L.offsets())
     xy = solve_affine(AffineAssignment(aset, firsts, q), p.bezout)
     return None if xy is None else (Subgroup(L.group, L.d // q), *xy)
-
-
-@st.composite
-def any_layered_sets(draw):
-    """Valid layered sets of shapes the generator never draws: each layer
-    random members, one member, the whole group or a part of a_i*x + H for
-    a drawn H and x, and sometimes one stray member more, translated so
-    that 0 is in B_1; d = 1, d up to 40, or d on either side of
-    QUOTIENT_WIDTH.  Half of them have only whole groups and layers over
-    three quarters of their coset, and offsets often within s + 2, so
-    that the doubling hypothesis often holds."""
-    d = draw(st.integers(2, 40) | st.sampled_from(
-        [1, QUOTIENT_WIDTH - 8, QUOTIENT_WIDTH, QUOTIENT_WIDTH + 16]))
-    order = draw(st.sampled_from(CyclicGroup(d).divisors()))
-    x = draw(st.integers(0, d - 1))
-    s = draw(st.integers(2, 9))
-    top = s - 1 + draw(st.integers(0, 2) | st.integers(0, 2 * s))
-    rest = sorted(draw(st.sets(st.integers(1, top), min_size=s - 1,
-                               max_size=s - 1)))
-    if gcd(*rest) != 1:         # then 1 is not in rest
-        rest[0] = 1
-    offsets = [0] + rest
-    rnd = draw(st.randoms(use_true_random=False))
-    dense = draw(st.booleans())
-    kinds = ("full", "coset") if dense else ("random", "one", "full",
-                                             "coset")
-    least = -(-3 * order // 4) if dense else 1
-    member = st.integers(0, d - 1)
-    layers = []
-    for a in offsets:
-        kind = draw(st.sampled_from(kinds))
-        if kind == "random":
-            layers.append(draw(st.sets(member, min_size=1, max_size=12)))
-        elif kind == "one":
-            layers.append({draw(member)})
-        elif kind == "full":
-            layers.append(set(range(d)))
-        else:
-            layers.append({(a * x + j * (d // order)) % d for j in rnd.sample(
-                range(order), draw(st.integers(least, order)))})
-    if draw(st.integers(0, 3)) == 0:
-        layers[draw(st.integers(0, s - 1))].add(draw(member))
-    b0 = rnd.choice(sorted(layers[0]))
-    return LayeredSet.of(d, [(a, {(m - b0) % d for m in b})
-                             for a, b in zip(offsets, layers)])
 
 
 class TestValidation:
@@ -759,9 +714,9 @@ class TestFindStructure:
         assert verify_witness(L, w)
 
     def test_singleton_not_applicable(self):
-        out = find_structure(singleton_instance())
-        assert isinstance(out, NotApplicable)
-        assert out.ratio == Fraction(21, 6)
+        L = singleton_instance()
+        assert isinstance(find_structure(L), NotApplicable)
+        assert L.ratio == Fraction(21, 6)
 
     def test_all_full_group_layers(self):
         L = LayeredSet.of(12, [(a, range(12)) for a in range(6)])

@@ -3,8 +3,14 @@ line for line, on instances that take every path of `flatten_sumset`."""
 
 import json
 from collections import Counter
+from math import gcd
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import any_layered_sets
 from reference_checks import reference_lines
+from sumset_forge.group_core import BUILD_WIDTH, SCAN_WIDTH, CyclicGroup
 from sumset_forge.harness import (GenParams, Tally, _rng_for,
                                   canonical_instances, generate_instance,
                                   instance_to_json, verify_instance)
@@ -33,9 +39,9 @@ ROWS = [("default", GenParams(), 300),
         ("wide-offcoset", GenParams(density=0, epsilon=0.3,
                                     max_a_slack=1000), 300)]
 
-# the reference's pair sums cost sum |B_i||B_j| over i <= j; a drawn
-# instance above this is left out (at d = 8192, a layer can fill a coset of
-# thousands), so the test stays a few seconds
+# the reference's pair sums cost `pair_work`; a drawn instance above this
+# is left out (at d = 8192, a layer can fill a coset of thousands), so the
+# test stays a few seconds
 WORK = 200_000
 
 
@@ -52,6 +58,12 @@ def flatten_path(L: LayeredSet) -> str:
     return "offset" if dense else "index"
 
 
+def pair_work(L: LayeredSet) -> int:
+    """The reference's pair sums cost, sum |B_i||B_j| over i <= j."""
+    n = L.sizes
+    return sum(n[k] * sum(n[k:]) for k in range(len(n)))
+
+
 def instances():
     """The battery, prop7's tight family on both sides of its bound, and
     the ROWS' draws within WORK."""
@@ -65,9 +77,17 @@ def instances():
     for _, p, count in ROWS:
         for i in range(count):
             L = generate_instance(p, _rng_for(1, i))
-            n = L.sizes
-            if sum(n[k] * sum(n[k:]) for k in range(len(n))) <= WORK:
+            if pair_work(L) <= WORK:
                 yield L
+
+
+def checked_lines(L: LayeredSet) -> list[str]:
+    """The `check` lines of `verify_instance` on L, asserted equal to the
+    reference's on L's instance document."""
+    lines = verify_instance(L, Tally())
+    doc = json.loads(instance_to_json(L))
+    assert lines == reference_lines(doc, L.profile.matching), doc
+    return lines
 
 
 def test_verify_matches_reference(empty_memo):
@@ -76,11 +96,81 @@ def test_verify_matches_reference(empty_memo):
     least 3 times, and every structure outcome the rows draw."""
     paths, outcomes = Counter(), Counter()
     for L in instances():
-        lines = verify_instance(L, Tally())
-        doc = json.loads(instance_to_json(L))
-        assert lines == reference_lines(doc, L.profile.matching), doc
+        lines = checked_lines(L)
         paths[flatten_path(L)] += 1
         outcomes[lines[5].split()[2]] += 1
     assert min(paths[p] for p in ("image", "quotient", "offset",
                                   "index")) >= 3, paths
     assert min(outcomes[o] for o in ("witness", "not_applicable")) >= 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=any_layered_sets())
+def test_verify_matches_reference_on_any_layered_set(L):
+    """The reference's lines on random, coset, stray and one-member
+    layers, which the generator never draws, within WORK."""
+    assume(pair_work(L) <= WORK)
+    checked_lines(L)
+
+
+# each side of the widths where the flatten starts taking `coset_quotient`
+# (QUOTIENT_WIDTH), a bitmap's members start coming from one binary string
+# (SCAN_WIDTH) and `Bitmap.bits_of` starts building in a bytearray
+# (BUILD_WIDTH)
+SPARSE_D = (QUOTIENT_WIDTH - 2, QUOTIENT_WIDTH, SCAN_WIDTH - 4,
+            SCAN_WIDTH, SCAN_WIDTH + 2, BUILD_WIDTH - 2, BUILD_WIDTH,
+            BUILD_WIDTH + 6)
+
+
+@st.composite
+def sparse_layered_sets(draw):
+    """Layers of 1 to 3 members, each inside a_i*x + H, and sometimes one
+    member more off its coset, at each d of SPARSE_D; offsets within s + 2
+    or past DENSE_SPAN * s.  H of order 2 or 3, with layers of 2 or 3
+    members on dense offsets, takes the pigeonhole image; a proper H with
+    a one-member layer takes the quotient from QUOTIENT_WIDTH on."""
+    d = draw(st.sampled_from(SPARSE_D))
+    divisors = CyclicGroup(d).divisors()
+    order = draw(st.sampled_from([h for h in divisors if h in (2, 3)])
+                 | st.sampled_from(divisors))
+    step = d // order
+    x = draw(st.integers(0, d - 1))
+    s = draw(st.integers(2, 9))
+    top = s - 1 + draw(st.integers(0, 2) | st.integers(s + 1, 3 * s))
+    rest = sorted(draw(st.sets(st.integers(1, top), min_size=s - 1,
+                               max_size=s - 1)))
+    if gcd(*rest) != 1:         # then 1 is not in rest
+        rest[0] = 1
+    offsets = [0] + rest
+    least = draw(st.integers(1, 3))
+    layers = []
+    for a in offsets:
+        k = min(order, draw(st.integers(least, 3)))
+        js = draw(st.sets(st.integers(0, order - 1), min_size=k, max_size=k))
+        layers.append({(a * x + j * step) % d for j in js})
+    if draw(st.booleans()):
+        # one more member, at 1 from another (then H is all of Z/dZ) or
+        # anywhere
+        i = draw(st.integers(0, s - 1))
+        layers[i].add((min(layers[i]) + draw(st.just(1)
+                                             | st.integers(1, d - 1))) % d)
+    b0 = min(layers[0])
+    return LayeredSet.of(d, [(a, {(m - b0) % d for m in b})
+                             for a, b in zip(offsets, layers)])
+
+
+def test_verify_matches_reference_on_sparse_sets():
+    """The reference's lines on sparse layered sets across the widths
+    where the bitmap helpers change method, reaching every flatten path."""
+    paths = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(L=sparse_layered_sets())
+    def check(L):
+        checked_lines(L)
+        paths[flatten_path(L)] += 1
+
+    check()
+    # index, the rarest path, takes about 15 of the 200 draws
+    assert min(paths[p] for p in ("image", "quotient", "offset",
+                                  "index")) >= 1, paths
