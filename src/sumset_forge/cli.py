@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from math import inf
 
 from .harness import (EXHAUSTIVE_CAP, MAX_WIDTH, CapExceeded, GenParams,
@@ -107,6 +107,11 @@ MODES = {
 }
 
 
+# built on the first `main` call, not at import, and shared by later calls:
+# `parse_args` returns a fresh Namespace and leaves the parser as it was.
+# `choices` reads MODES here, so a test that edits MODES must call
+# `build_parser.cache_clear()`
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumset-forge",
@@ -220,7 +225,8 @@ def cmd_report(args) -> int:
 def main(argv=None) -> int:
     """Run one verb.  A file it cannot read, decode or write, stdout too,
     exits 2, as a refused input does, never in a traceback, whose exit 1
-    would read as "violations found"."""
+    would read as "violations found".  The parser is built once per
+    process, on the first call."""
     args = build_parser().parse_args(argv)
     handler = {"verify": cmd_verify, "campaign": cmd_campaign,
                "report": cmd_report}[args.command]

@@ -32,6 +32,10 @@ class SdrCertificate:
     representatives: tuple[int, ...]
 
     def __post_init__(self):
+        if len(self.representatives) != len(self.family):
+            raise ValueError(
+                f"{len(self.representatives)} representatives for a family "
+                f"of {len(self.family)} sets")
         seen = 0
         for i, (s, r) in enumerate(zip(self.family, self.representatives)):
             if r < 0 or not s.bits >> r & 1:

@@ -15,7 +15,6 @@ import random
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -461,7 +460,8 @@ def run_campaign(mode: str, seed: Optional[int], params: dict, keys: Callable,
                  check: Callable, lead: Iterable = ()) -> CampaignReport:
     """Verify the `lead` (name, instance) pairs, then `check(key, tally)` on
     each key of `keys()` in `worker_count()` processes, which all walk every
-    key.  Each campaign starts and ends with an empty offset profile memo."""
+    key.  Each campaign starts and ends with an empty offset profile memo.
+    The process pool is imported only when workers run."""
     t0 = time.perf_counter()
     threads = worker_count()
     ls.offset_profile.cache_clear()
@@ -472,6 +472,8 @@ def run_campaign(mode: str, seed: Optional[int], params: dict, keys: Callable,
         if threads <= 1:
             tally.merge(_check_stride(keys, check, 0, 1))
         else:
+            # imported here: a serial run never loads the pool's modules
+            from concurrent.futures import ProcessPoolExecutor
             # a forked worker would inherit the memo; it starts empty
             with ProcessPoolExecutor(
                     max_workers=threads,

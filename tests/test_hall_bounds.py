@@ -46,6 +46,12 @@ class TestFindSdr:
                 SdrCertificate(fam, reps)
         with pytest.raises(ValueError, match="representative 2 repeated"):
             SdrCertificate(fam, (2, 2))
+        # one representative per member: a tuple of another length is refused
+        for family, reps in (((*fam, iset([4])), (1,)), (fam, (1, 2, 3)),
+                             (fam[:1], (1, 2, 3))):
+            with pytest.raises(ValueError, match=f"^{len(reps)} represent"
+                                                 f".* of {len(family)} sets$"):
+                SdrCertificate(family, reps)
 
     def test_matches_bruteforce_matching_size(self, rng):
         from itertools import permutations

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from collections import Counter
 from itertools import combinations
@@ -34,9 +35,11 @@ from sumset_forge.layered import LayeredSet, LayeredSetError, offset_profile
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Campaign pools that run each worker's stride in this process, on a
-    machine of four cores; yields the worker count each pool was given."""
+    machine of four cores; yields the worker count each pool was given.
+    `run_campaign` imports the pool when workers run, so the patch is on
+    `concurrent.futures`, where that import reads it."""
+    import concurrent.futures
     import os
-    import sumset_forge.harness as harness
     pools = []
 
     class SerialPool:
@@ -53,7 +56,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     yield pools
 
@@ -388,20 +391,20 @@ class TestCampaign:
         reach it pickled, so they must be partials of module-level
         functions.  Two workers started by `spawn` and by `forkserver`
         (Linux's default from Python 3.14) reproduce the serial reports."""
+        import concurrent.futures
         import multiprocessing
-        import sumset_forge.harness as harness
         runs = (functools.partial(campaign_random, GenParams(), 200, 1),
                 functools.partial(campaign_exhaustive, (6, 7), 12))
         monkeypatch.setenv(THREADS_ENV, "1")
         serial = [run().to_text() for run in runs]
-        pools, executor = [], harness.ProcessPoolExecutor
+        pools, executor = [], concurrent.futures.ProcessPoolExecutor
 
         def pool(**kwargs):
             pools.append(kwargs["max_workers"])
             return executor(mp_context=multiprocessing.get_context(method),
                             **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv(THREADS_ENV, "2")
         assert [run().to_text() for run in runs] == serial
@@ -906,6 +909,61 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "error: [Errno 28]" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_serial_run_loads_no_pool(self):
+        """A serial process imports the CLI and runs both campaign modes
+        without loading `concurrent` or `multiprocessing`: the pool is
+        imported only when workers run.  Only the modules loaded after
+        start-up are read, so one that site imports does not count."""
+        script = textwrap.dedent("""\
+            import sys
+            before = set(sys.modules)
+            from sumset_forge.cli import main
+            codes = [main(["campaign", "--mode", "exhaustive", "--s", "6",
+                           "--max-a", "9"]),
+                     main(["campaign", "--mode", "random", "--count", "50"])]
+            pool = sorted(m for m in set(sys.modules) - before
+                          if m.split(".")[0] in ("concurrent",
+                                                 "multiprocessing"))
+            print(codes, pool)
+            """)
+        src = os.path.dirname(os.path.dirname(sumset_forge.__file__))
+        env = {**os.environ, "PYTHONPATH": src, THREADS_ENV: "1"}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              stdin=subprocess.DEVNULL, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 1] []"
+
+    def test_shared_parser_keeps_calls_apart(self, capsys):
+        """`main` builds the parser once per process, and calls that share
+        it give what each gives alone, with a parser of its own: a refused
+        call leaves nothing for the next."""
+        calls = (["campaign", "--mode", "exhaustive", "--seed", "1"],
+                 ["campaign", "--mode", "exhaustive", "--cap", "-1"],
+                 ["campaign", "--mode", "random", "--count", "20",
+                  "--seed", "3"])
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, [line for line in err.splitlines()
+                               if not line.startswith("timing total ")]
+
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()
+            alone.append(run(argv))
+        build_parser.cache_clear()
+        assert [run(argv) for argv in calls] == alone
+        assert build_parser.cache_info().misses == 1
+        assert build_parser() is build_parser()
+        assert [code for code, _, _ in alone] == [2, 2, 0]
+        assert alone[0][2] == ["error: exhaustive mode does not read --seed"]
+        assert alone[2][1].startswith(REPORT_VERSION + "\n")
 
     @pytest.fixture
     def ran(self, monkeypatch):
